@@ -43,6 +43,13 @@ SEALED_KINDS = ("EscrowDeposit", "TokenIssued", "TokenRelease",
                 "PaymentRequest")
 ENVELOPE_BITS = (32 + 12 + 256 + 16) * 8
 
+# Golden digests (see test_golden.py): the sha256 over the thousand tamper
+# traces of criterion 4, and of criterion 7's mixed trace.
+TAMPER_SWEEP_DIGEST = ("1c030dfd95f5844674797d95a58ec6e5"
+                       "a7a2d261fc31625a4842969516453874")
+MIXED_TRACE_SHA256 = ("83e0fc235f1d5ebdd20135185671ad92"
+                      "6fb267b41443053fb36edb00615213df")
+
 
 def _passline(num: int, detail: str) -> None:
     print(f"criterion {num:>2} PASS  {detail}", flush=True)
@@ -543,8 +550,11 @@ def test_criterion_11_reruns_are_byte_identical(suite):
 
     again_tamper = run_tamper_batch(scanner=None)
     assert again_tamper["digest"] == suite.tamper["digest"]
+    assert suite.tamper["digest"] == TAMPER_SWEEP_DIGEST
 
     again_mixed = run_world(mixed_config())
     assert export_trace(again_mixed.trace) == suite.mixed["trace"]
+    assert hashlib.sha256(suite.mixed["trace"].encode()).hexdigest() \
+        == MIXED_TRACE_SHA256
     _passline(11, "criteria 3, 4, and 7 reran byte-identical "
                   "(1002 trace files compared)")
