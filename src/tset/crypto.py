@@ -1,7 +1,8 @@
 """Signatures, certificates, and the two encryption primitives.
 
 Certificates are a minimal in-model PKI: one root signing key per run signs
-(subject, public key) pairs, and every entity holds the root public key.
+(subject, public key) pairs, and every entity checks certificates against
+the root public key through the run's shared CertificateChecks.
 Asymmetric sealing is hybrid: an ephemeral X25519 exchange feeds HKDF-SHA256,
 and the derived key runs AES-256-GCM.  Both the hybrid and the plain
 symmetric primitive are authenticated, so any bit flip in a sealed blob
@@ -95,6 +96,28 @@ def issue_certificate(root_key: Ed25519PrivateKey, subject: str,
 def verify_certificate(cert: Certificate, root_public: bytes) -> bool:
     return verify(root_public, cert.signature,
                   _cert_signing_bytes(cert.subject, cert.public_key))
+
+
+class CertificateChecks:
+    """Certificate checks against one root key, each made once.
+
+    The outcome is kept per certificate value, so every distinct certificate
+    is verified against the root the first time it is presented; a forged or
+    altered one is a different value and is verified (and refused) in turn.
+    One instance serves one world: what it keeps is bounded by the
+    certificates that world sees.
+    """
+
+    def __init__(self, root_public: bytes):
+        self.root_public = root_public
+        self._outcomes: dict[Certificate, bool] = {}
+
+    def valid(self, cert: Certificate) -> bool:
+        ok = self._outcomes.get(cert)
+        if ok is None:
+            ok = verify_certificate(cert, self.root_public)
+            self._outcomes[cert] = ok
+        return ok
 
 
 def encode_certificate(cert: Certificate) -> bytes:

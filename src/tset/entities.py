@@ -317,12 +317,13 @@ class Entity:
     role: m.Role
 
     def __init__(self, eid: EntityId, signing_key, certificate: Certificate,
-                 directory: dict, root_public: bytes, well_known: WellKnown):
+                 directory: dict, certs: crypto.CertificateChecks,
+                 well_known: WellKnown):
         self.id = eid
         self._key = signing_key
         self.certificate = certificate
         self.directory = directory
-        self.root_public = root_public
+        self.certs = certs
         self.wk = well_known
         self.phases: dict[str, Enum] = {}
 
@@ -338,7 +339,7 @@ class Entity:
         result = StepResult()
         sender_cert = self.directory.get(str(msg.sender))
         if sender_cert is None or not m.verify_message(
-                msg, sender_cert, self.root_public):
+                msg, sender_cert, self.certs):
             result.violations.append(
                 f"BadSignature:{msg.kind.value}:{msg.sender}->{self.id}")
             return result
@@ -349,10 +350,22 @@ class Entity:
                 f"ProtocolViolation:{self.id}:{phase.value}x{msg.kind.value}")
             return result
         new_phase = self.handle(msg, phase, now, result)
-        assert new_phase is phase or new_phase in rule.next, \
-            (self.id, phase, msg.kind, new_phase)
-        assert all(out.kind in rule.emits for out in result.messages), \
-            (self.id, phase, msg.kind, [out.kind for out in result.messages])
+        # A handler that breaks the legality table is refused like a peer
+        # that does: the phase stays as it was and its emissions are dropped.
+        if new_phase is not phase and new_phase not in rule.next:
+            result.violations.append(
+                f"IllegalTransition:{self.id}:{phase.value}x{msg.kind.value}"
+                f"->{getattr(new_phase, 'value', new_phase)}")
+            result.messages.clear()
+            return result
+        stray = [out.kind.value for out in result.messages
+                 if out.kind not in rule.emits]
+        if stray:
+            result.violations.append(
+                f"IllegalEmission:{self.id}:{phase.value}x{msg.kind.value}"
+                f":{','.join(stray)}")
+            result.messages.clear()
+            return result
         self.phases[str(msg.txn)] = new_phase
         return result
 
@@ -428,8 +441,7 @@ class Customer(Entity):
         if kind == K.OFFER:
             order = msg.payload.order
             cert = msg.payload.merchant_cert
-            if not crypto.verify_certificate(cert, self.root_public) or \
-                    cert.subject != str(msg.sender):
+            if not self.certs.valid(cert) or cert.subject != str(msg.sender):
                 result.violations.append(f"AuthFailure:Offer:{msg.sender}")
                 return phase
             if (order.product != st.intent.product
@@ -544,8 +556,7 @@ class Merchant(Entity):
 
         if kind == K.PURCHASE_CONFIRM:
             cert = msg.payload.customer_cert
-            if not crypto.verify_certificate(cert, self.root_public) or \
-                    cert.subject != str(msg.sender):
+            if not self.certs.valid(cert) or cert.subject != str(msg.sender):
                 result.violations.append(
                     f"AuthFailure:PurchaseConfirm:{msg.sender}")
                 return phase

@@ -8,6 +8,10 @@ that changes breaks verification.  The file form is a flat sequence of
     [4-byte big-endian entry length][entry bytes][32-byte chain hash]
 
 records.  There is no update or delete: disputes are settled by reading.
+The ledger keeps only the exact bytes it hashed for each entry.  The file
+form writes them, verification re-hashes them and every entry read back
+(``entries``, dispute reports) is decoded from them, so nothing read from a
+ledger can differ from what its chain head commits to.
 """
 
 from __future__ import annotations
@@ -78,15 +82,20 @@ class Ledger:
     """In-memory chain plus file round-trip.  Strictly append-only."""
 
     def __init__(self):
-        self._entries: list[LedgerEntry] = []
+        self._raw: list[bytes] = []
         self._hashes: list[bytes] = []
+        self._positions: dict[str, list[int]] = {}  # txn -> entry indices
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._raw)
+
+    def __iter__(self):
+        """Every entry in order, each decoded afresh from its hashed bytes."""
+        return map(LedgerEntry.from_bytes, self._raw)
 
     @property
     def entries(self) -> tuple[LedgerEntry, ...]:
-        return tuple(self._entries)
+        return tuple(self)
 
     @property
     def head(self) -> bytes:
@@ -94,17 +103,21 @@ class Ledger:
 
     def append(self, entry: LedgerEntry) -> bytes:
         """Returns the new chain head."""
-        link = hashlib.sha256(self.head + entry.to_bytes()).digest()
-        self._entries.append(entry)
-        self._hashes.append(link)
+        raw = entry.to_bytes()
+        link = hashlib.sha256(self.head + raw).digest()
+        self._keep(entry.txn, raw, link)
         return link
+
+    def _keep(self, txn: str, raw: bytes, link: bytes) -> None:
+        self._positions.setdefault(txn, []).append(len(self._raw))
+        self._raw.append(raw)
+        self._hashes.append(link)
 
     # -- file form ----------------------------------------------------------
 
     def to_bytes(self) -> bytes:
         out = []
-        for entry, link in zip(self._entries, self._hashes):
-            raw = entry.to_bytes()
+        for raw, link in zip(self._raw, self._hashes):
             out.append(struct.pack(">I", len(raw)))
             out.append(raw)
             out.append(link)
@@ -134,9 +147,7 @@ class Ledger:
             if stored != expected:
                 raise LedgerIntegrityError(
                     f"chain hash mismatch at entry {len(ledger)}")
-            entry = LedgerEntry.from_bytes(raw)
-            ledger._entries.append(entry)
-            ledger._hashes.append(expected)
+            ledger._keep(LedgerEntry.from_bytes(raw).txn, raw, expected)
             prev = expected
         return ledger
 
@@ -147,8 +158,8 @@ class Ledger:
 
     def verify(self) -> bool:
         prev = GENESIS
-        for entry, stored in zip(self._entries, self._hashes):
-            expected = hashlib.sha256(prev + entry.to_bytes()).digest()
+        for raw, stored in zip(self._raw, self._hashes):
+            expected = hashlib.sha256(prev + raw).digest()
             if stored != expected:
                 return False
             prev = expected
@@ -160,7 +171,8 @@ def dispute_report(ledger: Ledger, txn: str) -> dict:
     in order, their chain positions, and the verified chain head."""
     if not ledger.verify():
         raise LedgerIntegrityError("ledger fails chain verification")
-    rows = [(i, e) for i, e in enumerate(ledger.entries) if e.txn == txn]
+    rows = [(i, LedgerEntry.from_bytes(ledger._raw[i]))
+            for i in ledger._positions.get(txn, ())]
     if not rows:
         raise UnknownTransaction(f"no ledger entries for {txn}")
     return {

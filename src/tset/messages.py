@@ -6,14 +6,21 @@ sealed token bytes: the token authenticates itself end-to-end to the
 issuing bank through its own two encryption layers, and hop signatures must
 not turn intermediaries into tamper oracles.  A mutated envelope therefore
 travels to the bank, where detection (and the tamper report) belongs.
+
+The hop signature is checked on every delivery.  The sender's certificate
+is checked against the root key once per world (crypto.CertificateChecks):
+a certificate never changes, so a second check could only repeat the first.
+A message is frozen, so its canonical encodings are built once and kept for
+the signature check, the trace digest and the privacy monitor.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 from . import crypto
 from .crypto import Certificate
@@ -303,7 +310,7 @@ def sealed_digest(sealed: SealedToken) -> str:
     return hashlib.sha256(sealed.envelope).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolMessage:
     kind: MsgKind
     sender: EntityId
@@ -318,25 +325,51 @@ class ProtocolMessage:
             raise TypeError(f"{self.kind.value} payload must be "
                             f"{expected.__name__}")
 
+    # The kept encodings are cached properties: each is built on first use.
+    # dataclasses.replace makes a copy that keeps none of them, so a copy
+    # with any field changed is encoded afresh.
+
+    @cached_property
+    def plain_payload(self) -> dict:
+        """The payload as JSON-ready data, sealed bytes in hex.  Shared by
+        every reader of this message: read it, never modify it."""
+        return _jsonable(self.payload, mask_sealed=False)
+
+    @cached_property
+    def signed_part(self) -> bytes:
+        """signing_bytes(), kept."""
+        return self.signing_bytes()
+
+    @cached_property
+    def wire(self) -> bytes:
+        """canonical_bytes(), kept."""
+        return self.canonical_bytes()
+
     def _header(self, mask_sealed: bool) -> dict:
+        payload = self.plain_payload
+        if mask_sealed and self.sealed_token() is not None:
+            payload = {**payload, _SIGN_EXEMPT: _MASK}
         return {
             "kind": self.kind.value,
             "sender": str(self.sender),
             "receiver": str(self.receiver),
             "txn": str(self.txn),
-            "payload": _jsonable(self.payload, mask_sealed),
+            "payload": payload,
         }
 
     def signing_bytes(self) -> bytes:
+        """Encodes what the hop signature covers: header and payload as
+        canonical JSON, the sealed bytes masked."""
         return _canon(self._header(mask_sealed=True))
 
     def canonical_bytes(self) -> bytes:
+        """Encodes the whole message, signature and sealed bytes included."""
         body = self._header(mask_sealed=False)
         body["signature"] = self.signature.hex()
         return _canon(body)
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
+        return hashlib.sha256(self.wire).hexdigest()
 
     def edge(self) -> tuple[str, str]:
         return (str(self.sender), str(self.receiver))
@@ -347,27 +380,31 @@ class ProtocolMessage:
     def with_sealed(self, sealed: SealedToken) -> "ProtocolMessage":
         """Copy of this message with the sealed bytes swapped out.  The
         signature is kept as-is; it remains valid because hop signatures
-        exclude the sealed field."""
+        exclude the sealed field, and so does the kept signed part."""
         if self.sealed_token() is None:
             raise ValueError(f"{self.kind.value} carries no sealed token")
-        payload_fields = {f.name: getattr(self.payload, f.name)
-                          for f in fields(self.payload)}
-        payload_fields[_SIGN_EXEMPT] = sealed
-        return ProtocolMessage(self.kind, self.sender, self.receiver,
-                               self.txn, type(self.payload)(**payload_fields),
-                               self.signature)
+        copy = replace(self, payload=replace(self.payload,
+                                             **{_SIGN_EXEMPT: sealed}))
+        copy.__dict__["signed_part"] = self.signed_part
+        return copy
 
 
 def sign_message(msg: ProtocolMessage, key) -> ProtocolMessage:
-    msg.signature = crypto.sign(key, msg.signing_bytes())
-    return msg
+    """The signed copy of ``msg``.  It keeps the encodings of ``msg`` that
+    the signature does not enter: the signed part and the plain payload."""
+    signed = replace(msg, signature=crypto.sign(key, msg.signed_part))
+    signed.__dict__.update(signed_part=msg.signed_part,
+                           plain_payload=msg.plain_payload)
+    return signed
 
 
 def verify_message(msg: ProtocolMessage, sender_cert: Certificate,
-                   root_public: bytes) -> bool:
+                   certs: crypto.CertificateChecks) -> bool:
+    """The certificate names the sender and is root-signed (checked once per
+    world), and the hop signature verifies (checked on every call)."""
     if str(msg.sender) != sender_cert.subject:
         return False
-    if not crypto.verify_certificate(sender_cert, root_public):
+    if not certs.valid(sender_cert):
         return False
     return crypto.verify(sender_cert.public_key, msg.signature,
-                         msg.signing_bytes())
+                         msg.signed_part)

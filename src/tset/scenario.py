@@ -321,6 +321,8 @@ def build_world(config: ScenarioConfig, seed: int | None = None,
     root_rng = ByteStream(seed)
     root_key = crypto.new_signing_key(root_rng.fork("root"))
     root_public = root_key.public_key().public_bytes_raw()
+    # One memo of certificate checks for the whole world, filled on use.
+    certs = crypto.CertificateChecks(root_public)
 
     ids = ([EntityId(Role.CUSTOMER, i) for i in range(len(config.customers))]
            + [EntityId(Role.MERCHANT, i) for i in range(len(config.merchants))]
@@ -341,7 +343,7 @@ def build_world(config: ScenarioConfig, seed: int | None = None,
 
     def base_args(eid: EntityId):
         return (eid, signing_keys[str(eid)], directory[str(eid)],
-                directory, root_public, wk)
+                directory, certs, wk)
 
     accounts = {f"C{i}": spec.balance
                 for i, spec in enumerate(config.customers)}
@@ -349,7 +351,7 @@ def build_world(config: ScenarioConfig, seed: int | None = None,
     account_numbers = {f"C{i}": f"ACCT-{acct_rng.take(8).hex()}"
                        for i in range(len(config.customers))}
     keys = new_key_material(root_rng.fork("cb/material"))
-    mint = TokenMint(root_rng.fork("cb/mint"), root_public)
+    mint = TokenMint(root_rng.fork("cb/mint"), certs)
     cb = CustomerBank(*base_args(wk.customer_bank), keys=keys, mint=mint,
                       accounts=accounts, crypto_rng=root_rng.fork("cb/seal"),
                       account_numbers=account_numbers)

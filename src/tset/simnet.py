@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -201,7 +202,7 @@ class InvariantMonitor:
 
     def check_privacy(self, msg: ProtocolMessage, now: int) -> None:
         role = msg.receiver.role
-        keys = _payload_keys(m.payload_dict(msg))
+        keys = _payload_keys(msg.plain_payload)
         if role in (m.Role.MERCHANT, m.Role.MERCHANT_BANK):
             bad = keys & _FORBIDDEN_AT_COMMERCE
             if bad:
@@ -215,7 +216,7 @@ class InvariantMonitor:
                     f"OrderLeak:{msg.kind.value}->{msg.receiver}:"
                     f"{','.join(sorted(bad))}")
         if role is not m.Role.CUSTOMER_BANK:
-            canon = msg.canonical_bytes()
+            canon = msg.wire
             for secret in self._secrets + self._accounts:
                 if secret in canon:
                     self.failures.append(
@@ -372,10 +373,9 @@ class Simulation:
         completed = len(world.cb.settled_amounts)
         tamper_reports = sum(1 for n in self.notes
                              if n.startswith("TamperDetected:"))
-        regenerations = sum(1 for e in world.ttp.ledger.entries
-                            if e.event == "Regenerate")
-        expiries = sum(1 for e in world.ttp.ledger.entries
-                       if e.event == "DeadlineExpired")
+        events = Counter(e.event for e in world.ttp.ledger)
+        regenerations = events["Regenerate"]
+        expiries = events["DeadlineExpired"]
         summary = {
             "seed": world.seed,
             "ticks": self._now,

@@ -16,7 +16,6 @@ modified envelope cannot survive either authenticated layer.
 from __future__ import annotations
 
 import struct
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -252,72 +251,55 @@ def verify_token(presented: Token, duplicate: Token) -> VerifyOutcome:
 class TokenMint:
     """Issues tokens and keeps the duplicate copies for later comparison.
 
-    Generation is serialized under a lock: concurrent mints never produce
-    duplicate ids.  A token id is single-use; settling it twice raises
-    AlreadySettled, and ids invalidated after tamper reports raise
-    RevokedToken on presentation.
+    Both parties' certificates are checked through the world's
+    CertificateChecks before a token is minted.  A token id is never reused
+    and is single-use: settling it twice raises AlreadySettled, and ids
+    invalidated after tamper reports raise RevokedToken on presentation.
+    The simulator is single-threaded, and so is the mint.
     """
 
-    def __init__(self, rng: ByteStream, root_public: bytes):
+    def __init__(self, rng: ByteStream, certs: crypto.CertificateChecks):
         self._rng = rng
-        self._root_public = root_public
-        self._lock = threading.Lock()
+        self._certs = certs
         self._duplicates: dict[bytes, Token] = {}
         self._settled: set[bytes] = set()
         self._revoked: set[bytes] = set()
-        # The same few certificates come back for every issuance; cache the
-        # signature checks (certificates are immutable value objects).
-        self._cert_ok: dict[Certificate, bool] = {}
-
-    def _check_cert(self, cert: Certificate) -> bool:
-        ok = self._cert_ok.get(cert)
-        if ok is None:
-            ok = crypto.verify_certificate(cert, self._root_public)
-            self._cert_ok[cert] = ok
-        return ok
 
     def generate_token(self, amount: int, cert_customer: Certificate,
                        cert_merchant: Certificate, now_ms: int) -> Token:
-        if not self._check_cert(cert_customer):
+        if not self._certs.valid(cert_customer):
             raise crypto.AuthFailure("customer certificate does not verify")
-        if not self._check_cert(cert_merchant):
+        if not self._certs.valid(cert_merchant):
             raise crypto.AuthFailure("merchant certificate does not verify")
-        with self._lock:
+        token_id = self._rng.take(TOKEN_ID_LEN)
+        while token_id in self._duplicates:
             token_id = self._rng.take(TOKEN_ID_LEN)
-            while token_id in self._duplicates:
-                token_id = self._rng.take(TOKEN_ID_LEN)
-            token = Token(amount, cert_customer, cert_merchant,
-                          token_id, now_ms)
-            self._duplicates[token_id] = token
+        token = Token(amount, cert_customer, cert_merchant, token_id, now_ms)
+        self._duplicates[token_id] = token
         return token
 
     def duplicate_of(self, token_id: bytes) -> Token:
-        with self._lock:
-            if token_id not in self._duplicates:
-                raise UnknownTokenId("token id was never issued")
-            if token_id in self._revoked:
-                raise RevokedToken("token id was invalidated")
-            if token_id in self._settled:
-                raise AlreadySettled("token id already settled")
-            return self._duplicates[token_id]
+        if token_id not in self._duplicates:
+            raise UnknownTokenId("token id was never issued")
+        if token_id in self._revoked:
+            raise RevokedToken("token id was invalidated")
+        if token_id in self._settled:
+            raise AlreadySettled("token id already settled")
+        return self._duplicates[token_id]
 
     def settle(self, token_id: bytes) -> None:
-        with self._lock:
-            if token_id not in self._duplicates:
-                raise UnknownTokenId("token id was never issued")
-            if token_id in self._settled:
-                raise AlreadySettled("token id already settled")
-            self._settled.add(token_id)
+        if token_id not in self._duplicates:
+            raise UnknownTokenId("token id was never issued")
+        if token_id in self._settled:
+            raise AlreadySettled("token id already settled")
+        self._settled.add(token_id)
 
     def revoke(self, token_id: bytes) -> None:
-        with self._lock:
-            self._revoked.add(token_id)
+        self._revoked.add(token_id)
 
     def is_settled(self, token_id: bytes) -> bool:
-        with self._lock:
-            return token_id in self._settled
+        return token_id in self._settled
 
     @property
     def issued_count(self) -> int:
-        with self._lock:
-            return len(self._duplicates)
+        return len(self._duplicates)

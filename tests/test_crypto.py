@@ -41,6 +41,42 @@ def test_certificate_rejects_subject_swap(keyset):
     assert not crypto.verify_certificate(forged, keyset.root_public)
 
 
+def test_certificate_checks_verify_each_certificate_once(keyset,
+                                                          monkeypatch):
+    seen = []
+    real = crypto.verify_certificate
+
+    def counted(cert, root_public):
+        seen.append(cert)
+        return real(cert, root_public)
+
+    monkeypatch.setattr(crypto, "verify_certificate", counted)
+    certs = crypto.CertificateChecks(keyset.root_public)
+    for _ in range(3):
+        assert certs.valid(keyset.cert_customer)
+        assert certs.valid(keyset.cert_merchant)
+    assert seen == [keyset.cert_customer, keyset.cert_merchant]
+
+    # A forged or altered certificate is another value: checked, refused.
+    forged = crypto.Certificate("M0", keyset.cert_customer.public_key,
+                                keyset.cert_customer.signature)
+    altered = crypto.Certificate("C0", keyset.cert_customer.public_key,
+                                 bytes(64))
+    for _ in range(2):
+        assert not certs.valid(forged)
+        assert not certs.valid(altered)
+    assert seen[2:] == [forged, altered]
+
+
+def test_certificate_checks_belong_to_one_root(keyset, rng):
+    other_root = crypto.new_signing_key(rng)
+    other = crypto.CertificateChecks(
+        other_root.public_key().public_bytes_raw())
+    assert crypto.CertificateChecks(keyset.root_public).valid(
+        keyset.cert_customer)
+    assert not other.valid(keyset.cert_customer)
+
+
 def test_certificate_encode_decode_roundtrip(keyset):
     blob = crypto.encode_certificate(keyset.cert_merchant)
     assert crypto.decode_certificate(blob) == keyset.cert_merchant

@@ -5,7 +5,16 @@ hand-signed messages straight to an entity's step(), so transitions,
 emissions, and refusals are observable without the network in between.
 """
 
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import tset
 
 from tset import messages as m
 from tset.entities import (
@@ -84,7 +93,7 @@ def test_bad_signature_is_rejected_before_handling(world):
     txn = txn_of(world)
     msg = signed(world, "C0", K.TRUST_LOOKUP, "TTP0", txn,
                  m.TrustLookup(world.entities["M0"].id))
-    msg.signature = bytes(64)
+    msg = dataclasses.replace(msg, signature=bytes(64))
     result = world.ttp.step(msg, 1)
     assert result.violations and "BadSignature" in result.violations[0]
     assert world.ttp.phase_of(txn) is TP.NEW
@@ -94,9 +103,66 @@ def test_unknown_sender_is_rejected(world):
     txn = txn_of(world)
     msg = signed(world, "C0", K.TRUST_LOOKUP, "TTP0", txn,
                  m.TrustLookup(world.entities["M0"].id))
-    msg.sender = m.EntityId.parse("C7")
+    msg = dataclasses.replace(msg, sender=m.EntityId.parse("C7"))
     result = world.ttp.step(msg, 1)
     assert result.violations and "BadSignature" in result.violations[0]
+
+
+# Run as a script under both optimisation levels: a merchant whose handler
+# answers a Browse from New with Done, against the table's AwaitConfirm.
+_ILLEGAL_STEP_SCRIPT = """
+import json
+from tset import messages as m
+from tset.entities import Merchant, MerchantPhase
+from tset.messages import MsgKind, ProtocolMessage, TransactionId
+from tset.scenario import ScenarioConfig, build_world
+
+Merchant.handle = lambda self, msg, phase, now, result: MerchantPhase.DONE
+world = build_world(ScenarioConfig.from_dict({
+    "customers": [{"balance": 100000, "purchases": []}],
+    "merchants": [{"catalog": {"widget": 15000}}]}))
+customer, merchant = world.entities["C0"], world.entities["M0"]
+txn = TransactionId(customer.id, 1)
+browse = m.sign_message(ProtocolMessage(MsgKind.BROWSE, customer.id,
+                                        merchant.id, txn,
+                                        m.Browse("widget", 1)),
+                        customer._key)
+result = merchant.step(browse, 1)
+print(json.dumps({"violations": result.violations,
+                  "messages": len(result.messages),
+                  "phase": merchant.phase_of(txn).value}))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
+def test_illegal_transition_is_refused_under_any_optimisation(flags):
+    src = str(Path(tset.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, *flags, "-c", _ILLEGAL_STEP_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "violations": ["IllegalTransition:M0:NewxBrowse->Done"],
+        "messages": 0, "phase": "New"}
+
+
+def test_illegal_emission_is_dropped(world, monkeypatch):
+    merchant, txn = world.entities["M0"], txn_of(world)
+
+    def handle(self, msg, phase, now, result):
+        result.messages.append(self._emit(
+            K.TEMP_PAYMENT_QUERY, self.wk.ttp, msg.txn,
+            m.TempPaymentQuery("ORD-M0-1")))
+        return MP.AWAIT_CONFIRM
+
+    monkeypatch.setattr(type(merchant), "handle", handle)
+    result = merchant.step(
+        signed(world, "C0", K.BROWSE, "M0", txn, m.Browse("widget", 1)), 1)
+    assert result.violations == [
+        "IllegalEmission:M0:NewxBrowse:TempPaymentQuery"]
+    assert result.messages == []
+    assert merchant.phase_of(txn) is MP.NEW
 
 
 # -- customer --------------------------------------------------------------------
@@ -138,6 +204,25 @@ def test_customer_rejects_mismatched_offer(world):
     result = customer.step(offer_for(world, txn, quantity=3), 2)
     assert any("OfferMismatch" in v for v in result.violations)
     assert customer.phase_of(txn) is CP.AWAIT_OFFER
+
+
+def test_customer_rejects_forged_merchant_certificate(world):
+    customer, merchant = world.customers["C0"], world.entities["M0"]
+    customer.begin_purchase(PurchaseIntent(merchant.id, "widget", 1))
+    txn = txn_of(world)
+    genuine = offer_for(world, txn)
+    # M0's name and signature over C0's key: a forgery the memo never saw,
+    # delivered after the genuine certificate has been checked.
+    assert customer.certs.valid(merchant.certificate)
+    forged = dataclasses.replace(
+        merchant.certificate, public_key=customer.certificate.public_key)
+    offer = signed(world, "M0", K.OFFER, "C0", txn,
+                   dataclasses.replace(genuine.payload, merchant_cert=forged))
+    result = customer.step(offer, 2)
+    assert result.violations == ["AuthFailure:Offer:M0"]
+    assert customer.phase_of(txn) is CP.AWAIT_OFFER
+    customer.step(genuine, 3)
+    assert customer.phase_of(txn) is CP.AWAIT_TRUST
 
 
 def test_customer_trust_gate_aborts(world):

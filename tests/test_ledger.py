@@ -58,6 +58,24 @@ def test_chain_matches_independent_hash_walk():
     assert led.verify()
 
 
+def test_entry_edited_after_append_shows_nowhere():
+    entries = fixture_entries()
+    led = Ledger()
+    for entry in entries:
+        led.append(entry)
+    head = led.head
+    blob = led.to_bytes()
+    entries[0].details["amount"] = 1   # details is a plain dict
+    assert led.verify() and led.head == head
+    assert led.to_bytes() == blob
+    assert led.entries[0].details == {"amount": 15000}
+    report = dispute_report(led, "C0-1")
+    assert report["chain_head"] == head.hex()
+    assert report["entries"][0]["details"] == {"amount": 15000}
+    reloaded = dispute_report(Ledger.from_bytes(led.to_bytes()), "C0-1")
+    assert reloaded == report
+
+
 def test_golden_head_and_file():
     led = fixture_ledger()
     assert led.head.hex() == GOLDEN_HEAD

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from tset import crypto
@@ -18,6 +20,10 @@ from tset.tokens import SealedToken
 
 def eid(text: str) -> EntityId:
     return EntityId.parse(text)
+
+
+def certs(keyset) -> crypto.CertificateChecks:
+    return crypto.CertificateChecks(keyset.root_public)
 
 
 @pytest.fixture()
@@ -72,8 +78,8 @@ def test_completion_notice_status_restricted():
 def test_sign_verify_roundtrip(keyset, txn):
     msg = ProtocolMessage(MsgKind.BROWSE, eid("C0"), eid("M0"), txn,
                           m.Browse("widget", 1))
-    sign_message(msg, keyset.customer_key)
-    assert verify_message(msg, keyset.cert_customer, keyset.root_public)
+    msg = sign_message(msg, keyset.customer_key)
+    assert verify_message(msg, keyset.cert_customer, certs(keyset))
 
 
 def test_verify_rejects_header_tamper(keyset, txn):
@@ -81,8 +87,8 @@ def test_verify_rejects_header_tamper(keyset, txn):
         ProtocolMessage(MsgKind.BROWSE, eid("C0"), eid("M0"), txn,
                         m.Browse("widget", 1)),
         keyset.customer_key)
-    msg.payload = m.Browse("widget", 2)
-    assert not verify_message(msg, keyset.cert_customer, keyset.root_public)
+    msg = dataclasses.replace(msg, payload=m.Browse("widget", 2))
+    assert not verify_message(msg, keyset.cert_customer, certs(keyset))
 
 
 def test_verify_rejects_wrong_sender_cert(keyset, txn):
@@ -90,7 +96,7 @@ def test_verify_rejects_wrong_sender_cert(keyset, txn):
         ProtocolMessage(MsgKind.BROWSE, eid("C0"), eid("M0"), txn,
                         m.Browse("widget", 1)),
         keyset.customer_key)
-    assert not verify_message(msg, keyset.cert_merchant, keyset.root_public)
+    assert not verify_message(msg, keyset.cert_merchant, certs(keyset))
 
 
 def sealed_fixture(tag: bytes) -> SealedToken:
@@ -122,7 +128,7 @@ def test_with_sealed_preserves_signature_validity(keyset, txn):
     cert = crypto.issue_certificate(
         keyset.root_key, "MB0",
         keyset.customer_key.public_key().public_bytes_raw())
-    assert verify_message(swapped, cert, keyset.root_public)
+    assert verify_message(swapped, cert, certs(keyset))
 
 
 def test_with_sealed_requires_token_bearing_kind(keyset, txn):
@@ -139,7 +145,7 @@ def test_canonical_bytes_cover_signature(keyset, txn):
                         m.Browse("widget", 1)),
         keyset.customer_key)
     with_sig = msg.digest()
-    msg.signature = b"\x00" * 64
+    msg = dataclasses.replace(msg, signature=b"\x00" * 64)
     assert msg.digest() != with_sig
 
 

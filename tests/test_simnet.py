@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+from tset import crypto
 from tset.entities import (
     AcquirerPhase as AP,
     ArbiterPhase as TP,
@@ -12,7 +13,7 @@ from tset.entities import (
     MerchantPhase as MP,
 )
 from tset.ledger import Ledger
-from tset.messages import MsgKind as K
+from tset.messages import MsgKind as K, ProtocolMessage
 from tset.scenario import ScenarioConfig, build_world
 from tset.simnet import (
     ActionKind,
@@ -68,6 +69,42 @@ def test_happy_path_money_movement():
     assert world.cb.escrow_pool == 0
     assert result.summary["final_account_total"] == 100000
     assert result.summary["initial_account_total"] == 100000
+
+
+def _counting(monkeypatch, owner, name: str, counts: list) -> None:
+    real = getattr(owner, name)
+
+    def counted(*args):
+        counts.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_each_message_is_encoded_once_for_signing_and_once_whole(
+        monkeypatch):
+    signing, whole = [], []
+    _counting(monkeypatch, ProtocolMessage, "signing_bytes", signing)
+    _counting(monkeypatch, ProtocolMessage, "canonical_bytes", whole)
+    # One mutation: the tampered copy keeps the signed part of the original.
+    result = run_scenario(adversary=[{"action": "flip_bits", "bits": [9],
+                                      "target": {"kind": "EscrowDeposit"}}])
+    assert result.summary["tamper_reports"] == 1
+    assert len(signing) == len(result.trace)
+    assert len(whole) == len(result.trace)
+    assert len(set(map(id, whole))) == len(whole)
+
+
+def test_each_certificate_is_checked_once_per_world(monkeypatch):
+    checked = []
+    _counting(monkeypatch, crypto, "verify_certificate", checked)
+    for _ in range(2):
+        result = run_scenario()
+        assert result.summary["txns_completed"] == 1
+    senders = {record.sender for record in result.trace}
+    assert len(senders) == 5
+    assert sorted(cert.subject for cert in checked) \
+        == sorted(2 * list(senders))
 
 
 def test_trace_is_monotone_and_well_formed():

@@ -184,7 +184,8 @@ def test_verify_token_reports_mismatched_fields(sample_token, keyset):
 # -- the mint -------------------------------------------------------------------
 
 def test_mint_issues_unique_ids(keyset):
-    mint = TokenMint(ByteStream(3), keyset.root_public)
+    mint = TokenMint(ByteStream(3),
+                     crypto.CertificateChecks(keyset.root_public))
     seen = set()
     for i in range(500):
         token = mint.generate_token(10, keyset.cert_customer,
@@ -195,7 +196,8 @@ def test_mint_issues_unique_ids(keyset):
 
 
 def test_mint_rejects_uncertified_parties(keyset):
-    mint = TokenMint(ByteStream(3), keyset.root_public)
+    mint = TokenMint(ByteStream(3),
+                     crypto.CertificateChecks(keyset.root_public))
     forged = crypto.Certificate("C9", keyset.cert_customer.public_key,
                                 keyset.cert_customer.signature)
     with pytest.raises(crypto.AuthFailure):
@@ -205,7 +207,8 @@ def test_mint_rejects_uncertified_parties(keyset):
 
 
 def test_mint_duplicate_lookup_and_settle(keyset):
-    mint = TokenMint(ByteStream(3), keyset.root_public)
+    mint = TokenMint(ByteStream(3),
+                     crypto.CertificateChecks(keyset.root_public))
     token = mint.generate_token(10, keyset.cert_customer,
                                 keyset.cert_merchant, 0)
     assert mint.duplicate_of(token.token_id) == token
@@ -219,7 +222,8 @@ def test_mint_duplicate_lookup_and_settle(keyset):
 
 
 def test_mint_unknown_and_revoked(keyset):
-    mint = TokenMint(ByteStream(3), keyset.root_public)
+    mint = TokenMint(ByteStream(3),
+                     crypto.CertificateChecks(keyset.root_public))
     with pytest.raises(UnknownTokenId):
         mint.duplicate_of(bytes(32))
     with pytest.raises(UnknownTokenId):
@@ -232,7 +236,8 @@ def test_mint_unknown_and_revoked(keyset):
 
 
 def test_mint_revocation_outranks_settlement(keyset):
-    mint = TokenMint(ByteStream(3), keyset.root_public)
+    mint = TokenMint(ByteStream(3),
+                     crypto.CertificateChecks(keyset.root_public))
     token = mint.generate_token(10, keyset.cert_customer,
                                 keyset.cert_merchant, 0)
     mint.settle(token.token_id)
