@@ -373,8 +373,9 @@ class Entity:
         raise NotImplementedError
 
     # Timer hooks; only entities with internal clocks override these.
-    def pending_timers(self) -> list:
-        return []
+    def timer_due(self, key: str) -> int | None:
+        """Tick at which the timer for transaction ``key`` fires, if armed."""
+        return None
 
     def fire_timer(self, key: str, now: int) -> StepResult:
         raise KeyError(key)
@@ -848,10 +849,9 @@ class MerchantBank(Entity):
 
         raise AssertionError(f"unhandled {kind} in {phase}")
 
-    def pending_timers(self):
-        return [(p.next_due, txn_key)
-                for txn_key, p in sorted(self.pending.items())
-                if p.next_due is not None and p.retries < self.retry_cap]
+    def timer_due(self, txn_key: str) -> int | None:
+        p = self.pending.get(txn_key)
+        return p.next_due if p and p.retries < self.retry_cap else None
 
     def fire_timer(self, txn_key: str, now: int) -> StepResult:
         result = StepResult()
@@ -1081,10 +1081,9 @@ class Ttp(Entity):
 
     # -- deadlines -----------------------------------------------------------
 
-    def pending_timers(self):
-        return [(st.deadline_at, txn_key)
-                for txn_key, st in sorted(self.txns.items())
-                if st.deadline_at is not None]
+    def timer_due(self, txn_key: str) -> int | None:
+        st = self.txns.get(txn_key)
+        return None if st is None else st.deadline_at
 
     def fire_timer(self, txn_key: str, now: int) -> StepResult:
         """Deadline expiry: refund via escrow cancellation, notify the

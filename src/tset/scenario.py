@@ -392,7 +392,7 @@ def build_world(config: ScenarioConfig, seed: int | None = None,
     plan.sort(key=lambda item: (item[0], item[1]))
 
     return World(seed=seed, latency=config.latency, tick_limit=tick_limit,
-                 root_public=root_public, entities=entities,
+                 entities=entities,
                  customers=customers, cb=cb, mb=mb, ttp=ttp, plan=plan,
                  adversary=[_fresh_action(a) for a in config.adversary])
 

@@ -1,10 +1,19 @@
 """Discrete-event message network with an active adversary.
 
 Time is an integer tick (one tick is one millisecond of simulated time, and
-token timestamps come from this clock).  Every send schedules a delivery
-``latency`` ticks later through a priority queue keyed on (tick, sequence),
-so runs are fully deterministic for a given scenario and seed.  The run
-ends at quiescence: no queued messages and no armed entity timers.
+token timestamps come from this clock).  One heap holds every event:
+purchase starts and deliveries (each send lands ``latency`` ticks later) as
+(tick, 0, sequence, entry), entity timers as (tick, 1, entity, key).  So at
+one tick deliveries run first, in queue order, then timers in (entity name,
+key) order, and a run is deterministic for a given scenario and seed.
+
+An entity's fields are the only record of its timers: after a delivery or
+firing touches key k at an entity, the simulator queues the tick that
+``timer_due(k)`` names unless that tick is already queued.  A popped timer
+entry whose tick no longer equals ``timer_due(k)`` is stale and dropped; it
+neither moves the clock nor counts against the tick limit.  The run ends
+quiescent, with no message in flight and no timer armed, unless the next
+live event lies past the tick limit.
 
 The adversary owns the wire but no keys.  It can flip bits in or rewrite
 fields of the sealed token bytes it sees, replay token-carrying messages,
@@ -134,7 +143,6 @@ class World:
     seed: int
     latency: int
     tick_limit: int
-    root_public: bytes
     entities: dict[str, Entity]
     customers: dict[str, Customer]
     cb: CustomerBank
@@ -249,6 +257,7 @@ class Simulation:
         self.notes: list[str] = []
         self.violations: list[str] = []
         self._heap: list = []
+        self._queued_timers: set = set()
         self._seq = 0
         self._now = 0
         self._attempted = 0
@@ -256,8 +265,14 @@ class Simulation:
     # -- scheduling ----------------------------------------------------------
 
     def _push(self, tick: int, entry) -> None:
-        heapq.heappush(self._heap, (tick, self._seq, entry))
+        heapq.heappush(self._heap, (tick, 0, self._seq, entry))
         self._seq += 1
+
+    def _arm(self, entity: Entity, key: str) -> None:
+        timer = (entity.timer_due(key), 1, str(entity.id), key)
+        if timer[0] is not None and timer not in self._queued_timers:
+            self._queued_timers.add(timer)
+            heapq.heappush(self._heap, timer)
 
     def _record(self, tick: int, msg: ProtocolMessage, flag: str) -> None:
         self.trace.append(TraceRecord(tick, str(msg.sender),
@@ -309,25 +324,8 @@ class Simulation:
             return
         result = receiver.step(msg, now)
         self._apply_result(result, now)
+        self._arm(receiver, str(msg.txn))
         self.monitor.after_delivery(msg, now)
-
-    # -- timers ----------------------------------------------------------
-
-    def _next_timer(self):
-        best = None
-        for name in sorted(self.world.entities):
-            for due, _key in self.world.entities[name].pending_timers():
-                if best is None or due < best:
-                    best = due
-        return best
-
-    def _fire_timers(self, now: int) -> None:
-        for name in sorted(self.world.entities):
-            entity = self.world.entities[name]
-            due_keys = [key for due, key in sorted(entity.pending_timers())
-                        if due <= now]
-            for key in due_keys:
-                self._apply_result(entity.fire_timer(key, now), now)
 
     # -- main loop -------------------------------------------------------
 
@@ -336,34 +334,35 @@ class Simulation:
             self._push(tick, ("begin", customer_id, intent))
         tick_limit_exceeded = False
 
-        while True:
-            timer_due = self._next_timer()
-            if self._heap and (timer_due is None
-                               or self._heap[0][0] <= timer_due):
-                tick, _seq, entry = heapq.heappop(self._heap)
-            elif timer_due is not None:
-                tick, entry = timer_due, ("timers",)
-            else:
-                break
+        while self._heap:
+            entry = heapq.heappop(self._heap)
+            tick, is_timer = entry[0], entry[1]
+            if is_timer:
+                self._queued_timers.discard(entry)
+                entity, key = self.world.entities[entry[2]], entry[3]
+                if entity.timer_due(key) != tick:
+                    continue                    # re-armed or cleared: stale
             if tick > self.world.tick_limit:
                 tick_limit_exceeded = True
                 break
             self._now = tick
-            if entry[0] == "deliver":
-                self._deliver(entry[1], entry[2], tick)
-            elif entry[0] == "begin":
-                customer = self.world.customers[entry[1]]
-                self._attempted += 1
-                self._apply_result(customer.begin_purchase(entry[2]), tick)
+            if is_timer:
+                self._apply_result(entity.fire_timer(key, tick), tick)
+                self._arm(entity, key)
+                continue
+            what, subject, detail = entry[3]
+            if what == "deliver":
+                self._deliver(subject, detail, tick)
             else:
-                self._fire_timers(tick)
+                self._attempted += 1
+                customer = self.world.customers[subject]
+                self._apply_result(customer.begin_purchase(detail), tick)
 
-        quiescent = not self._heap and self._next_timer() is None
-        return self._result(quiescent, tick_limit_exceeded)
+        return self._result(tick_limit_exceeded)
 
     # -- reporting ---------------------------------------------------------
 
-    def _result(self, quiescent: bool, tick_limit_exceeded: bool) -> RunResult:
+    def _result(self, tick_limit_exceeded: bool) -> RunResult:
         from .entities import ArbiterPhase as TP
         world = self.world
         ttp_phases = [world.ttp.phases.get(key, TP.NEW)
@@ -379,7 +378,7 @@ class Simulation:
         summary = {
             "seed": world.seed,
             "ticks": self._now,
-            "quiescent": quiescent,
+            "quiescent": not tick_limit_exceeded,
             "tick_limit_exceeded": tick_limit_exceeded,
             "txns_attempted": self._attempted,
             "txns_completed": completed,
@@ -405,7 +404,7 @@ class Simulation:
             violations=self.violations,
             invariant_failures=self.monitor.failures,
             ledger=world.ttp.ledger, trust=world.ttp.trust, world=world,
-            quiescent=quiescent, ticks=self._now)
+            quiescent=not tick_limit_exceeded, ticks=self._now)
 
 
 def render_summary(summary: dict) -> str:

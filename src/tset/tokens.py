@@ -117,7 +117,7 @@ class VerifyOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Canonical wire form
+# Wire layout, shared by the canonical and the sealed form
 #
 #   offset  size  field
 #   ------  ----  -----------------------------
@@ -126,50 +126,69 @@ class VerifyOutcome:
 #   12      var   customer certificate
 #   .       4     merchant certificate length
 #   .       var   merchant certificate
-#   .       32    token id
+#   .       var   id field (see below)
 #   .       8     issue timestamp, big-endian ms
+#
+# The canonical form's id field is the raw 32-byte token id.  The sealed
+# form's is the id encrypted under the bank's symmetric key, behind its
+# own 4-byte length.
 
-def canonical_serialize(token: Token) -> bytes:
+def _encode(token: Token, id_field: bytes, *, prefixed: bool) -> bytes:
     cert_c = crypto.encode_certificate(token.cert_customer)
     cert_m = crypto.encode_certificate(token.cert_merchant)
+    id_len = struct.pack(">I", len(id_field)) if prefixed else b""
     return b"".join([
         struct.pack(">Q", token.amount),
         struct.pack(">I", len(cert_c)), cert_c,
         struct.pack(">I", len(cert_m)), cert_m,
-        token.token_id,
+        id_len, id_field,
         struct.pack(">Q", token.timestamp),
     ])
 
 
-def canonical_deserialize(data: bytes) -> Token:
+def _decode(data: bytes, error: type[Exception], *, prefixed: bool,
+            open_id=bytes) -> Token:
+    """Parse ``data`` into a Token whose id is ``open_id(id field)``,
+    raising ``error`` if it does not parse or the token is invalid."""
     view = memoryview(data)
     pos = 0
 
     def need(n: int) -> memoryview:
         nonlocal pos
         if pos + n > len(view):
-            raise MalformedBytes("token bytes truncated")
+            raise error("token bytes truncated")
         chunk = view[pos:pos + n]
         pos += n
         return chunk
 
+    def length() -> int:
+        return struct.unpack(">I", need(4))[0]
+
     (amount,) = struct.unpack(">Q", need(8))
     certs = []
     for side in ("customer", "merchant"):
-        (clen,) = struct.unpack(">I", need(4))
-        raw = bytes(need(clen))
+        raw = bytes(need(length()))
         try:
             certs.append(crypto.decode_certificate(raw))
         except ValueError as exc:
-            raise MalformedBytes(f"bad {side} certificate: {exc}") from exc
-    token_id = bytes(need(TOKEN_ID_LEN))
+            raise error(f"bad {side} certificate: {exc}") from exc
+    id_field = bytes(need(length() if prefixed else TOKEN_ID_LEN))
     (timestamp,) = struct.unpack(">Q", need(8))
     if pos != len(view):
-        raise MalformedBytes("trailing bytes after token")
+        raise error("trailing bytes after token")
+    token_id = open_id(id_field)
     try:
         return Token(amount, certs[0], certs[1], token_id, timestamp)
     except ValueError as exc:
-        raise MalformedBytes(str(exc)) from exc
+        raise error(str(exc)) from exc
+
+
+def canonical_serialize(token: Token) -> bytes:
+    return _encode(token, token.token_id, prefixed=False)
+
+
+def canonical_deserialize(data: bytes) -> Token:
+    return _decode(data, MalformedBytes, prefixed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +199,7 @@ def seal_token(token: Token, keys: KeyMaterial, rng: ByteStream) -> SealedToken:
     token (with the encrypted id in place of the raw one) to the box key."""
     inner = crypto.sym_encrypt(keys.symmetric_key, token.token_id,
                                _INNER_AAD, rng)
-    cert_c = crypto.encode_certificate(token.cert_customer)
-    cert_m = crypto.encode_certificate(token.cert_merchant)
-    plain = b"".join([
-        struct.pack(">Q", token.amount),
-        struct.pack(">I", len(cert_c)), cert_c,
-        struct.pack(">I", len(cert_m)), cert_m,
-        struct.pack(">I", len(inner)), inner,
-        struct.pack(">Q", token.timestamp),
-    ])
+    plain = _encode(token, inner, prefixed=True)
     return SealedToken(crypto.seal_box(keys.box_public, plain, rng))
 
 
@@ -197,39 +208,14 @@ def open_token(sealed: SealedToken, keys: KeyMaterial) -> Token:
     fails or does not parse, TokenIdDecryptionFailure if the inner id
     layer fails.  A successful return is a structurally valid Token."""
     plain = crypto.open_box(keys.box_secret, sealed.envelope)
-    view = memoryview(plain)
-    pos = 0
 
-    def need(n: int) -> memoryview:
-        nonlocal pos
-        if pos + n > len(view):
-            raise DecryptionFailure("sealed payload truncated")
-        chunk = view[pos:pos + n]
-        pos += n
-        return chunk
-
-    (amount,) = struct.unpack(">Q", need(8))
-    certs = []
-    for side in ("customer", "merchant"):
-        (clen,) = struct.unpack(">I", need(4))
-        raw = bytes(need(clen))
+    def open_id(inner: bytes) -> bytes:
         try:
-            certs.append(crypto.decode_certificate(raw))
-        except ValueError as exc:
-            raise DecryptionFailure(f"bad {side} certificate: {exc}") from exc
-    (ilen,) = struct.unpack(">I", need(4))
-    inner = bytes(need(ilen))
-    (timestamp,) = struct.unpack(">Q", need(8))
-    if pos != len(view):
-        raise DecryptionFailure("trailing bytes inside sealed payload")
-    try:
-        token_id = crypto.sym_decrypt(keys.symmetric_key, inner, _INNER_AAD)
-    except DecryptionFailure as exc:
-        raise TokenIdDecryptionFailure(str(exc)) from exc
-    try:
-        return Token(amount, certs[0], certs[1], token_id, timestamp)
-    except ValueError as exc:
-        raise DecryptionFailure(str(exc)) from exc
+            return crypto.sym_decrypt(keys.symmetric_key, inner, _INNER_AAD)
+        except DecryptionFailure as exc:
+            raise TokenIdDecryptionFailure(str(exc)) from exc
+
+    return _decode(plain, DecryptionFailure, prefixed=True, open_id=open_id)
 
 
 _COMPARED_FIELDS = ("amount", "cert_customer", "cert_merchant",

@@ -111,10 +111,10 @@ def grade(tf: Fraction | int) -> Grade:
     Bands are half-open decades with the boundary in the higher grade:
     [90, 100] -> A1, [80, 90) -> A2, ... [10, 20) -> E1, [0, 10) -> E2.
     """
-    tf = Fraction(tf)
-    if not 0 <= tf <= 100:
+    num, den = tf.numerator, tf.denominator     # den > 0, also for an int
+    if not 0 <= num <= 100 * den:
         raise ValueError("trust factor must lie in [0, 100]")
-    return Grade(min(int(tf / 10), 9))
+    return Grade(min(num // (10 * den), 9))
 
 
 def format_pct(value: Fraction) -> str:

@@ -396,8 +396,7 @@ def test_release_presents_and_arms_retry(world):
     result = release_to_mb(world, txn, sealed)
     assert [msg.kind for msg in result.messages] == [K.PAYMENT_REQUEST]
     assert world.mb.phase_of(txn) is AP.AWAIT_PAYMENT
-    assert world.mb.pending_timers() == [(10 + world.mb.retry_ticks,
-                                          str(txn))]
+    assert world.mb.timer_due(str(txn)) == 10 + world.mb.retry_ticks
 
 
 def test_retry_timer_represents_until_cap(world):
@@ -406,15 +405,14 @@ def test_retry_timer_represents_until_cap(world):
     release_to_mb(world, txn, sealed)
     fired = 0
     for _ in range(world.mb.retry_cap + 2):
-        timers = world.mb.pending_timers()
-        if not timers:
+        due = world.mb.timer_due(str(txn))
+        if due is None:
             break
-        due, key = timers[0]
-        result = world.mb.fire_timer(key, due)
+        result = world.mb.fire_timer(str(txn), due)
         if result.messages:
             fired += 1
     assert fired == world.mb.retry_cap
-    assert world.mb.pending_timers() == []
+    assert world.mb.timer_due(str(txn)) is None
 
 
 def test_settlement_credits_merchant_once(world):
@@ -453,7 +451,7 @@ def test_abort_notice_keeps_pending_while_awaiting_payment(world):
                m.CompletionNotice("aborted", "deadline expired")), 15)
     assert any("RetainPending" in n for n in result.notes)
     assert world.mb.phase_of(txn) is AP.AWAIT_PAYMENT
-    assert world.mb.pending_timers()                # still presenting
+    assert world.mb.timer_due(str(txn)) is not None     # still presenting
 
 
 # -- arbiter ------------------------------------------------------------------------
@@ -552,22 +550,23 @@ def test_arbiter_deadline_expiry_refunds_and_penalizes(world):
     sealed, _ = issue_token(world, txn)
     quote(world, txn)
     deposit(world, txn, sealed, now=7)
-    timers = world.ttp.pending_timers()
-    assert timers and timers[0][0] == 7 + world.ttp.deadline_ticks
-    result = world.ttp.fire_timer(str(txn), timers[0][0])
+    due = world.ttp.timer_due(str(txn))
+    assert due == 7 + world.ttp.deadline_ticks
+    result = world.ttp.fire_timer(str(txn), due)
     kinds = sorted(msg.kind.value for msg in result.messages)
     assert kinds == ["CompletionNotice", "CompletionNotice", "EscrowCancel"]
     assert world.ttp.phase_of(txn) is TP.EXPIRED
     assert world.ttp.trust["M0"].rejected == 1
     assert world.ttp.ledger.entries[-1].event == "DeadlineExpired"
-    assert world.ttp.pending_timers() == []
+    assert world.ttp.timer_due(str(txn)) is None
 
 
 def test_arbiter_expiry_before_deposit_skips_trust_penalty(world):
     txn = txn_of(world)
     quote(world, txn)
-    timers = world.ttp.pending_timers()
-    result = world.ttp.fire_timer(str(txn), timers[0][0])
+    due = world.ttp.timer_due(str(txn))
+    assert due is not None
+    result = world.ttp.fire_timer(str(txn), due)
     assert world.ttp.phase_of(txn) is TP.EXPIRED
     assert "M0" not in world.ttp.trust
     assert any(msg.kind is K.ESCROW_CANCEL for msg in result.messages)

@@ -274,7 +274,7 @@ def test_keys_are_distinct_and_deterministic():
     config = ScenarioConfig.from_dict(basic_scenario())
     one = build_world(config)
     two = build_world(config)
-    assert one.root_public == two.root_public
+    assert one.cb.certs.root_public == two.cb.certs.root_public
     pubs = {name: ent.certificate.public_key
             for name, ent in one.entities.items()}
     assert len(set(pubs.values())) == len(pubs)

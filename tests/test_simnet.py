@@ -11,6 +11,7 @@ from tset.entities import (
     CustomerPhase as CP,
     IssuerPhase as IP,
     MerchantPhase as MP,
+    StepResult,
 )
 from tset.ledger import Ledger
 from tset.messages import MsgKind as K, ProtocolMessage
@@ -329,6 +330,74 @@ def test_tick_limit_stops_the_run():
     assert s["tick_limit_exceeded"]
     assert not s["quiescent"]
     assert s["txns_completed"] == 0
+
+
+# -- the event queue ------------------------------------------------------------------
+
+def _happy_world():
+    return build_world(ScenarioConfig.from_dict(basic_scenario()))
+
+
+def _fixed_timer(monkeypatch, sim, name: str, due: int, fired: list) -> None:
+    """Replace an entity's timers with one on C0-1, due at ``due`` until it
+    fires; firing logs (name, tick, deliveries traced so far)."""
+    entity = sim.world.entities[name]
+    done = []
+
+    def timer_due(key):
+        return due if key == "C0-1" and not done else None
+
+    def fire_timer(key, now):
+        done.append(key)
+        fired.append((name, now, len(sim.trace)))
+        return StepResult()
+
+    monkeypatch.setattr(entity, "timer_due", timer_due)
+    monkeypatch.setattr(entity, "fire_timer", fire_timer)
+
+
+def test_delivery_runs_before_a_timer_due_at_the_same_tick(monkeypatch):
+    last = Simulation(_happy_world()).run().trace[-1].tick
+    sim = Simulation(_happy_world())
+    fired = []
+    # Armed when the TrustLookup arrives, long before the last delivery is
+    # queued, so only the tie rule puts the delivery first.
+    _fixed_timer(monkeypatch, sim, "TTP0", last, fired)
+    result = sim.run()
+    assert result.summary["txns_completed"] == 1
+    # It fired at that tick, after every delivery had been traced.
+    assert fired == [("TTP0", last, len(result.trace))]
+    assert result.trace[-1].tick == last
+
+
+def test_timers_due_at_the_same_tick_fire_in_entity_name_order(
+        monkeypatch):
+    after = Simulation(_happy_world()).run().trace[-1].tick + 5
+    sim = Simulation(_happy_world())
+    fired = []
+    # TTP0's timer is queued first (TrustLookup), MB0's last (TokenRelease).
+    _fixed_timer(monkeypatch, sim, "TTP0", after, fired)
+    _fixed_timer(monkeypatch, sim, "MB0", after, fired)
+    result = sim.run()
+    assert [(name, tick) for name, tick, _ in fired] == [("MB0", after),
+                                                         ("TTP0", after)]
+    assert result.summary["ticks"] == after
+
+
+def test_stale_deadline_past_the_tick_limit_leaves_the_run_quiescent():
+    free = run_scenario()
+    end = free.summary["ticks"]
+    release = next(e.tick for e in free.ledger.entries
+                   if e.event == "Release")
+    # The deadline armed at Release was cleared by Settled; its queue entry
+    # is stale and lies beyond the limit.
+    assert end + 1 < release + free.world.ttp.deadline_ticks
+    limited = run_scenario(tick_limit=end + 1)
+    s = limited.summary
+    assert s["quiescent"] and not s["tick_limit_exceeded"]
+    assert s["ticks"] == end
+    assert s == free.summary
+    assert export_trace(limited.trace) == export_trace(free.trace)
 
 
 def test_multi_customer_staggered_plan():
