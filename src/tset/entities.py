@@ -1,11 +1,15 @@
 """The five protocol roles as deterministic per-transaction state machines.
 
 Customer, Merchant, CustomerBank (token issuer), MerchantBank (acquirer),
-and Ttp (escrow arbiter) each hold a phase per transaction and share a
-legality table mapping (phase, message kind) to the permitted next phases
-and emissions.  A message that arrives outside its legal phase is a
-protocol violation: logged and ignored, never applied.  Pairs listed with
-no transition are deliberate absorbs for late or duplicate traffic.
+and Ttp (escrow arbiter) each hold a phase per transaction.  One legality
+table per role maps (phase, key) to the permitted next phases and
+emissions; the key is a message kind, ``Begin`` for the customer starting
+a purchase, or ``Timer`` for an entity's timer firing.  Every phase change
+goes through one check against that table, ``Entity._advance``: a pair
+with no row is a protocol violation, logged and never applied; a row
+marked stale absorbs late or duplicate traffic with a ``Stale:`` note and
+no handler call; any other row runs the handler and refuses a next phase
+or an emission the row does not list.
 
 Money never leaves double-entry form.  The issuing bank moves a hold from
 the customer account into its escrow pool at token issuance, so settlement
@@ -92,25 +96,43 @@ class ArbiterPhase(str, Enum):
 
 
 # ---------------------------------------------------------------------------
-# Legality table: (phase, kind) -> permitted next phases and emissions.
-# A pair absent from a table is a protocol violation in that phase.
+# Legality table: (phase, key) -> permitted next phases and emissions, where
+# the key is the kind of the message delivered, or Begin when the customer
+# starts a purchase, or Timer when the entity's timer for the transaction
+# fires.  A pair absent from a table is a protocol violation in that phase.
+# A stale row absorbs late or duplicate traffic: the message is noted and
+# the handler is not called.
+
+class Internal(str, Enum):
+    """Table keys of the phase changes no message causes."""
+
+    BEGIN = "Begin"
+    TIMER = "Timer"     # one timer per entity per transaction
+
 
 @dataclass(frozen=True)
 class Rule:
     next: tuple
     emits: tuple = ()
+    stale: bool = False
 
 
-def _table(*rows) -> dict:
-    return {(phase, kind): Rule(tuple(nxt), tuple(emits))
-            for phase, kind, nxt, emits in rows}
+def _table(*rows, stale: dict) -> dict:
+    """Rows are (phase, key, next phases, emissions); ``stale`` maps a phase
+    to the message kinds it absorbs."""
+    table = {(phase, kind): Rule(tuple(nxt), tuple(emits))
+             for phase, kind, nxt, emits in rows}
+    table.update({(phase, kind): Rule((phase,), stale=True)
+                  for phase, kinds in stale.items() for kind in kinds})
+    return table
 
 
-K = MsgKind
+K, I = MsgKind, Internal
 CP, MP, IP, AP, TP = (CustomerPhase, MerchantPhase, IssuerPhase,
                       AcquirerPhase, ArbiterPhase)
 
 CUSTOMER_TABLE = _table(
+    (CP.START, I.BEGIN, [CP.AWAIT_OFFER], [K.BROWSE]),
     (CP.AWAIT_OFFER, K.OFFER, [CP.AWAIT_TRUST], [K.TRUST_LOOKUP]),
     (CP.AWAIT_TRUST, K.TRUST_REPLY, [CP.AWAIT_TOKEN, CP.ABORTED],
      [K.TOKEN_REQUEST, K.ABORT_NOTICE]),
@@ -119,19 +141,18 @@ CUSTOMER_TABLE = _table(
     (CP.AWAIT_TOKEN, K.TOKEN_ISSUED, [CP.AWAIT_GOODS],
      [K.PURCHASE_CONFIRM, K.ESCROW_DEPOSIT]),
     (CP.AWAIT_TOKEN, K.COMPLETION_NOTICE, [CP.ABORTED], [K.ABORT_NOTICE]),
-    (CP.AWAIT_TOKEN, K.GOODS_DISPATCH, [CP.AWAIT_TOKEN], []),
     (CP.AWAIT_GOODS, K.GOODS_DISPATCH, [CP.AWAIT_COMPLETION, CP.AWAIT_GOODS],
      [K.ACCEPT_GOODS, K.REJECT_GOODS]),
     (CP.AWAIT_GOODS, K.COMPLETION_NOTICE, [CP.ABORTED], []),
     (CP.AWAIT_COMPLETION, K.COMPLETION_NOTICE, [CP.DONE, CP.ABORTED], []),
     (CP.AWAIT_COMPLETION, K.REGENERATE_REQUEST, [CP.AWAIT_TOKEN],
      [K.TOKEN_REQUEST]),
-    (CP.DONE, K.COMPLETION_NOTICE, [CP.DONE], []),
-    (CP.DONE, K.GOODS_DISPATCH, [CP.DONE], []),
-    (CP.ABORTED, K.COMPLETION_NOTICE, [CP.ABORTED], []),
-    (CP.ABORTED, K.GOODS_DISPATCH, [CP.ABORTED], []),
-    (CP.ABORTED, K.TOKEN_ISSUED, [CP.ABORTED], []),
-    (CP.ABORTED, K.REGENERATE_REQUEST, [CP.ABORTED], []),
+    stale={
+        CP.AWAIT_TOKEN: [K.GOODS_DISPATCH],
+        CP.DONE: [K.COMPLETION_NOTICE, K.GOODS_DISPATCH],
+        CP.ABORTED: [K.COMPLETION_NOTICE, K.GOODS_DISPATCH, K.TOKEN_ISSUED,
+                     K.REGENERATE_REQUEST],
+    },
 )
 
 MERCHANT_TABLE = _table(
@@ -149,10 +170,10 @@ MERCHANT_TABLE = _table(
      [K.TEMP_PAYMENT_QUERY]),
     (MP.AWAIT_CAPTURE, K.COMPLETION_NOTICE, [MP.ABORTED], []),
     (MP.ABORTED, K.SETTLEMENT, [MP.DONE], [K.COMPLETION_NOTICE]),
-    (MP.ABORTED, K.REJECT_GOODS, [MP.ABORTED], []),
-    (MP.ABORTED, K.COMPLETION_NOTICE, [MP.ABORTED], []),
-    (MP.DONE, K.SETTLEMENT, [MP.DONE], []),
-    (MP.DONE, K.COMPLETION_NOTICE, [MP.DONE], []),
+    stale={
+        MP.ABORTED: [K.REJECT_GOODS, K.COMPLETION_NOTICE],
+        MP.DONE: [K.SETTLEMENT, K.COMPLETION_NOTICE],
+    },
 )
 
 ISSUER_TABLE = _table(
@@ -167,10 +188,11 @@ ISSUER_TABLE = _table(
     (IP.TAMPER_WAIT, K.ESCROW_CANCEL, [IP.CANCELLED], []),
     (IP.SETTLED, K.PAYMENT_REQUEST, [IP.SETTLED],
      [K.TAMPER_REPORT, K.SETTLEMENT]),
-    (IP.SETTLED, K.ESCROW_CANCEL, [IP.SETTLED], []),
     (IP.CANCELLED, K.PAYMENT_REQUEST, [IP.CANCELLED], [K.TAMPER_REPORT]),
-    (IP.CANCELLED, K.ESCROW_CANCEL, [IP.CANCELLED], []),
-    (IP.CANCELLED, K.TOKEN_REQUEST, [IP.CANCELLED], []),
+    stale={
+        IP.SETTLED: [K.ESCROW_CANCEL],
+        IP.CANCELLED: [K.ESCROW_CANCEL, K.TOKEN_REQUEST],
+    },
 )
 
 ACQUIRER_TABLE = _table(
@@ -181,17 +203,15 @@ ACQUIRER_TABLE = _table(
     (AP.AWAIT_PAYMENT, K.SETTLEMENT, [AP.SETTLED], [K.SETTLEMENT]),
     # Funds may already be moving; keep presenting until settled or capped.
     (AP.AWAIT_PAYMENT, K.COMPLETION_NOTICE, [AP.AWAIT_PAYMENT], []),
-    (AP.SETTLED, K.SETTLEMENT, [AP.SETTLED], []),
-    (AP.SETTLED, K.TOKEN_RELEASE, [AP.SETTLED], []),
-    (AP.SETTLED, K.COMPLETION_NOTICE, [AP.SETTLED], []),
-    (AP.ABORTED, K.SETTLEMENT, [AP.ABORTED], []),
-    (AP.ABORTED, K.TOKEN_RELEASE, [AP.ABORTED], []),
-    (AP.ABORTED, K.COMPLETION_NOTICE, [AP.ABORTED], []),
+    (AP.AWAIT_PAYMENT, I.TIMER, [AP.AWAIT_PAYMENT], [K.PAYMENT_REQUEST]),
+    stale={
+        AP.SETTLED: [K.SETTLEMENT, K.TOKEN_RELEASE, K.COMPLETION_NOTICE],
+        AP.ABORTED: [K.SETTLEMENT, K.TOKEN_RELEASE, K.COMPLETION_NOTICE],
+    },
 )
 
 ARBITER_TABLE = _table(
     (TP.NEW, K.TRUST_LOOKUP, [TP.QUOTED], [K.TRUST_REPLY]),
-    (TP.NEW, K.ESCROW_DEPOSIT, [TP.NEW], []),
     (TP.QUOTED, K.ESCROW_DEPOSIT, [TP.HELD], [K.TEMP_PAYMENT_ACK]),
     (TP.QUOTED, K.TEMP_PAYMENT_QUERY, [TP.QUOTED], []),
     (TP.QUOTED, K.ABORT_NOTICE, [TP.ABORTED], [K.COMPLETION_NOTICE]),
@@ -209,22 +229,22 @@ ARBITER_TABLE = _table(
     (TP.RELEASED, K.TAMPER_REPORT, [TP.QUOTED, TP.ABORTED],
      [K.REGENERATE_REQUEST, K.ESCROW_CANCEL, K.COMPLETION_NOTICE]),
     (TP.SETTLED, K.TAMPER_REPORT, [TP.SETTLED], []),
-    (TP.SETTLED, K.COMPLETION_NOTICE, [TP.SETTLED], []),
-    (TP.ABORTED, K.COMPLETION_NOTICE, [TP.ABORTED], []),
     (TP.ABORTED, K.TAMPER_REPORT, [TP.ABORTED], []),
-    (TP.ABORTED, K.GOODS_DISPATCH, [TP.ABORTED], []),
-    (TP.ABORTED, K.ESCROW_DEPOSIT, [TP.ABORTED], []),
-    (TP.ABORTED, K.TEMP_PAYMENT_QUERY, [TP.ABORTED], []),
-    (TP.ABORTED, K.ACCEPT_GOODS, [TP.ABORTED], []),
-    (TP.ABORTED, K.REJECT_GOODS, [TP.ABORTED], []),
+    # A capture raced past expiry; the handler logs it.
     (TP.EXPIRED, K.COMPLETION_NOTICE, [TP.EXPIRED], []),
     (TP.EXPIRED, K.TAMPER_REPORT, [TP.EXPIRED], []),
-    (TP.EXPIRED, K.GOODS_DISPATCH, [TP.EXPIRED], []),
-    (TP.EXPIRED, K.ESCROW_DEPOSIT, [TP.EXPIRED], []),
-    (TP.EXPIRED, K.TEMP_PAYMENT_QUERY, [TP.EXPIRED], []),
-    (TP.EXPIRED, K.ACCEPT_GOODS, [TP.EXPIRED], []),
-    (TP.EXPIRED, K.REJECT_GOODS, [TP.EXPIRED], []),
-    (TP.EXPIRED, K.ABORT_NOTICE, [TP.EXPIRED], []),
+    # The deadline runs in every phase that waits on another party.
+    *[(phase, I.TIMER, [TP.EXPIRED], [K.ESCROW_CANCEL, K.COMPLETION_NOTICE])
+      for phase in (TP.QUOTED, TP.HELD, TP.DISPATCHED, TP.REPLACING,
+                    TP.RELEASED)],
+    stale={
+        TP.NEW: [K.ESCROW_DEPOSIT],
+        TP.SETTLED: [K.COMPLETION_NOTICE],
+        TP.ABORTED: [K.COMPLETION_NOTICE, K.GOODS_DISPATCH, K.ESCROW_DEPOSIT,
+                     K.TEMP_PAYMENT_QUERY, K.ACCEPT_GOODS, K.REJECT_GOODS],
+        TP.EXPIRED: [K.GOODS_DISPATCH, K.ESCROW_DEPOSIT, K.TEMP_PAYMENT_QUERY,
+                     K.ACCEPT_GOODS, K.REJECT_GOODS, K.ABORT_NOTICE],
+    },
 )
 
 TRANSITION_TABLES = {
@@ -242,20 +262,6 @@ START_PHASE = {
     m.Role.MERCHANT_BANK: AP.NEW,
     m.Role.TTP: TP.NEW,
 }
-
-
-def tables_as_json() -> dict:
-    """The legality tables in plain data form, for docs and agreement tests."""
-    out = {}
-    for role, table in TRANSITION_TABLES.items():
-        role_map: dict = {}
-        for (phase, kind), rule in table.items():
-            role_map.setdefault(phase.value, {})[kind.value] = {
-                "next": [p.value for p in rule.next],
-                "emits": [k.value for k in rule.emits],
-            }
-        out[role.value] = role_map
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +342,7 @@ class Entity:
         return m.sign_message(msg, self._key)
 
     def step(self, msg: ProtocolMessage, now: int) -> StepResult:
+        """Deliver one message: refuse a bad signature, then advance."""
         result = StepResult()
         sender_cert = self.directory.get(str(msg.sender))
         if sender_cert is None or not m.verify_message(
@@ -343,18 +350,43 @@ class Entity:
             result.violations.append(
                 f"BadSignature:{msg.kind.value}:{msg.sender}->{self.id}")
             return result
-        phase = self.phase_of(msg.txn)
-        rule = TRANSITION_TABLES[self.role].get((phase, msg.kind))
+        return self._advance(
+            str(msg.txn), msg.kind, result,
+            lambda phase: self.handle(msg, phase, now, result))
+
+    def fire_timer(self, key: str, now: int) -> StepResult:
+        """Fire the timer of transaction ``key`` if it is due by ``now``."""
+        result = StepResult()
+        due = self.timer_due(key)
+        if due is None or due > now:
+            return result
+        return self._advance(
+            key, I.TIMER, result,
+            lambda phase: self.on_timer(key, phase, now, result))
+
+    def _advance(self, key: str, kind: Enum, result: StepResult,
+                 act) -> StepResult:
+        """The one writer of ``phases``.  Look up the row of the current
+        phase and ``kind``: no row is a protocol violation; a stale row is
+        noted without calling ``act``; otherwise ``act(phase)`` fills
+        ``result`` and returns the next phase, which is kept only if the
+        row lists it and every emission."""
+        phase = self.phases.get(key, START_PHASE[self.role])
+        rule = TRANSITION_TABLES[self.role].get((phase, kind))
         if rule is None:
             result.violations.append(
-                f"ProtocolViolation:{self.id}:{phase.value}x{msg.kind.value}")
+                f"ProtocolViolation:{self.id}:{phase.value}x{kind.value}")
             return result
-        new_phase = self.handle(msg, phase, now, result)
+        if rule.stale:
+            result.notes.append(f"Stale:{kind.value}:{key}")
+            new_phase = phase
+        else:
+            new_phase = act(phase)
         # A handler that breaks the legality table is refused like a peer
         # that does: the phase stays as it was and its emissions are dropped.
         if new_phase is not phase and new_phase not in rule.next:
             result.violations.append(
-                f"IllegalTransition:{self.id}:{phase.value}x{msg.kind.value}"
+                f"IllegalTransition:{self.id}:{phase.value}x{kind.value}"
                 f"->{getattr(new_phase, 'value', new_phase)}")
             result.messages.clear()
             return result
@@ -362,11 +394,11 @@ class Entity:
                  if out.kind not in rule.emits]
         if stray:
             result.violations.append(
-                f"IllegalEmission:{self.id}:{phase.value}x{msg.kind.value}"
+                f"IllegalEmission:{self.id}:{phase.value}x{kind.value}"
                 f":{','.join(stray)}")
             result.messages.clear()
             return result
-        self.phases[str(msg.txn)] = new_phase
+        self.phases[key] = new_phase
         return result
 
     def handle(self, msg, phase, now, result):
@@ -377,8 +409,8 @@ class Entity:
         """Tick at which the timer for transaction ``key`` fires, if armed."""
         return None
 
-    def fire_timer(self, key: str, now: int) -> StepResult:
-        raise KeyError(key)
+    def on_timer(self, key, phase, now, result):
+        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +450,14 @@ class Customer(Entity):
         self._serial += 1
         txn = TransactionId(self.id, self._serial)
         self.txns[str(txn)] = _CustomerTxn(intent)
-        self.phases[str(txn)] = CP.AWAIT_OFFER
-        browse = self._emit(K.BROWSE, intent.merchant, txn,
-                            m.Browse(intent.product, intent.quantity))
-        return StepResult(messages=[browse])
+        result = StepResult()
+
+        def browse(phase):
+            result.messages.append(self._emit(
+                K.BROWSE, intent.merchant, txn,
+                m.Browse(intent.product, intent.quantity)))
+            return CP.AWAIT_OFFER
+        return self._advance(str(txn), I.BEGIN, result, browse)
 
     def _reject_verdict(self) -> bool:
         if self._reject_script:
@@ -433,11 +469,6 @@ class Customer(Entity):
     def handle(self, msg, phase, now, result):
         st = self.txns.get(str(msg.txn))
         kind = msg.kind
-
-        if phase in (CP.DONE, CP.ABORTED) or (
-                phase == CP.AWAIT_TOKEN and kind == K.GOODS_DISPATCH):
-            result.notes.append(f"Stale:{kind.value}:{self.id}")
-            return phase
 
         if kind == K.OFFER:
             order = msg.payload.order
@@ -529,11 +560,6 @@ class Merchant(Entity):
 
     def handle(self, msg, phase, now, result):
         kind = msg.kind
-
-        if phase is MP.DONE or (phase is MP.ABORTED and
-                                kind != K.SETTLEMENT):
-            result.notes.append(f"Stale:{kind.value}:{self.id}")
-            return phase
 
         if kind == K.BROWSE:
             price = self.catalog.get(msg.payload.product)
@@ -752,9 +778,6 @@ class CustomerBank(Entity):
         kind = msg.kind
 
         if kind == K.TOKEN_REQUEST:
-            if phase is IP.CANCELLED:
-                result.notes.append(f"Stale:TokenRequest:{msg.txn}")
-                return phase
             return self._issue(msg, now, result)
 
         if kind == K.PAYMENT_REQUEST:
@@ -765,9 +788,6 @@ class CustomerBank(Entity):
             return self.settle(msg.txn, msg.payload.sealed, now, result)
 
         if kind == K.ESCROW_CANCEL:
-            if phase in (IP.SETTLED, IP.CANCELLED):
-                result.notes.append(f"Stale:EscrowCancel:{msg.txn}")
-                return phase
             token_id = self.txn_token.get(str(msg.txn))
             if token_id is not None:
                 self.mint.revoke(token_id)
@@ -812,18 +832,12 @@ class MerchantBank(Entity):
         txn_key = str(msg.txn)
 
         if kind == K.TOKEN_RELEASE:
-            if phase in (AP.SETTLED, AP.ABORTED):
-                result.notes.append(f"Stale:TokenRelease:{msg.txn}")
-                return phase
             self.pending[txn_key] = _Pending(msg.payload.sealed,
                                              msg.payload.merchant)
             self._present(msg.txn, now, result)
             return AP.AWAIT_PAYMENT
 
         if kind == K.SETTLEMENT:
-            if phase in (AP.SETTLED, AP.ABORTED):
-                result.notes.append(f"Stale:Settlement:{msg.txn}")
-                return phase
             p = self.pending.pop(txn_key, None)
             if p is None:
                 result.violations.append(f"SettlementWithoutRelease:{msg.txn}")
@@ -842,10 +856,7 @@ class MerchantBank(Entity):
                 # Funds may already have left the issuer; keep presenting.
                 result.notes.append(f"RetainPending:{msg.txn}")
                 return phase
-            if phase is AP.NEW:
-                return AP.ABORTED
-            result.notes.append(f"Stale:CompletionNotice:{msg.txn}")
-            return phase
+            return AP.ABORTED
 
         raise AssertionError(f"unhandled {kind} in {phase}")
 
@@ -853,15 +864,13 @@ class MerchantBank(Entity):
         p = self.pending.get(txn_key)
         return p.next_due if p and p.retries < self.retry_cap else None
 
-    def fire_timer(self, txn_key: str, now: int) -> StepResult:
-        result = StepResult()
-        p = self.pending.get(txn_key)
-        if p is None or p.retries >= self.retry_cap:
-            return result
+    def on_timer(self, txn_key, phase, now, result):
+        """Present the released token again."""
+        p = self.pending[txn_key]
         p.retries += 1
         result.notes.append(f"SettleRetry:{txn_key}:{p.retries}")
         self._present(TransactionId.parse(txn_key), now, result)
-        return result
+        return phase
 
 
 # ---------------------------------------------------------------------------
@@ -998,19 +1007,6 @@ class Ttp(Entity):
         txn_key = str(msg.txn)
         st = self.txns.get(txn_key)
 
-        if phase in (TP.ABORTED, TP.EXPIRED):
-            if kind == K.COMPLETION_NOTICE and phase is TP.EXPIRED:
-                # A capture raced past expiry; the ledger records the truth.
-                self._log(st, now, "Settled", {"amount": st.amount,
-                                               "late": True})
-                return phase
-            if kind == K.TAMPER_REPORT:
-                self._log(st, now, "Tamper", {"reason": msg.payload.reason,
-                                              "detail": msg.payload.detail})
-                return phase
-            result.notes.append(f"Stale:{kind.value}:{msg.txn}")
-            return phase
-
         if kind == K.TRUST_LOOKUP:
             st = _ArbiterTxn(msg.txn, msg.payload.merchant)
             self.txns[txn_key] = st
@@ -1022,10 +1018,6 @@ class Ttp(Entity):
             result.messages.append(self._emit(
                 K.TRUST_REPLY, msg.sender, msg.txn, reply))
             return TP.QUOTED
-
-        if st is None:
-            result.notes.append(f"UnknownTransaction:{kind.value}:{msg.txn}")
-            return phase
 
         if kind == K.ESCROW_DEPOSIT:
             try:
@@ -1070,8 +1062,10 @@ class Ttp(Entity):
             return phase
 
         if kind == K.COMPLETION_NOTICE:
-            if phase is TP.SETTLED:
-                result.notes.append(f"Stale:CompletionNotice:{msg.txn}")
+            if phase is TP.EXPIRED:
+                # A capture raced past expiry; the ledger records the truth.
+                self._log(st, now, "Settled", {"amount": st.amount,
+                                               "late": True})
                 return phase
             self._log(st, now, "Settled", {"amount": st.amount})
             st.deadline_at = None
@@ -1085,15 +1079,11 @@ class Ttp(Entity):
         st = self.txns.get(txn_key)
         return None if st is None else st.deadline_at
 
-    def fire_timer(self, txn_key: str, now: int) -> StepResult:
+    def on_timer(self, txn_key, phase, now, result):
         """Deadline expiry: refund via escrow cancellation, notify the
         parties, and count the failure against the merchant if goods money
         was ever on the table."""
-        result = StepResult()
-        st = self.txns.get(txn_key)
-        if st is None or st.deadline_at is None or st.deadline_at > now:
-            return result
-        phase = self.phases.get(txn_key, TP.NEW)
+        st = self.txns[txn_key]
         st.deadline_at = None
         self._log(st, now, "DeadlineExpired", {"phase": phase.value})
         if st.deposited_ever:
@@ -1109,5 +1099,4 @@ class Ttp(Entity):
             result.messages.append(self._emit(
                 K.COMPLETION_NOTICE, target, st.txn,
                 m.CompletionNotice("aborted", "deadline expired")))
-        self.phases[txn_key] = TP.EXPIRED
-        return result
+        return TP.EXPIRED

@@ -9,9 +9,12 @@ key) order, and a run is deterministic for a given scenario and seed.
 
 An entity's fields are the only record of its timers: after a delivery or
 firing touches key k at an entity, the simulator queues the tick that
-``timer_due(k)`` names unless that tick is already queued.  A popped timer
-entry whose tick no longer equals ``timer_due(k)`` is stale and dropped; it
-neither moves the clock nor counts against the tick limit.  The run ends
+``timer_due(k)`` names unless that tick is already queued or not later
+than now.  A popped timer entry whose tick no longer equals
+``timer_due(k)`` is stale and dropped; it neither moves the clock nor
+counts against the tick limit.  A timer its entity refuses to fire (no
+``Timer`` row in its phase) stays due at the tick it was refused at, so it
+is not queued again: like a refused message, it is dropped.  The run ends
 quiescent, with no message in flight and no timer armed, unless the next
 live event lies past the tick limit.
 
@@ -38,7 +41,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import messages as m
-from .entities import Customer, CustomerBank, Entity, MerchantBank, Ttp
+from .entities import (ArbiterPhase as TP, Customer, CustomerBank, Entity,
+                       MerchantBank, Ttp)
 from .ledger import Ledger
 from .messages import MsgKind, ProtocolMessage
 from .tokens import SealedToken
@@ -270,7 +274,8 @@ class Simulation:
 
     def _arm(self, entity: Entity, key: str) -> None:
         timer = (entity.timer_due(key), 1, str(entity.id), key)
-        if timer[0] is not None and timer not in self._queued_timers:
+        if (timer[0] is not None and timer[0] > self._now
+                and timer not in self._queued_timers):
             self._queued_timers.add(timer)
             heapq.heappush(self._heap, timer)
 
@@ -363,7 +368,6 @@ class Simulation:
     # -- reporting ---------------------------------------------------------
 
     def _result(self, tick_limit_exceeded: bool) -> RunResult:
-        from .entities import ArbiterPhase as TP
         world = self.world
         ttp_phases = [world.ttp.phases.get(key, TP.NEW)
                       for key in world.ttp.txns]

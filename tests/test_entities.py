@@ -83,9 +83,8 @@ def test_illegal_pair_is_violation_without_state_change(world):
     msg = signed(world, "C0", K.ACCEPT_GOODS, "TTP0", txn,
                  m.AcceptGoods("ORD-M0-1"))
     result = ttp.step(msg, 1)
-    assert any(v.startswith("ProtocolViolation:TTP0:New") or
-               v.startswith("UnknownTransaction") for v in result.violations
-               + result.notes) or result.violations
+    assert result.violations == ["ProtocolViolation:TTP0:NewxAcceptGoods"]
+    assert (result.messages, result.notes) == ([], [])
     assert ttp.phase_of(txn) is TP.NEW
 
 
@@ -163,6 +162,109 @@ def test_illegal_emission_is_dropped(world, monkeypatch):
         "IllegalEmission:M0:NewxBrowse:TempPaymentQuery"]
     assert result.messages == []
     assert merchant.phase_of(txn) is MP.NEW
+
+
+# A stale pair per role: the receiver is put in the phase (None: its start
+# phase), then sent the kind by the sender.
+STALE_PAIRS = {
+    "customer": ("C0", CP.DONE, "TTP0", K.COMPLETION_NOTICE,
+                 lambda world, txn: m.CompletionNotice("completed")),
+    "merchant": ("M0", MP.DONE, "MB0", K.SETTLEMENT,
+                 lambda world, txn: m.Settlement(15000)),
+    "issuer": ("CB0", IP.CANCELLED, "TTP0", K.ESCROW_CANCEL,
+               lambda world, txn: m.EscrowCancel("late")),
+    "acquirer": ("MB0", AP.SETTLED, "TTP0", K.COMPLETION_NOTICE,
+                 lambda world, txn: m.CompletionNotice("aborted", "late")),
+    "arbiter": ("TTP0", None, "C0", K.ESCROW_DEPOSIT,
+                lambda world, txn: m.EscrowDeposit(
+                    m.OrderInfo("ORD-M0-1", "widget", 1, 15000, 15000,
+                                world.entities["M0"].id),
+                    issue_token(world, txn)[0])),
+}
+
+
+@pytest.mark.parametrize("pair", STALE_PAIRS.values(), ids=STALE_PAIRS)
+def test_stale_pair_is_absorbed_without_its_handler(world, monkeypatch,
+                                                    pair):
+    receiver, phase, sender, kind, payload = pair
+    entity, txn = world.entities[receiver], txn_of(world)
+    msg = signed(world, sender, kind, receiver, txn, payload(world, txn))
+    if phase is not None:
+        entity.phases[str(txn)] = phase
+    before = entity.phase_of(txn)
+
+    def handle(self, msg, phase, now, result):
+        raise AssertionError("handler called on a stale row")
+
+    monkeypatch.setattr(type(entity), "handle", handle)
+    result = entity.step(msg, 20)
+    assert result.notes == [f"Stale:{kind.value}:{txn}"]
+    assert (result.messages, result.violations) == ([], [])
+    assert entity.phase_of(txn) is before
+
+
+# Run as a script under both optimisation levels: the arbiter's deadline,
+# armed by a TrustLookup, fires after its phase was forced to Settled,
+# which has no Timer row.
+_REFUSED_TIMER_SCRIPT = """
+import json
+from tset import messages as m
+from tset.entities import ArbiterPhase
+from tset.messages import MsgKind, ProtocolMessage, TransactionId
+from tset.scenario import ScenarioConfig, build_world
+
+world = build_world(ScenarioConfig.from_dict({
+    "customers": [{"balance": 100000, "purchases": []}],
+    "merchants": [{"catalog": {"widget": 15000}}]}))
+customer, ttp = world.entities["C0"], world.ttp
+txn = TransactionId(customer.id, 1)
+lookup = m.sign_message(ProtocolMessage(MsgKind.TRUST_LOOKUP, customer.id,
+                                        ttp.id, txn,
+                                        m.TrustLookup(world.entities["M0"].id)),
+                        customer._key)
+ttp.step(lookup, 3)
+ttp.phases[str(txn)] = ArbiterPhase.SETTLED
+due = ttp.timer_due(str(txn))
+result = ttp.fire_timer(str(txn), due)
+print(json.dumps({"violations": result.violations,
+                  "messages": len(result.messages),
+                  "notes": result.notes,
+                  "phase": ttp.phase_of(txn).value,
+                  "events": [entry.event for entry in ttp.ledger]}))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
+def test_timer_without_a_row_is_refused_under_any_optimisation(flags):
+    src = str(Path(tset.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", _REFUSED_TIMER_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "violations": ["ProtocolViolation:TTP0:SettledxTimer"],
+        "messages": 0, "notes": [], "phase": "Settled", "events": []}
+
+
+def test_timer_moving_outside_its_row_is_refused(world, monkeypatch):
+    txn = txn_of(world)
+    quote(world, txn)
+
+    def on_timer(self, key, phase, now, result):
+        result.messages.append(self._emit(
+            K.ESCROW_CANCEL, self.wk.customer_bank, txn,
+            m.EscrowCancel("deadline expired")))
+        return TP.SETTLED
+
+    monkeypatch.setattr(type(world.ttp), "on_timer", on_timer)
+    due = world.ttp.timer_due(str(txn))
+    assert world.ttp.fire_timer(str(txn), due - 1).messages == []
+    result = world.ttp.fire_timer(str(txn), due)
+    assert result.violations == [
+        "IllegalTransition:TTP0:QuotedxTimer->Settled"]
+    assert result.messages == []
+    assert world.ttp.phase_of(txn) is TP.QUOTED
 
 
 # -- customer --------------------------------------------------------------------

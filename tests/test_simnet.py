@@ -400,6 +400,35 @@ def test_stale_deadline_past_the_tick_limit_leaves_the_run_quiescent():
     assert export_trace(limited.trace) == export_trace(free.trace)
 
 
+def test_refused_timer_is_dropped_not_queued_again(monkeypatch):
+    sim = Simulation(_happy_world())
+    ttp = sim.world.ttp
+    step, fire_timer = ttp.step, ttp.fire_timer
+    fired = []
+
+    def rearm_after_settling(msg, now):
+        result = step(msg, now)
+        if ttp.phase_of(msg.txn) is TP.SETTLED:
+            ttp.txns[str(msg.txn)].deadline_at = now + 5
+        return result
+
+    def fire_at_most_twice(key, now):
+        fired.append(now)
+        if len(fired) > 2:
+            raise RuntimeError("refused timer queued again")
+        return fire_timer(key, now)
+
+    monkeypatch.setattr(ttp, "step", rearm_after_settling)
+    monkeypatch.setattr(ttp, "fire_timer", fire_at_most_twice)
+    result = sim.run()
+    end = result.trace[-1].tick
+    assert fired == [end + 5]
+    assert result.violations == ["ProtocolViolation:TTP0:SettledxTimer"]
+    s = result.summary
+    assert s["quiescent"] and s["ticks"] == end + 5
+    assert s["txns_completed"] == 1 and s["deadline_expiries"] == 0
+
+
 def test_multi_customer_staggered_plan():
     result = run_dict({
         "seed": 9, "stagger": 3,

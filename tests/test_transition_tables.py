@@ -1,55 +1,132 @@
-"""The packaged transition-table JSON must agree with the live tables."""
+"""The legality tables are well formed, and docs/transition_tables.md is
+their rendering.
 
-import json
-from importlib import resources
+Regenerate the doc after editing a table:
 
-from tset.entities import START_PHASE, TRANSITION_TABLES, tables_as_json
+    PYTHONPATH=src python tests/test_transition_tables.py > docs/transition_tables.md
+"""
+
+import sys
+from pathlib import Path
+
+from tset.entities import (
+    START_PHASE,
+    TRANSITION_TABLES,
+    Entity,
+    Internal,
+)
 from tset.messages import MsgKind, Role
 
+DOC = Path(__file__).resolve().parents[1] / "docs" / "transition_tables.md"
 
-def packaged() -> dict:
-    with resources.files("tset").joinpath("data/transitions.json").open() as fh:
-        return json.load(fh)
+TITLES = {
+    Role.CUSTOMER: "Customer",
+    Role.MERCHANT: "Merchant",
+    Role.CUSTOMER_BANK: "Customer bank (issuer)",
+    Role.MERCHANT_BANK: "Merchant bank (acquirer)",
+    Role.TTP: "Trusted third party",
+}
+
+PREAMBLE = """\
+# Per-role legality tables
+
+Rendered from `tset.entities.TRANSITION_TABLES` by `render_tables()` in
+`tests/test_transition_tables.py`, which also checks that this file is
+its output byte for byte.  Regenerate it with
+
+    PYTHONPATH=src python tests/test_transition_tables.py > docs/transition_tables.md
+
+Each row is keyed by a phase and either a message kind, `Begin` (the
+customer starts a purchase) or `Timer` (the entity's timer for the
+transaction fires).  It lists the phases the entity may move to and the
+message kinds it may emit while doing so.  A `(phase, key)` pair absent
+from a table is a protocol violation: it is logged and nothing changes.
+A stale row absorbs late or duplicate traffic: the entity notes
+`Stale:<kind>:<txn>`, stays in its phase and does not run its handler.
+A handler whose next phase or emission its row does not list is refused
+the same way as a peer: the phase stays and the emissions are dropped.
+"""
 
 
-def test_packaged_tables_match_code():
-    doc = packaged()
-    assert doc["tables"] == tables_as_json()
-    assert doc["start_phase"] == {role.value: phase.name
-                                  for role, phase in START_PHASE.items()}
+def _names(items) -> str:
+    return ", ".join(item.value for item in items) or "-"
+
+
+def render_tables() -> str:
+    """Markdown for every role's table, rows in phase order."""
+    out = [PREAMBLE]
+    for role, table in TRANSITION_TABLES.items():
+        start = START_PHASE[role]
+        order = list(type(start))
+        out.append(f"\n## {TITLES[role]} `{role.value}`  "
+                   f"(start phase: `{start.value}`)\n\n")
+        out.append("| phase | on | may move to | may emit | stale |\n")
+        out.append("|---|---|---|---|---|\n")
+        rows = sorted(table.items(), key=lambda row: order.index(row[0][0]))
+        for (phase, kind), rule in rows:
+            out.append(f"| {phase.value} | {kind.value} | "
+                       f"{_names(rule.next)} | {_names(rule.emits)} | "
+                       f"{'stale' if rule.stale else ''} |\n")
+    return "".join(out)
+
+
+def entity_classes() -> dict:
+    return {cls.role: cls for cls in Entity.__subclasses__()}
+
+
+def test_doc_is_the_rendered_tables():
+    assert DOC.read_text() == render_tables()
 
 
 def test_every_role_has_a_table():
     assert set(TRANSITION_TABLES) == set(Role)
+    assert set(entity_classes()) == set(Role)
 
 
 def test_all_kinds_in_tables_are_real():
-    doc = packaged()
-    kinds = {MsgKind(k).value for k in MsgKind}
-    for role_map in doc["tables"].values():
-        for phase_rules in role_map.values():
-            for kind, rule in phase_rules.items():
-                assert kind in kinds
-                assert all(k in kinds for k in rule["emits"])
+    for table in TRANSITION_TABLES.values():
+        for (phase, kind), rule in table.items():
+            assert type(kind) in (MsgKind, Internal), (phase, kind)
+            assert all(type(out) is MsgKind for out in rule.emits), \
+                (phase, kind, rule.emits)
 
 
 def test_next_phases_exist_in_same_table():
-    doc = packaged()
-    for role, role_map in doc["tables"].items():
-        phases = set(role_map)
-        start = doc["start_phase"][role]
-        for phase_rules in role_map.values():
-            for rule in phase_rules.values():
-                for nxt in rule["next"]:
-                    # Every reachable phase either has rules or is terminal
-                    # by table omission; it must at least be a known name.
-                    assert nxt in phases or nxt not in (start,)
+    for role, table in TRANSITION_TABLES.items():
+        phases = type(START_PHASE[role])
+        with_rows = {phase for phase, _ in table}
+        for (phase, kind), rule in table.items():
+            assert isinstance(phase, phases), (role, phase)
+            assert rule.next, (role, phase, kind)
+            assert all(isinstance(nxt, phases) for nxt in rule.next), \
+                (role, phase, kind, rule.next)
+            # A phase some row moves to must have rows of its own.
+            assert set(rule.next) <= with_rows, (role, phase, kind)
 
 
 def test_no_emission_without_transition_rule():
-    # Emitting while changing phase is always bound to a listed rule: the
-    # step() assertions rely on rule.emits being exhaustive per pair.
+    # Only rows that run a handler emit; a stale row keeps the phase.
     for table in TRANSITION_TABLES.values():
-        for rule in table.values():
-            assert isinstance(rule.next, tuple)
-            assert isinstance(rule.emits, tuple)
+        for (phase, kind), rule in table.items():
+            if rule.stale:
+                assert type(kind) is MsgKind, (phase, kind)
+                assert (rule.next, rule.emits) == ((phase,), ()), \
+                    (phase, kind)
+
+
+def test_begin_rows_only_for_the_customer():
+    for role, table in TRANSITION_TABLES.items():
+        begins = [phase for phase, kind in table if kind is Internal.BEGIN]
+        assert begins == ([START_PHASE[role]] if role is Role.CUSTOMER
+                          else []), role
+
+
+def test_timer_rows_only_for_roles_with_timers():
+    classes = entity_classes()
+    for role, table in TRANSITION_TABLES.items():
+        has_rows = any(kind is Internal.TIMER for _, kind in table)
+        assert has_rows == ("on_timer" in vars(classes[role])), role
+
+
+if __name__ == "__main__":
+    sys.stdout.write(render_tables())
