@@ -37,14 +37,6 @@ DEFAULT_SETTLE_RETRY_TICKS = 25
 DEFAULT_SETTLE_RETRY_CAP = 5
 
 
-class InsufficientFunds(Exception):
-    """Customer account cannot cover the requested token amount."""
-
-
-class DuplicateDeposit(Exception):
-    """A second escrow deposit arrived for a transaction already holding one."""
-
-
 # ---------------------------------------------------------------------------
 # Phases
 
@@ -318,7 +310,8 @@ class WellKnown:
 
 
 class Entity:
-    """Common machinery: signing, signature checking, phase bookkeeping."""
+    """Common machinery: signing, signature checking, phase and timer
+    bookkeeping."""
 
     role: m.Role
 
@@ -332,6 +325,8 @@ class Entity:
         self.certs = certs
         self.wk = well_known
         self.phases: dict[str, Enum] = {}
+        # Due tick of each armed timer, by transaction key.
+        self.timers: dict[str, int] = {}
 
     def phase_of(self, txn) -> Enum:
         return self.phases.get(str(txn), START_PHASE[self.role])
@@ -404,11 +399,11 @@ class Entity:
     def handle(self, msg, phase, now, result):
         raise NotImplementedError
 
-    # Timer hooks; only entities with internal clocks override these.
     def timer_due(self, key: str) -> int | None:
         """Tick at which the timer for transaction ``key`` fires, if armed."""
-        return None
+        return self.timers.get(key)
 
+    # Timer hook; only entities that arm ``timers`` override it.
     def on_timer(self, key, phase, now, result):
         raise NotImplementedError
 
@@ -657,16 +652,10 @@ class CustomerBank(Entity):
         self.settled_amounts: dict[str, int] = {}
         self.settled_out_total = 0
         self.replay_refusals = 0
+        self.tamper_reports = 0
         self._rng = crypto_rng
 
     # -- issuance -----------------------------------------------------------
-
-    def _place_hold(self, txn_key: str, customer: str, amount: int) -> None:
-        if self.accounts.get(customer, 0) < amount:
-            raise InsufficientFunds(f"{customer} cannot cover {amount}")
-        self.accounts[customer] -= amount
-        self.escrow_pool += amount
-        self.holds[txn_key] = _Hold(customer, amount)
 
     def _release_hold(self, txn_key: str) -> None:
         hold = self.holds.pop(txn_key, None)
@@ -681,14 +670,16 @@ class CustomerBank(Entity):
             result.violations.append(f"AuthFailure:TokenRequest:{msg.sender}")
             return self.phase_of(msg.txn)
         if txn_key not in self.holds:
-            try:
-                self._place_hold(txn_key, str(msg.sender), req.amount)
-            except InsufficientFunds:
+            customer = str(msg.sender)
+            if self.accounts.get(customer, 0) < req.amount:
                 result.notes.append(f"InsufficientFunds:{msg.txn}")
                 result.messages.append(self._emit(
                     K.COMPLETION_NOTICE, msg.sender, msg.txn,
                     m.CompletionNotice("aborted", "insufficient funds")))
                 return IP.CANCELLED
+            self.accounts[customer] -= req.amount
+            self.escrow_pool += req.amount
+            self.holds[txn_key] = _Hold(customer, req.amount)
         elif self.holds[txn_key].amount != req.amount:
             result.violations.append(f"HoldAmountMismatch:{msg.txn}")
             return self.phase_of(msg.txn)
@@ -753,6 +744,7 @@ class CustomerBank(Entity):
         current = self.txn_token.get(txn_key)
         if current is not None:
             self.mint.revoke(current)
+        self.tamper_reports += 1
         result.notes.append(f"TamperDetected:{txn}:{reason}")
         result.messages.append(self._emit(
             K.TAMPER_REPORT, self.wk.ttp, txn,
@@ -805,7 +797,6 @@ class _Pending:
     sealed: SealedToken
     merchant: EntityId
     retries: int = 0
-    next_due: int | None = None
 
 
 class MerchantBank(Entity):
@@ -821,8 +812,12 @@ class MerchantBank(Entity):
         self.retry_cap = retry_cap
 
     def _present(self, txn, now, result):
-        p = self.pending[str(txn)]
-        p.next_due = now + self.retry_ticks
+        key = str(txn)
+        p = self.pending[key]
+        if p.retries < self.retry_cap:
+            self.timers[key] = now + self.retry_ticks
+        else:
+            self.timers.pop(key, None)
         result.messages.append(self._emit(
             K.PAYMENT_REQUEST, self.wk.customer_bank, txn,
             m.PaymentRequest(p.sealed, p.merchant)))
@@ -842,6 +837,7 @@ class MerchantBank(Entity):
             if p is None:
                 result.violations.append(f"SettlementWithoutRelease:{msg.txn}")
                 return phase
+            self.timers.pop(txn_key, None)
             merchant = str(p.merchant)
             self.accounts[merchant] = (self.accounts.get(merchant, 0)
                                        + msg.payload.amount)
@@ -859,10 +855,6 @@ class MerchantBank(Entity):
             return AP.ABORTED
 
         raise AssertionError(f"unhandled {kind} in {phase}")
-
-    def timer_due(self, txn_key: str) -> int | None:
-        p = self.pending.get(txn_key)
-        return p.next_due if p and p.retries < self.retry_cap else None
 
     def on_timer(self, txn_key, phase, now, result):
         """Present the released token again."""
@@ -887,7 +879,6 @@ class _ArbiterTxn:
     pending_query: str | None = None
     deposited_ever: bool = False
     regen_count: int = 0
-    deadline_at: int | None = None
 
 
 class Ttp(Entity):
@@ -913,7 +904,7 @@ class Ttp(Entity):
             details=details or {}))
 
     def _arm(self, st: _ArbiterTxn, now: int) -> None:
-        st.deadline_at = now + self.deadline_ticks
+        self.timers[str(st.txn)] = now + self.deadline_ticks
 
     def _record(self, st: _ArbiterTxn, disposition: Disposition) -> None:
         record = self.trust.setdefault(str(st.merchant), TrustRecord())
@@ -931,8 +922,6 @@ class Ttp(Entity):
         """Accept a sealed token into escrow.  The arbiter cannot open the
         token; it checks the envelope shape, records digests, and acks any
         merchant query that raced ahead of the deposit."""
-        if self.phase_of(msg.txn) is TP.HELD:
-            raise DuplicateDeposit(str(msg.txn))
         order = msg.payload.order
         self._sealed[str(msg.txn)] = msg.payload.sealed
         st.amount = order.total_price
@@ -990,7 +979,7 @@ class Ttp(Entity):
     def _abort(self, st: _ArbiterTxn, now: int, reason: str,
                result: StepResult):
         self._log(st, now, "Abort", {"reason": reason})
-        st.deadline_at = None
+        self.timers.pop(str(st.txn), None)
         result.messages.append(self._emit(
             K.ESCROW_CANCEL, self.wk.customer_bank, st.txn,
             m.EscrowCancel(reason)))
@@ -1020,11 +1009,10 @@ class Ttp(Entity):
             return TP.QUOTED
 
         if kind == K.ESCROW_DEPOSIT:
-            try:
-                return self.hold_escrow(msg, st, now, result)
-            except DuplicateDeposit:
+            if phase is TP.HELD:
                 result.notes.append(f"DuplicateDeposit:{msg.txn}")
                 return phase
+            return self.hold_escrow(msg, st, now, result)
 
         if kind == K.TEMP_PAYMENT_QUERY:
             if phase is TP.QUOTED:
@@ -1036,7 +1024,7 @@ class Ttp(Entity):
 
         if kind == K.ABORT_NOTICE:
             self._log(st, now, "Abort", {"reason": msg.payload.reason})
-            st.deadline_at = None
+            self.timers.pop(txn_key, None)
             result.messages.append(self._emit(
                 K.COMPLETION_NOTICE, st.merchant, msg.txn,
                 m.CompletionNotice("aborted", msg.payload.reason)))
@@ -1068,23 +1056,19 @@ class Ttp(Entity):
                                                "late": True})
                 return phase
             self._log(st, now, "Settled", {"amount": st.amount})
-            st.deadline_at = None
+            self.timers.pop(txn_key, None)
             return TP.SETTLED
 
         raise AssertionError(f"unhandled {kind} in {phase}")
 
     # -- deadlines -----------------------------------------------------------
 
-    def timer_due(self, txn_key: str) -> int | None:
-        st = self.txns.get(txn_key)
-        return None if st is None else st.deadline_at
-
     def on_timer(self, txn_key, phase, now, result):
         """Deadline expiry: refund via escrow cancellation, notify the
         parties, and count the failure against the merchant if goods money
         was ever on the table."""
         st = self.txns[txn_key]
-        st.deadline_at = None
+        self.timers.pop(txn_key, None)
         self._log(st, now, "DeadlineExpired", {"phase": phase.value})
         if st.deposited_ever:
             self._record(st, Disposition.REJECTED)

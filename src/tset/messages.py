@@ -273,21 +273,17 @@ _SIGN_EXEMPT = "sealed"
 _MASK = "<sealed>"
 
 
-def _jsonable(value, mask_sealed: bool):
+def _jsonable(value):
     if isinstance(value, SealedToken):
-        return _MASK if mask_sealed else value.envelope.hex()
+        return value.envelope.hex()
     if isinstance(value, Certificate):
         return {"subject": value.subject,
                 "public_key": value.public_key.hex(),
                 "signature": value.signature.hex()}
     if isinstance(value, (EntityId, TransactionId)):
         return str(value)
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, bytes):
-        return value.hex()
     if is_dataclass(value):
-        return {f.name: _jsonable(getattr(value, f.name), mask_sealed)
+        return {f.name: _jsonable(getattr(value, f.name))
                 for f in fields(value)}
     if isinstance(value, (str, int, bool)) or value is None:
         return value
@@ -299,11 +295,11 @@ def _canon(obj) -> bytes:
 
 
 def payload_dict(msg: "ProtocolMessage") -> dict | str | int | None:
-    return _jsonable(msg.payload, mask_sealed=False)
+    return _jsonable(msg.payload)
 
 
 def order_digest(order: OrderInfo) -> str:
-    return hashlib.sha256(_canon(_jsonable(order, False))).hexdigest()
+    return hashlib.sha256(_canon(_jsonable(order))).hexdigest()
 
 
 def sealed_digest(sealed: SealedToken) -> str:
@@ -333,7 +329,7 @@ class ProtocolMessage:
     def plain_payload(self) -> dict:
         """The payload as JSON-ready data, sealed bytes in hex.  Shared by
         every reader of this message: read it, never modify it."""
-        return _jsonable(self.payload, mask_sealed=False)
+        return _jsonable(self.payload)
 
     @cached_property
     def signed_part(self) -> bytes:

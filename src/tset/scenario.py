@@ -394,13 +394,4 @@ def build_world(config: ScenarioConfig, seed: int | None = None,
     return World(seed=seed, latency=config.latency, tick_limit=tick_limit,
                  entities=entities,
                  customers=customers, cb=cb, mb=mb, ttp=ttp, plan=plan,
-                 adversary=[_fresh_action(a) for a in config.adversary])
-
-
-def _fresh_action(action: AdversaryAction) -> AdversaryAction:
-    """Actions carry runtime counters; each world gets its own copies."""
-    return AdversaryAction(
-        kind=action.kind, target_kind=action.target_kind,
-        target_edge=action.target_edge, target_txn=action.target_txn,
-        trigger=action.trigger, bit_offsets=action.bit_offsets,
-        amount=action.amount, delay=action.delay)
+                 adversary=list(config.adversary))

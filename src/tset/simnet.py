@@ -7,7 +7,8 @@ purchase starts and deliveries (each send lands ``latency`` ticks later) as
 one tick deliveries run first, in queue order, then timers in (entity name,
 key) order, and a run is deterministic for a given scenario and seed.
 
-An entity's fields are the only record of its timers: after a delivery or
+An entity's ``timers`` table (transaction key to due tick, read through
+``timer_due``) is the only record of its timers: after a delivery or
 firing touches key k at an entity, the simulator queues the tick that
 ``timer_due(k)`` names unless that tick is already queued or not later
 than now.  A popped timer entry whose tick no longer equals
@@ -17,6 +18,11 @@ counts against the tick limit.  A timer its entity refuses to fire (no
 is not queued again: like a refused message, it is dropped.  The run ends
 quiescent, with no message in flight and no timer armed, unless the next
 live event lies past the tick limit.
+
+The adversary script is immutable input, shared by every world built
+from one scenario.  A run keeps the match counts of the actions that have
+not fired yet; an action leaves the run when it fires, so each fires at
+most once per run.
 
 The adversary owns the wire but no keys.  It can flip bits in or rewrite
 fields of the sealed token bytes it sees, replay token-carrying messages,
@@ -69,7 +75,7 @@ _TOKEN_ACTIONS = (ActionKind.FLIP_BITS, ActionKind.REPLACE_AMOUNT,
                   ActionKind.REPLAY_TOKEN)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdversaryAction:
     """One-shot attack armed on the nth message matching the target."""
 
@@ -81,8 +87,6 @@ class AdversaryAction:
     bit_offsets: tuple[int, ...] = (0,)
     amount: int | None = None
     delay: int = 5
-    matches: int = 0
-    fired: bool = False
 
     def __post_init__(self):
         if self.trigger < 1:
@@ -93,8 +97,6 @@ class AdversaryAction:
             raise ValueError("delay must be at least one tick")
 
     def wants(self, msg: ProtocolMessage) -> bool:
-        if self.fired:
-            return False
         if self.kind in _TOKEN_ACTIONS and msg.sealed_token() is None:
             return False
         if self.target_kind is not None and msg.kind is not self.target_kind:
@@ -169,9 +171,6 @@ def _payload_keys(obj) -> set:
     if isinstance(obj, dict):
         for k, v in obj.items():
             keys.add(k)
-            keys |= _payload_keys(v)
-    elif isinstance(obj, list):
-        for v in obj:
             keys |= _payload_keys(v)
     return keys
 
@@ -260,6 +259,9 @@ class Simulation:
         self.trace: list[TraceRecord] = []
         self.notes: list[str] = []
         self.violations: list[str] = []
+        # [action, matches still needed to fire] per unfired action, in
+        # script order; an action is deleted when it fires.
+        self._unfired = [[a, a.trigger] for a in world.adversary]
         self._heap: list = []
         self._queued_timers: set = set()
         self._seq = 0
@@ -288,13 +290,14 @@ class Simulation:
         deliver_at = now + self.world.latency
         flag = "ok"
         self.monitor.on_send(msg, now)
-        for action in self.world.adversary:
+        for i, armed in enumerate(self._unfired):
+            action = armed[0]
             if not action.wants(msg):
                 continue
-            action.matches += 1
-            if action.matches != action.trigger:
+            armed[1] -= 1
+            if armed[1]:
                 continue
-            action.fired = True
+            del self._unfired[i]
             if action.kind is ActionKind.DROP:
                 # Recorded at the tick it was destroyed, keeping the trace
                 # monotone; the message never gets a delivery tick.
@@ -374,8 +377,6 @@ class Simulation:
         aborted = sum(1 for p in ttp_phases if p is TP.ABORTED)
         expired = sum(1 for p in ttp_phases if p is TP.EXPIRED)
         completed = len(world.cb.settled_amounts)
-        tamper_reports = sum(1 for n in self.notes
-                             if n.startswith("TamperDetected:"))
         events = Counter(e.event for e in world.ttp.ledger)
         regenerations = events["Regenerate"]
         expiries = events["DeadlineExpired"]
@@ -392,7 +393,7 @@ class Simulation:
                 0, self._attempted - completed - aborted - expired),
             "settlements": completed,
             "replay_refusals": world.cb.replay_refusals,
-            "tamper_reports": tamper_reports,
+            "tamper_reports": world.cb.tamper_reports,
             "regenerations": regenerations,
             "deadline_expiries": expiries,
             "protocol_violations": len(self.violations),

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from tset import simnet
 from tset.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -81,6 +82,21 @@ def test_ticks_override_truncates(scenario_file, tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_OK
     assert "tick_limit_exceeded: True" in capsys.readouterr().out
+
+
+def test_run_exits_3_on_an_invariant_failure(scenario_file, tmp_path,
+                                            monkeypatch, capsys):
+    # Plant a leak: the merchant's PurchaseConfirm carries an order number.
+    monkeypatch.setattr(simnet, "_FORBIDDEN_AT_COMMERCE",
+                        frozenset({"order_number"}))
+    out = tmp_path / "out"
+    code = main(["run", str(scenario_file), "--out", str(out)])
+    assert code == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert "invariant_failures: 1" in captured.out
+    assert f"artifacts written to {out}/" in captured.out
+    assert captured.err == ("INVARIANT VIOLATED: "
+                            "PrivacyLeak:PurchaseConfirm->M0:order_number\n")
 
 
 def test_run_missing_scenario(tmp_path, capsys):

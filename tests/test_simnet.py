@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from tset import crypto
+from tset import crypto, messages as m, simnet
 from tset.entities import (
     AcquirerPhase as AP,
     ArbiterPhase as TP,
@@ -14,11 +14,12 @@ from tset.entities import (
     StepResult,
 )
 from tset.ledger import Ledger
-from tset.messages import MsgKind as K, ProtocolMessage
+from tset.messages import EntityId, MsgKind as K, ProtocolMessage, TransactionId
 from tset.scenario import ScenarioConfig, build_world
 from tset.simnet import (
     ActionKind,
     AdversaryAction,
+    InvariantMonitor,
     Simulation,
     TRACE_HEADER,
     export_trace,
@@ -409,7 +410,7 @@ def test_refused_timer_is_dropped_not_queued_again(monkeypatch):
     def rearm_after_settling(msg, now):
         result = step(msg, now)
         if ttp.phase_of(msg.txn) is TP.SETTLED:
-            ttp.txns[str(msg.txn)].deadline_at = now + 5
+            ttp.timers[str(msg.txn)] = now + 5
         return result
 
     def fire_at_most_twice(key, now):
@@ -462,11 +463,10 @@ def test_action_is_one_shot():
     result = run_scenario(adversary=[{
         "action": "flip_bits", "trigger": 1,
         "target": {"kind": "EscrowDeposit"}}])
-    action = result.world.adversary[0]
-    assert action.fired
     # the regenerated deposit went through untouched
     deposits = [r for r in result.trace if r.kind == "EscrowDeposit"]
     assert [r.flag for r in deposits] == ["mutated", "ok"]
+    assert [r.flag for r in result.trace].count("mutated") == 1
 
 
 def test_trigger_counts_matching_messages():
@@ -474,7 +474,7 @@ def test_trigger_counts_matching_messages():
         "action": "flip_bits", "trigger": 2,
         "target": {"kind": "EscrowDeposit"}}])
     # only one EscrowDeposit in a clean run, so nothing ever fires
-    assert not result.world.adversary[0].fired
+    assert {r.flag for r in result.trace} == {"ok"}
     assert result.summary["tamper_reports"] == 0
     assert result.summary["txns_completed"] == 1
 
@@ -484,7 +484,8 @@ def test_edge_and_txn_filters():
                    "PaymentRequest"}
     result = run_scenario(adversary=[{
         "action": "drop", "trigger": 1, "target": {"txn": "C0-9"}}])
-    assert not result.world.adversary[0].fired    # no such transaction
+    # no such transaction, so nothing is dropped
+    assert {r.flag for r in result.trace} == {"ok"}
     result = run_scenario(adversary=[{
         "action": "flip_bits", "trigger": 1,
         "target": {"edge": ["CB0", "C0"]}}])
@@ -494,6 +495,19 @@ def test_edge_and_txn_filters():
     assert (mutated[0].sender, mutated[0].receiver) == ("CB0", "C0")
 
 
+def test_edge_filter_matches_only_its_directed_edge():
+    result = run_scenario(adversary=[{
+        "action": "delay", "trigger": 1, "delay": 7,
+        "target": {"edge": ["C0", "TTP0"]}}])
+    flags = {r.kind: r.flag for r in result.trace}
+    # The Browse goes first but on C0->M0, so the first C0->TTP0 message,
+    # the TrustLookup, is the one delayed.
+    assert flags["Browse"] == "ok"
+    assert flags["TrustLookup"] == "delayed"
+    assert [r.flag for r in result.trace].count("delayed") == 1
+    assert result.summary["txns_completed"] == 1
+
+
 def test_build_world_keeps_actions_isolated():
     data = basic_scenario(adversary=[{
         "action": "flip_bits", "trigger": 1,
@@ -501,9 +515,88 @@ def test_build_world_keeps_actions_isolated():
     config = ScenarioConfig.from_dict(data)
     first = Simulation(build_world(config)).run()
     second = Simulation(build_world(config)).run()
-    assert first.world.adversary[0].fired
-    assert second.world.adversary[0].fired
+    # The script is shared, not spent: the second world fires it again.
+    assert first.world.adversary[0] is config.adversary[0]
+    assert second.world.adversary[0] is config.adversary[0]
+    for result in (first, second):
+        assert [r.flag for r in result.trace].count("mutated") == 1
     assert export_trace(first.trace) == export_trace(second.trace)
+
+
+# -- invariant monitor failure paths ------------------------------------------------
+
+def _message(kind, sender: str, receiver: str, payload) -> ProtocolMessage:
+    """An unsigned message of txn C0-1; the monitor reads, never verifies."""
+    return ProtocolMessage(kind, EntityId.parse(sender),
+                           EntityId.parse(receiver),
+                           TransactionId.parse("C0-1"), payload)
+
+
+def _confirm_to(world, receiver: str) -> ProtocolMessage:
+    order = m.OrderInfo("ORD-M0-1", "widget", 1, 15000, 15000,
+                        EntityId.parse("M0"))
+    return _message(K.PURCHASE_CONFIRM, "C0", receiver,
+                    m.PurchaseConfirm(order,
+                                      world.customers["C0"].certificate))
+
+
+def test_monitor_reports_funds_that_vanish():
+    world = _happy_world()
+    monitor = InvariantMonitor(world)
+    msg = _message(K.BROWSE, "C0", "M0", m.Browse("widget", 1))
+    world.cb.accounts["C0"] -= 500      # into escrow: still conserved
+    world.cb.escrow_pool += 500
+    monitor.after_delivery(msg, 3)
+    assert monitor.failures == []
+    world.cb.escrow_pool -= 500         # gone
+    monitor.after_delivery(msg, 4)
+    assert monitor.failures == [
+        "FundsConservation:tick=4:total=99500:expected=100000"]
+
+
+def test_monitor_reports_a_second_settlement_for_value():
+    monitor = InvariantMonitor(_happy_world())
+    monitor.on_send(_message(K.SETTLEMENT, "CB0", "MB0",
+                             m.Settlement(15000)), 10)
+    monitor.on_send(_message(K.SETTLEMENT, "CB0", "MB0",
+                             m.Settlement(15000, duplicate=True)), 11)
+    assert monitor.failures == []
+    monitor.on_send(_message(K.SETTLEMENT, "CB0", "MB0",
+                             m.Settlement(15000)), 12)
+    assert monitor.failures == ["DoubleSettlement:C0-1:tick=12"]
+
+
+def test_monitor_reports_a_forbidden_key_at_commerce(monkeypatch):
+    # No payload type carries a forbidden commerce key, so plant one.
+    world = _happy_world()
+    monitor = InvariantMonitor(world)
+    monitor.check_privacy(_confirm_to(world, "M0"), 5)
+    assert monitor.failures == []
+    monkeypatch.setattr(simnet, "_FORBIDDEN_AT_COMMERCE",
+                        frozenset({"order_number", "customer_cert"}))
+    monitor.check_privacy(_confirm_to(world, "M0"), 5)
+    assert monitor.failures == [
+        "PrivacyLeak:PurchaseConfirm->M0:customer_cert,order_number"]
+
+
+def test_monitor_reports_order_contents_at_the_issuer():
+    world = _happy_world()
+    monitor = InvariantMonitor(world)
+    monitor.check_privacy(_confirm_to(world, "CB0"), 5)
+    assert monitor.failures == [
+        "OrderLeak:PurchaseConfirm->CB0:order_number,product,quantity"]
+
+
+def test_monitor_reports_an_account_number_on_the_wire():
+    world = _happy_world()
+    monitor = InvariantMonitor(world)
+    account = world.cb.account_numbers["C0"]
+    monitor.check_privacy(_message(K.ABORT_NOTICE, "C0", "M0",
+                                   m.AbortNotice("changed my mind")), 5)
+    assert monitor.failures == []
+    monitor.check_privacy(_message(K.ABORT_NOTICE, "C0", "M0",
+                                   m.AbortNotice(f"refund {account}")), 5)
+    assert monitor.failures == ["SecretLeak:AbortNotice->M0"]
 
 
 # -- conservation under stress -----------------------------------------------------
