@@ -10,8 +10,11 @@ travels to the bank, where detection (and the tamper report) belongs.
 The hop signature is checked on every delivery.  The sender's certificate
 is checked against the root key once per world (crypto.CertificateChecks):
 a certificate never changes, so a second check could only repeat the first.
-A message is frozen, so its canonical encodings are built once and kept for
-the signature check, the trace digest and the privacy monitor.
+A message is frozen, so its encodings are built once and kept for the
+signature check, the trace digest and the privacy monitor.  Each message is
+JSON-encoded once, for its signed part; the whole-message bytes are derived
+from those by putting the sealed bytes in place of their mask and adding the
+signature, and equal ``canonical_bytes()``, the reference encoding.
 """
 
 from __future__ import annotations
@@ -40,8 +43,13 @@ class EntityId:
     role: Role
     index: int
 
+    def __post_init__(self):
+        # The name is built once.  It is not a field, so equality, hashing
+        # and repr are those of (role, index).
+        object.__setattr__(self, "_name", f"{self.role.value}{self.index}")
+
     def __str__(self) -> str:
-        return f"{self.role.value}{self.index}"
+        return self._name
 
     @staticmethod
     def parse(text: str) -> "EntityId":
@@ -58,8 +66,11 @@ class TransactionId:
     customer: EntityId
     serial: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "_name", f"{self.customer}-{self.serial}")
+
     def __str__(self) -> str:
-        return f"{self.customer}-{self.serial}"
+        return self._name
 
     @staticmethod
     def parse(text: str) -> "TransactionId":
@@ -290,8 +301,16 @@ def _jsonable(value):
     raise TypeError(f"cannot canonicalize {type(value).__name__}")
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canon(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    return _ENCODER.encode(obj).encode()
+
+
+# The masked field as it appears in the signed part.  JSON escapes every
+# quote inside a string, so these bytes can only be the field itself.
+_MASKED_FIELD = _canon({_SIGN_EXEMPT: _MASK})[1:-1]
 
 
 def payload_dict(msg: "ProtocolMessage") -> dict | str | int | None:
@@ -338,8 +357,18 @@ class ProtocolMessage:
 
     @cached_property
     def wire(self) -> bytes:
-        """canonical_bytes(), kept."""
-        return self.canonical_bytes()
+        """canonical_bytes(), kept, derived from the signed part: the sealed
+        bytes replace their mask, and the signature goes before txn, the
+        last of the sorted keys."""
+        signed = self.signed_part
+        sealed = self.sealed_token()
+        if sealed is not None:
+            unmasked = _MASKED_FIELD.replace(_MASK.encode(),
+                                             sealed.envelope.hex().encode())
+            signed = signed.replace(_MASKED_FIELD, unmasked, 1)
+        at = signed.rfind(b',"txn":')
+        signature = self.signature.hex().encode()
+        return b'%s,"signature":"%s"%s' % (signed[:at], signature, signed[at:])
 
     def _header(self, mask_sealed: bool) -> dict:
         payload = self.plain_payload

@@ -21,8 +21,12 @@ live event lies past the tick limit.
 
 The adversary script is immutable input, shared by every world built
 from one scenario.  A run keeps the match counts of the actions that have
-not fired yet; an action leaves the run when it fires, so each fires at
-most once per run.
+not fired yet, keyed by the message kind they target (untargeted actions
+share one bucket), each with its script position.  A send walks its kind's
+bucket merged with the untargeted one in script order: every action that
+wants the message counts it until one fires, and the message counts toward
+no action after that one.  An action leaves its bucket when it fires, so
+each fires at most once per run.
 
 The adversary owns the wire but no keys.  It can flip bits in or rewrite
 fields of the sealed token bytes it sees, replay token-carrying messages,
@@ -35,12 +39,16 @@ An invariant monitor audits the books after every delivery: total funds
 (accounts + escrow + interbank in-flight) never change, no transaction
 settles twice for value, and messages never carry data their receiver must
 not see (bank secrets and account numbers stay out of commerce traffic,
-order contents stay away from the issuing bank).
+order contents stay away from the issuing bank).  The payload's key set
+depends only on its type and is computed once per type.  The bytes of every
+message not bound for the issuing bank are scanned for the two bank
+secrets, and for the account numbers only when their common prefix occurs.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -183,11 +191,17 @@ class InvariantMonitor:
         self.failures: list[str] = []
         self.initial_total = (sum(world.cb.accounts.values())
                               + sum(world.mb.accounts.values()))
-        self._secrets = [world.cb.keys.symmetric_key.hex().encode(),
-                         world.cb.keys.box_secret.hex().encode()]
-        self._accounts = [a.encode()
-                          for a in world.cb.account_numbers.values()]
+        self._secrets = (world.cb.keys.symmetric_key.hex().encode(),
+                         world.cb.keys.box_secret.hex().encode())
+        accounts = list(world.cb.account_numbers.values())
+        self._accounts = tuple(a.encode() for a in accounts)
+        # Every account number starts with it; empty when they share none,
+        # and b"" occurs in every message, so then all are scanned.
+        self._account_prefix = os.path.commonprefix(accounts).encode()
         self._settled_for_value: set[str] = set()
+        # Payload type -> every key of its JSON form, at any depth.  A type
+        # fixes its keys, so the first message of each type computes them.
+        self._keys_by_type: dict[type, frozenset] = {}
 
     def conserved_total(self) -> int:
         cb, mb = self.world.cb, self.world.mb
@@ -213,7 +227,10 @@ class InvariantMonitor:
 
     def check_privacy(self, msg: ProtocolMessage, now: int) -> None:
         role = msg.receiver.role
-        keys = _payload_keys(msg.plain_payload)
+        keys = self._keys_by_type.get(type(msg.payload))
+        if keys is None:
+            keys = frozenset(_payload_keys(msg.plain_payload))
+            self._keys_by_type[type(msg.payload)] = keys
         if role in (m.Role.MERCHANT, m.Role.MERCHANT_BANK):
             bad = keys & _FORBIDDEN_AT_COMMERCE
             if bad:
@@ -227,12 +244,12 @@ class InvariantMonitor:
                     f"OrderLeak:{msg.kind.value}->{msg.receiver}:"
                     f"{','.join(sorted(bad))}")
         if role is not m.Role.CUSTOMER_BANK:
-            canon = msg.wire
-            for secret in self._secrets + self._accounts:
-                if secret in canon:
-                    self.failures.append(
-                        f"SecretLeak:{msg.kind.value}->{msg.receiver}")
-                    break
+            wire = msg.wire
+            if (any(secret in wire for secret in self._secrets)
+                    or (self._account_prefix in wire
+                        and any(a in wire for a in self._accounts))):
+                self.failures.append(
+                    f"SecretLeak:{msg.kind.value}->{msg.receiver}")
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +276,13 @@ class Simulation:
         self.trace: list[TraceRecord] = []
         self.notes: list[str] = []
         self.violations: list[str] = []
-        # [action, matches still needed to fire] per unfired action, in
-        # script order; an action is deleted when it fires.
-        self._unfired = [[a, a.trigger] for a in world.adversary]
+        # Target kind (None: any kind) -> [script position, action,
+        # matches still needed to fire] per unfired action, in script
+        # order; an action is deleted when it fires.
+        self._unfired: dict[MsgKind | None, list] = {}
+        for position, action in enumerate(world.adversary):
+            self._unfired.setdefault(action.target_kind, []).append(
+                [position, action, action.trigger])
         self._heap: list = []
         self._queued_timers: set = set()
         self._seq = 0
@@ -290,14 +311,8 @@ class Simulation:
         deliver_at = now + self.world.latency
         flag = "ok"
         self.monitor.on_send(msg, now)
-        for i, armed in enumerate(self._unfired):
-            action = armed[0]
-            if not action.wants(msg):
-                continue
-            armed[1] -= 1
-            if armed[1]:
-                continue
-            del self._unfired[i]
+        action = self._fired_by(msg)
+        if action is not None:
             if action.kind is ActionKind.DROP:
                 # Recorded at the tick it was destroyed, keeping the trace
                 # monotone; the message never gets a delivery tick.
@@ -312,8 +327,29 @@ class Simulation:
             else:
                 msg = _mutate_sealed(msg, action)
                 flag = "mutated"
-            break
         self._push(deliver_at, ("deliver", msg, flag))
+
+    def _fired_by(self, msg: ProtocolMessage) -> AdversaryAction | None:
+        """Counts ``msg`` toward the unfired actions that want it, in script
+        order, up to the first one it fires, which leaves the run."""
+        kinded = self._unfired.get(msg.kind, ())
+        untargeted = self._unfired.get(None, ())
+        i = j = 0
+        while i < len(kinded) or j < len(untargeted):
+            if j == len(untargeted) or (i < len(kinded)
+                                        and kinded[i][0] < untargeted[j][0]):
+                bucket, at = kinded, i
+                i += 1
+            else:
+                bucket, at = untargeted, j
+                j += 1
+            armed = bucket[at]
+            if armed[1].wants(msg):
+                armed[2] -= 1
+                if not armed[2]:
+                    del bucket[at]
+                    return armed[1]
+        return None
 
     # -- delivery ------------------------------------------------------------
 

@@ -149,6 +149,29 @@ def test_canonical_bytes_cover_signature(keyset, txn):
     assert msg.digest() != with_sig
 
 
+def test_wire_equals_the_reference_encoding_whatever_the_strings(keyset,
+                                                                 txn):
+    # Text that spells the masked sealed field, the mask, and the final txn
+    # key, which a careless splice of the signed part would mistake for
+    # the real ones.
+    text = '"sealed":"<sealed>" <sealed> ,"txn":"C0-1"}'
+    order = OrderInfo("ORD-M0-1", text, 1, 7500, 7500, eid("M0"))
+    payloads = [
+        (MsgKind.TAMPER_REPORT, m.TamperReport(text, detail=text)),
+        (MsgKind.ABORT_NOTICE, m.AbortNotice(text)),
+        (MsgKind.ESCROW_DEPOSIT,
+         m.EscrowDeposit(order, sealed_fixture(b"ab"))),
+    ]
+    for kind, payload in payloads:
+        msg = ProtocolMessage(kind, eid("C0"), eid("TTP0"), txn, payload)
+        signed = sign_message(msg, keyset.customer_key)
+        for each in (msg, signed):
+            assert each.wire == each.canonical_bytes(), kind
+    swapped = signed.with_sealed(sealed_fixture(b"cd"))
+    assert swapped.wire == swapped.canonical_bytes()
+    assert swapped.wire != signed.wire
+
+
 def test_edge_and_digest_shapes(keyset, txn):
     msg = sign_message(
         ProtocolMessage(MsgKind.BROWSE, eid("C0"), eid("M0"), txn,

@@ -1,8 +1,10 @@
 """End-to-end simulation runs and the network's adversary hooks."""
 
 import copy
+import functools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tset import crypto, messages as m, simnet
 from tset.entities import (
@@ -93,8 +95,40 @@ def test_each_message_is_encoded_once_for_signing_and_once_whole(
                                       "target": {"kind": "EscrowDeposit"}}])
     assert result.summary["tamper_reports"] == 1
     assert len(signing) == len(result.trace)
-    assert len(whole) == len(result.trace)
-    assert len(set(map(id, whole))) == len(whole)
+    assert len(set(map(id, signing))) == len(signing)
+    # The whole bytes are derived from the signed part; the reference
+    # encoding is never run.
+    assert whole == []
+
+
+class _Recording(Simulation):
+    """Keeps every message it delivers, tampered and replayed ones too."""
+
+    def __init__(self, world):
+        super().__init__(world)
+        self.delivered = []
+
+    def _deliver(self, msg, flag, now):
+        self.delivered.append((flag, msg))
+        super()._deliver(msg, flag, now)
+
+
+def test_every_delivered_message_has_the_reference_bytes():
+    data = basic_scenario(adversary=[
+        {"action": "delay", "delay": 3, "target": {"kind": "Offer"}},
+        {"action": "flip_bits", "bits": [5, 300],
+         "target": {"kind": "TokenIssued"}},
+        {"action": "replace_amount", "amount": 95000,
+         "target": {"kind": "EscrowDeposit"}},
+        {"action": "replay_token", "target": {"kind": "PaymentRequest"}}])
+    sim = _Recording(build_world(ScenarioConfig.from_dict(data)))
+    result = sim.run()
+    assert result.summary["txns_completed"] == 1
+    flags = [flag for flag, _ in sim.delivered]
+    assert flags.count("mutated") == 2
+    assert {"delayed", "replayed"} <= set(flags)
+    for flag, msg in sim.delivered:
+        assert msg.wire == msg.canonical_bytes(), (flag, msg.kind)
 
 
 def test_each_certificate_is_checked_once_per_world(monkeypatch):
@@ -523,6 +557,94 @@ def test_build_world_keeps_actions_isolated():
     assert export_trace(first.trace) == export_trace(second.trace)
 
 
+class _LinearMatching(Simulation):
+    """The reference matcher: one pass over every unfired action, in
+    script order, with no index."""
+
+    def __init__(self, world):
+        super().__init__(world)
+        self._script = [[a, a.trigger] for a in world.adversary]
+
+    def _fired_by(self, msg):
+        for i, armed in enumerate(self._script):
+            if armed[0].wants(msg):
+                armed[1] -= 1
+                if not armed[1]:
+                    del self._script[i]
+                    return armed[0]
+        return None
+
+
+def _two_customer_world(merchants: int, purchases: int, script: list):
+    world = build_world(ScenarioConfig.from_dict({
+        "seed": 5, "stagger": 2,
+        "customers": [
+            {"balance": 200000, "purchases": [
+                {"merchant": (c + p) % merchants, "product": "widget",
+                 "quantity": 1} for p in range(purchases)]}
+            for c in range(2)],
+        "merchants": [{"catalog": {"widget": 15000}}] * merchants}))
+    world.adversary = script
+    return world
+
+
+def _same_run(merchants: int, purchases: int, script: list):
+    indexed = Simulation(_two_customer_world(merchants, purchases, script))
+    linear = _LinearMatching(_two_customer_world(merchants, purchases,
+                                                 script))
+    first, reference = indexed.run(), linear.run()
+    assert export_trace(first.trace) == export_trace(reference.trace)
+    assert first.summary == reference.summary
+    return first
+
+
+@functools.cache
+def _clean_trace(merchants: int, purchases: int) -> list:
+    return _same_run(merchants, purchases, []).trace
+
+
+@st.composite
+def _scripts(draw, records: list) -> list:
+    """Actions aimed at messages of the clean run: each takes the kind,
+    edge and txn of one traced message, or leaves any of them open."""
+    script = []
+    for _ in range(draw(st.integers(0, 8))):
+        r = draw(st.sampled_from(records))
+        script.append(AdversaryAction(
+            kind=draw(st.sampled_from(ActionKind)),
+            target_kind=draw(st.sampled_from([None, K(r.kind)])),
+            target_edge=draw(st.sampled_from([None, (r.sender,
+                                                     r.receiver)])),
+            target_txn=draw(st.sampled_from([None, r.txn])),
+            trigger=draw(st.integers(1, 4)),
+            bit_offsets=(draw(st.integers(0, 2527)),),
+            amount=draw(st.integers(1, 200000)),
+            delay=draw(st.integers(1, 9))))
+    return script
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(merchants=st.integers(1, 2), purchases=st.integers(1, 2),
+       data=st.data())
+def test_indexed_matching_equals_the_linear_reference(merchants, purchases,
+                                                      data):
+    script = data.draw(_scripts(_clean_trace(merchants, purchases)))
+    _same_run(merchants, purchases, script)
+
+
+def test_an_earlier_untargeted_action_wins_and_keeps_the_message():
+    script = [AdversaryAction(ActionKind.DELAY, target_edge=("C0", "M0")),
+              AdversaryAction(ActionKind.DROP, target_kind=K.BROWSE,
+                              trigger=2)]
+    result = _same_run(1, 2, script)
+    flags = [(r.sender, r.flag) for r in result.trace if r.kind == "Browse"]
+    # Sent by C0, C1, C0, C1.  C0's first Browse fires the delay and does
+    # not count toward the drop, so the drop fires on the third Browse
+    # sent.  The trace lists each at its delivery (or drop) tick.
+    assert flags == [("C1", "ok"), ("C0", "dropped"), ("C1", "ok"),
+                     ("C0", "delayed")]
+
+
 # -- invariant monitor failure paths ------------------------------------------------
 
 def _message(kind, sender: str, receiver: str, payload) -> ProtocolMessage:
@@ -585,6 +707,38 @@ def test_monitor_reports_order_contents_at_the_issuer():
     monitor.check_privacy(_confirm_to(world, "CB0"), 5)
     assert monitor.failures == [
         "OrderLeak:PurchaseConfirm->CB0:order_number,product,quantity"]
+
+
+def _abort_to_merchant(reason: str) -> ProtocolMessage:
+    return _message(K.ABORT_NOTICE, "C0", "M0", m.AbortNotice(reason))
+
+
+def test_monitor_scans_for_account_numbers_that_share_no_prefix():
+    world = _happy_world()
+    world.cb.account_numbers = {"C0": "7731-0042", "C1": "QX-9"}
+    monitor = InvariantMonitor(world)
+    monitor.check_privacy(_abort_to_merchant("refund 7731-0041"), 5)
+    assert monitor.failures == []
+    monitor.check_privacy(_abort_to_merchant("refund to QX-9 please"), 5)
+    assert monitor.failures == ["SecretLeak:AbortNotice->M0"]
+
+
+def test_monitor_finds_an_account_number_mid_string():
+    world = _two_customer_world(1, 1, [])
+    monitor = InvariantMonitor(world)
+    account = world.cb.account_numbers["C1"]
+    monitor.check_privacy(_abort_to_merchant(f"ref{account}x"), 5)
+    assert monitor.failures == ["SecretLeak:AbortNotice->M0"]
+
+
+def test_monitor_finds_a_bank_secret_without_any_account_text():
+    world = _happy_world()
+    monitor = InvariantMonitor(world)
+    for secret in (world.cb.keys.symmetric_key, world.cb.keys.box_secret):
+        msg = _abort_to_merchant(f"key {secret.hex()}")
+        assert b"ACCT-" not in msg.wire
+        monitor.check_privacy(msg, 5)
+    assert monitor.failures == ["SecretLeak:AbortNotice->M0"] * 2
 
 
 def test_monitor_reports_an_account_number_on_the_wire():
