@@ -18,6 +18,7 @@ scenario and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -58,11 +59,17 @@ def _state_json(result: RunResult) -> str:
 
 def run_scenario(scenario_path, seed=None, ticks=None, deadline=None,
                  out_dir="out") -> tuple[RunResult, Path]:
-    """Library entry point behind ``tset run``: execute and write artifacts."""
+    """Library entry point behind ``tset run``: execute and write artifacts.
+    ``seed``, ``ticks`` and ``deadline`` replace the scenario's own values
+    and must meet the same minimums."""
     config = load_scenario(scenario_path)
-    world = build_world(config, seed=seed, deadline=deadline,
-                        tick_limit=ticks)
-    result = Simulation(world).run()
+    for flag, value in (("--ticks", ticks), ("--deadline", deadline)):
+        if value is not None and value < 1:
+            raise ScenarioError(f"{flag}: must be at least 1")
+    overrides = {"seed": seed, "tick_limit": ticks, "deadline": deadline}
+    config = dataclasses.replace(config, **{
+        name: value for name, value in overrides.items() if value is not None})
+    result = Simulation(build_world(config)).run()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "trace.log").write_text(export_trace(result.trace))
@@ -73,13 +80,36 @@ def run_scenario(scenario_path, seed=None, ticks=None, deadline=None,
     return result, out
 
 
-def _records_from_state(state: dict) -> dict[str, TrustRecord]:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _records_from_state(state) -> dict[str, TrustRecord]:
+    """The trust records of a state.json; a part of the wrong shape is a
+    ValueError that names it."""
+    if not isinstance(state, dict):
+        raise ValueError("state must be a mapping")
+    trust = state.get("trust", {})
+    if not isinstance(trust, dict):
+        raise ValueError("state.trust must be a mapping")
     records = {}
-    for merchant, body in state.get("trust", {}).items():
-        repeats = {(c, p): n for c, p, n in body.get("repeats", [])}
-        records[merchant] = TrustRecord(total=body["total"],
-                                        rejected=body["rejected"],
-                                        repeats=repeats)
+    for merchant, body in trust.items():
+        where = f"state.trust.{merchant}"
+        if not isinstance(body, dict):
+            raise ValueError(f"{where} must be a mapping")
+        for key in ("total", "rejected"):
+            if not _is_int(body.get(key)):
+                raise ValueError(f"{where}.{key} must be an integer")
+        repeats = body.get("repeats", [])
+        if not isinstance(repeats, list) or not all(
+                isinstance(row, list) and len(row) == 3
+                and isinstance(row[0], str) and isinstance(row[1], str)
+                and _is_int(row[2]) for row in repeats):
+            raise ValueError(f"{where}.repeats must be a list of "
+                             "[customer, product, count] rows")
+        records[merchant] = TrustRecord(
+            total=body["total"], rejected=body["rejected"],
+            repeats={(c, p): n for c, p, n in repeats})
     return records
 
 
@@ -116,7 +146,7 @@ def _cmd_run(args) -> int:
 def _cmd_trust_table(args) -> int:
     try:
         sys.stdout.write(trust_table(args.state))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read state: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

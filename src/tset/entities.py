@@ -209,7 +209,6 @@ ARBITER_TABLE = _table(
     (TP.QUOTED, K.ABORT_NOTICE, [TP.ABORTED], [K.COMPLETION_NOTICE]),
     (TP.QUOTED, K.TAMPER_REPORT, [TP.QUOTED], []),
     (TP.HELD, K.TEMP_PAYMENT_QUERY, [TP.HELD], [K.TEMP_PAYMENT_ACK]),
-    (TP.HELD, K.ESCROW_DEPOSIT, [TP.HELD], []),
     (TP.HELD, K.GOODS_DISPATCH, [TP.DISPATCHED], []),
     (TP.HELD, K.TAMPER_REPORT, [TP.HELD], []),
     (TP.DISPATCHED, K.ACCEPT_GOODS, [TP.RELEASED], [K.TOKEN_RELEASE]),
@@ -231,6 +230,7 @@ ARBITER_TABLE = _table(
                     TP.RELEASED)],
     stale={
         TP.NEW: [K.ESCROW_DEPOSIT],
+        TP.HELD: [K.ESCROW_DEPOSIT],
         TP.SETTLED: [K.COMPLETION_NOTICE],
         TP.ABORTED: [K.COMPLETION_NOTICE, K.GOODS_DISPATCH, K.ESCROW_DEPOSIT,
                      K.TEMP_PAYMENT_QUERY, K.ACCEPT_GOODS, K.REJECT_GOODS],
@@ -331,10 +331,13 @@ class Entity:
     def phase_of(self, txn) -> Enum:
         return self.phases.get(str(txn), START_PHASE[self.role])
 
-    def _emit(self, kind: MsgKind, receiver: EntityId, txn: TransactionId,
-              payload) -> ProtocolMessage:
-        msg = ProtocolMessage(kind, self.id, receiver, txn, payload)
-        return m.sign_message(msg, self._key)
+    def _emit(self, result: StepResult, receiver: EntityId,
+              txn: TransactionId, payload) -> None:
+        """Sign the message that carries ``payload``, whose type names its
+        kind, and add it to ``result``."""
+        msg = ProtocolMessage(m.KIND_OF[type(payload)], self.id, receiver,
+                              txn, payload)
+        result.messages.append(m.sign_message(msg, self._key))
 
     def step(self, msg: ProtocolMessage, now: int) -> StepResult:
         """Deliver one message: refuse a bad signature, then advance."""
@@ -448,9 +451,8 @@ class Customer(Entity):
         result = StepResult()
 
         def browse(phase):
-            result.messages.append(self._emit(
-                K.BROWSE, intent.merchant, txn,
-                m.Browse(intent.product, intent.quantity)))
+            self._emit(result, intent.merchant, txn,
+                       m.Browse(intent.product, intent.quantity))
             return CP.AWAIT_OFFER
         return self._advance(str(txn), I.BEGIN, result, browse)
 
@@ -460,6 +462,12 @@ class Customer(Entity):
         if self._reject_probability <= 0:
             return False
         return self._behavior.random() < self._reject_probability
+
+    def _request_token(self, st: _CustomerTxn, txn, result):
+        self._emit(result, self.wk.customer_bank, txn,
+                   m.TokenRequest(st.order.total_price, self.certificate,
+                                  st.merchant_cert))
+        return CP.AWAIT_TOKEN
 
     def handle(self, msg, phase, now, result):
         st = self.txns.get(str(msg.txn))
@@ -478,50 +486,36 @@ class Customer(Entity):
                 return phase
             st.order = order
             st.merchant_cert = cert
-            result.messages.append(self._emit(
-                K.TRUST_LOOKUP, self.wk.ttp, msg.txn,
-                m.TrustLookup(order.merchant)))
+            self._emit(result, self.wk.ttp, msg.txn,
+                       m.TrustLookup(order.merchant))
             return CP.AWAIT_TRUST
 
         if kind == K.TRUST_REPLY:
             if customer_decide(msg.payload, self.policy) is Decision.PROCEED:
-                result.messages.append(self._emit(
-                    K.TOKEN_REQUEST, self.wk.customer_bank, msg.txn,
-                    m.TokenRequest(st.order.total_price, self.certificate,
-                                   st.merchant_cert)))
-                return CP.AWAIT_TOKEN
+                return self._request_token(st, msg.txn, result)
             result.notes.append(f"TrustRefusal:{msg.txn}")
-            result.messages.append(self._emit(
-                K.ABORT_NOTICE, self.wk.ttp, msg.txn,
-                m.AbortNotice("trust below policy")))
+            self._emit(result, self.wk.ttp, msg.txn,
+                       m.AbortNotice("trust below policy"))
             return CP.ABORTED
 
         if kind == K.TOKEN_ISSUED:
-            result.messages.append(self._emit(
-                K.PURCHASE_CONFIRM, st.order.merchant, msg.txn,
-                m.PurchaseConfirm(st.order, self.certificate)))
-            result.messages.append(self._emit(
-                K.ESCROW_DEPOSIT, self.wk.ttp, msg.txn,
-                m.EscrowDeposit(st.order, msg.payload.sealed)))
+            self._emit(result, st.order.merchant, msg.txn,
+                       m.PurchaseConfirm(st.order, self.certificate))
+            self._emit(result, self.wk.ttp, msg.txn,
+                       m.EscrowDeposit(st.order, msg.payload.sealed))
             return CP.AWAIT_GOODS
 
         if kind == K.GOODS_DISPATCH:
             if self._reject_verdict():
-                result.messages.append(self._emit(
-                    K.REJECT_GOODS, self.wk.ttp, msg.txn,
-                    m.RejectGoods(st.order.order_number)))
+                self._emit(result, self.wk.ttp, msg.txn,
+                           m.RejectGoods(st.order.order_number))
                 return CP.AWAIT_GOODS
-            result.messages.append(self._emit(
-                K.ACCEPT_GOODS, self.wk.ttp, msg.txn,
-                m.AcceptGoods(st.order.order_number)))
+            self._emit(result, self.wk.ttp, msg.txn,
+                       m.AcceptGoods(st.order.order_number))
             return CP.AWAIT_COMPLETION
 
         if kind == K.REGENERATE_REQUEST:
-            result.messages.append(self._emit(
-                K.TOKEN_REQUEST, self.wk.customer_bank, msg.txn,
-                m.TokenRequest(st.order.total_price, self.certificate,
-                               st.merchant_cert)))
-            return CP.AWAIT_TOKEN
+            return self._request_token(st, msg.txn, result)
 
         if kind == K.COMPLETION_NOTICE:
             if msg.payload.status == "completed":
@@ -533,9 +527,8 @@ class Customer(Entity):
             if msg.sender != self.wk.ttp:
                 # The arbiter still has its deadline armed; relay the
                 # bank's refusal so the txn closes now, not at expiry.
-                result.messages.append(self._emit(
-                    K.ABORT_NOTICE, self.wk.ttp, msg.txn,
-                    m.AbortNotice(msg.payload.reason)))
+                self._emit(result, self.wk.ttp, msg.txn,
+                           m.AbortNotice(msg.payload.reason))
             return CP.ABORTED
 
         raise AssertionError(f"unhandled {kind} in {phase}")
@@ -571,9 +564,8 @@ class Merchant(Entity):
                 total_price=price * msg.payload.quantity,
                 merchant=self.id)
             self.orders[str(msg.txn)] = order
-            result.messages.append(self._emit(
-                K.OFFER, msg.sender, msg.txn,
-                m.Offer(order, self.certificate)))
+            self._emit(result, msg.sender, msg.txn,
+                       m.Offer(order, self.certificate))
             return MP.AWAIT_CONFIRM
 
         if kind == K.PURCHASE_CONFIRM:
@@ -586,9 +578,8 @@ class Merchant(Entity):
             if order is None or msg.payload.order != order:
                 result.violations.append(f"OrderMismatch:{msg.txn}")
                 return phase
-            result.messages.append(self._emit(
-                K.TEMP_PAYMENT_QUERY, self.wk.ttp, msg.txn,
-                m.TempPaymentQuery(order.order_number)))
+            self._emit(result, self.wk.ttp, msg.txn,
+                       m.TempPaymentQuery(order.order_number))
             return MP.AWAIT_ACK
 
         if kind == K.TEMP_PAYMENT_ACK:
@@ -605,9 +596,8 @@ class Merchant(Entity):
             return MP.AWAIT_CAPTURE
 
         if kind == K.SETTLEMENT:
-            result.messages.append(self._emit(
-                K.COMPLETION_NOTICE, self.wk.ttp, msg.txn,
-                m.CompletionNotice("completed")))
+            self._emit(result, self.wk.ttp, msg.txn,
+                       m.CompletionNotice("completed"))
             return MP.DONE
 
         if kind == K.COMPLETION_NOTICE:
@@ -619,10 +609,8 @@ class Merchant(Entity):
     def _dispatch(self, order: OrderInfo, txn, replacement: bool, result):
         payload = m.GoodsDispatch(order.order_number, order.product,
                                   order.quantity, replacement)
-        result.messages.append(self._emit(
-            K.GOODS_DISPATCH, txn.customer, txn, payload))
-        result.messages.append(self._emit(
-            K.GOODS_DISPATCH, self.wk.ttp, txn, payload))
+        self._emit(result, txn.customer, txn, payload)
+        self._emit(result, self.wk.ttp, txn, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +661,8 @@ class CustomerBank(Entity):
             customer = str(msg.sender)
             if self.accounts.get(customer, 0) < req.amount:
                 result.notes.append(f"InsufficientFunds:{msg.txn}")
-                result.messages.append(self._emit(
-                    K.COMPLETION_NOTICE, msg.sender, msg.txn,
-                    m.CompletionNotice("aborted", "insufficient funds")))
+                self._emit(result, msg.sender, msg.txn,
+                           m.CompletionNotice("aborted", "insufficient funds"))
                 return IP.CANCELLED
             self.accounts[customer] -= req.amount
             self.escrow_pool += req.amount
@@ -687,8 +674,7 @@ class CustomerBank(Entity):
                                          req.merchant_cert, now)
         self.txn_token[txn_key] = token.token_id
         sealed = tokens.seal_token(token, self.keys, self._rng)
-        result.messages.append(self._emit(
-            K.TOKEN_ISSUED, msg.sender, msg.txn, m.TokenIssued(sealed)))
+        self._emit(result, msg.sender, msg.txn, m.TokenIssued(sealed))
         return IP.ISSUED
 
     # -- settlement ---------------------------------------------------------
@@ -731,12 +717,9 @@ class CustomerBank(Entity):
         self.escrow_pool -= hold.amount
         self.settled_out_total += hold.amount
         self.settled_amounts[txn_key] = hold.amount
-        result.messages.append(self._emit(
-            K.SETTLEMENT, self.wk.merchant_bank, txn,
-            m.Settlement(hold.amount)))
-        result.messages.append(self._emit(
-            K.COMPLETION_NOTICE, txn.customer, txn,
-            m.CompletionNotice("completed")))
+        self._emit(result, self.wk.merchant_bank, txn,
+                   m.Settlement(hold.amount))
+        self._emit(result, txn.customer, txn, m.CompletionNotice("completed"))
         return IP.SETTLED
 
     def _tamper(self, txn, reason: str, result):
@@ -746,24 +729,20 @@ class CustomerBank(Entity):
             self.mint.revoke(current)
         self.tamper_reports += 1
         result.notes.append(f"TamperDetected:{txn}:{reason}")
-        result.messages.append(self._emit(
-            K.TAMPER_REPORT, self.wk.ttp, txn,
-            m.TamperReport("tamper", reason)))
+        self._emit(result, self.wk.ttp, txn, m.TamperReport("tamper", reason))
         phase = self.phase_of(txn)
         return IP.TAMPER_WAIT if phase in (IP.ISSUED, IP.TAMPER_WAIT) else phase
 
     def _refuse_replay(self, txn, result):
         self.replay_refusals += 1
         result.notes.append(f"AlreadySettled:{txn}")
-        result.messages.append(self._emit(
-            K.TAMPER_REPORT, self.wk.ttp, txn,
-            m.TamperReport("replay", "AlreadySettled")))
+        self._emit(result, self.wk.ttp, txn,
+                   m.TamperReport("replay", "AlreadySettled"))
         amount = self.settled_amounts.get(str(txn))
         if amount is not None:
             # Idempotent copy so a lost original cannot strand the payout.
-            result.messages.append(self._emit(
-                K.SETTLEMENT, self.wk.merchant_bank, txn,
-                m.Settlement(amount, duplicate=True)))
+            self._emit(result, self.wk.merchant_bank, txn,
+                       m.Settlement(amount, duplicate=True))
         return self.phase_of(txn)
 
     def handle(self, msg, phase, now, result):
@@ -818,9 +797,8 @@ class MerchantBank(Entity):
             self.timers[key] = now + self.retry_ticks
         else:
             self.timers.pop(key, None)
-        result.messages.append(self._emit(
-            K.PAYMENT_REQUEST, self.wk.customer_bank, txn,
-            m.PaymentRequest(p.sealed, p.merchant)))
+        self._emit(result, self.wk.customer_bank, txn,
+                   m.PaymentRequest(p.sealed, p.merchant))
 
     def handle(self, msg, phase, now, result):
         kind = msg.kind
@@ -842,9 +820,8 @@ class MerchantBank(Entity):
             self.accounts[merchant] = (self.accounts.get(merchant, 0)
                                        + msg.payload.amount)
             self.credited_in_total += msg.payload.amount
-            result.messages.append(self._emit(
-                K.SETTLEMENT, p.merchant, msg.txn,
-                m.Settlement(msg.payload.amount)))
+            self._emit(result, p.merchant, msg.txn,
+                       m.Settlement(msg.payload.amount))
             return AP.SETTLED
 
         if kind == K.COMPLETION_NOTICE:
@@ -876,6 +853,7 @@ class _ArbiterTxn:
     oi_digest: str = ""
     token_digest: str = ""
     product: str = ""
+    sealed: SealedToken | None = None   # the deposit; dropped to regenerate
     pending_query: str | None = None
     deposited_ever: bool = False
     regen_count: int = 0
@@ -892,7 +870,6 @@ class Ttp(Entity):
         self.txns: dict[str, _ArbiterTxn] = {}
         self.deadline_ticks = deadline_ticks
         self.regenerate_cap = regenerate_cap
-        self._sealed: dict[str, SealedToken] = {}
 
     # -- bookkeeping helpers -------------------------------------------------
 
@@ -910,10 +887,9 @@ class Ttp(Entity):
         record = self.trust.setdefault(str(st.merchant), TrustRecord())
         record_outcome(record, disposition, str(st.txn.customer), st.product)
 
-    def _ack(self, st: _ArbiterTxn, txn, result) -> None:
-        result.messages.append(self._emit(
-            K.TEMP_PAYMENT_ACK, st.merchant, txn,
-            m.TempPaymentAck(st.token_digest, st.amount)))
+    def _ack(self, st: _ArbiterTxn, result) -> None:
+        self._emit(result, st.merchant, st.txn,
+                   m.TempPaymentAck(st.token_digest, st.amount))
 
     # -- named operations ----------------------------------------------------
 
@@ -923,7 +899,7 @@ class Ttp(Entity):
         token; it checks the envelope shape, records digests, and acks any
         merchant query that raced ahead of the deposit."""
         order = msg.payload.order
-        self._sealed[str(msg.txn)] = msg.payload.sealed
+        st.sealed = msg.payload.sealed
         st.amount = order.total_price
         st.product = order.product
         st.oi_digest = m.order_digest(order)
@@ -933,7 +909,7 @@ class Ttp(Entity):
         self._arm(st, now)
         if st.pending_query is not None:
             self._log(st, now, "TempAck", {"amount": st.amount})
-            self._ack(st, msg.txn, result)
+            self._ack(st, result)
             st.pending_query = None
         return TP.HELD
 
@@ -946,16 +922,14 @@ class Ttp(Entity):
             self._log(st, now, "Accept", {})
             self._log(st, now, "Release", {"amount": st.amount})
             self._arm(st, now)
-            result.messages.append(self._emit(
-                K.TOKEN_RELEASE, self.wk.merchant_bank, msg.txn,
-                m.TokenRelease(self._sealed[str(msg.txn)], st.merchant)))
+            self._emit(result, self.wk.merchant_bank, st.txn,
+                       m.TokenRelease(st.sealed, st.merchant))
             return TP.RELEASED
         self._record(st, Disposition.REJECTED)
         self._log(st, now, "Reject", {"reason": msg.payload.reason})
         self._arm(st, now)
-        result.messages.append(self._emit(
-            K.REJECT_GOODS, st.merchant, msg.txn,
-            m.RejectGoods(msg.payload.order_number, msg.payload.reason)))
+        self._emit(result, st.merchant, st.txn,
+                   m.RejectGoods(msg.payload.order_number, msg.payload.reason))
         return TP.REPLACING
 
     def regenerate_flow(self, msg, st: _ArbiterTxn, now: int,
@@ -968,25 +942,21 @@ class Ttp(Entity):
         if st.regen_count >= self.regenerate_cap:
             return self._abort(st, now, "regeneration cap exhausted", result)
         st.regen_count += 1
-        self._sealed.pop(str(msg.txn), None)
+        st.sealed = None
         self._log(st, now, "Regenerate", {"attempt": st.regen_count})
         self._arm(st, now)
-        result.messages.append(self._emit(
-            K.REGENERATE_REQUEST, st.txn.customer, msg.txn,
-            m.RegenerateRequest()))
+        self._emit(result, st.txn.customer, st.txn, m.RegenerateRequest())
         return TP.QUOTED
 
     def _abort(self, st: _ArbiterTxn, now: int, reason: str,
                result: StepResult):
         self._log(st, now, "Abort", {"reason": reason})
         self.timers.pop(str(st.txn), None)
-        result.messages.append(self._emit(
-            K.ESCROW_CANCEL, self.wk.customer_bank, st.txn,
-            m.EscrowCancel(reason)))
+        self._emit(result, self.wk.customer_bank, st.txn,
+                   m.EscrowCancel(reason))
         for target in (st.txn.customer, st.merchant):
-            result.messages.append(self._emit(
-                K.COMPLETION_NOTICE, target, st.txn,
-                m.CompletionNotice("aborted", reason)))
+            self._emit(result, target, st.txn,
+                       m.CompletionNotice("aborted", reason))
         return TP.ABORTED
 
     # -- message handling ----------------------------------------------------
@@ -1004,14 +974,10 @@ class Ttp(Entity):
             reply = m.TrustReply(standing["rated"],
                                  standing.get("trust_factor"),
                                  standing.get("grade"))
-            result.messages.append(self._emit(
-                K.TRUST_REPLY, msg.sender, msg.txn, reply))
+            self._emit(result, msg.sender, msg.txn, reply)
             return TP.QUOTED
 
         if kind == K.ESCROW_DEPOSIT:
-            if phase is TP.HELD:
-                result.notes.append(f"DuplicateDeposit:{msg.txn}")
-                return phase
             return self.hold_escrow(msg, st, now, result)
 
         if kind == K.TEMP_PAYMENT_QUERY:
@@ -1019,15 +985,14 @@ class Ttp(Entity):
                 st.pending_query = msg.payload.order_number
                 return phase
             self._log(st, now, "TempAck", {"amount": st.amount})
-            self._ack(st, msg.txn, result)
+            self._ack(st, result)
             return phase
 
         if kind == K.ABORT_NOTICE:
             self._log(st, now, "Abort", {"reason": msg.payload.reason})
             self.timers.pop(txn_key, None)
-            result.messages.append(self._emit(
-                K.COMPLETION_NOTICE, st.merchant, msg.txn,
-                m.CompletionNotice("aborted", msg.payload.reason)))
+            self._emit(result, st.merchant, msg.txn,
+                       m.CompletionNotice("aborted", msg.payload.reason))
             return TP.ABORTED
 
         if kind == K.GOODS_DISPATCH:
@@ -1073,14 +1038,12 @@ class Ttp(Entity):
         if st.deposited_ever:
             self._record(st, Disposition.REJECTED)
         result.notes.append(f"DeadlineExpired:{txn_key}")
-        result.messages.append(self._emit(
-            K.ESCROW_CANCEL, self.wk.customer_bank, st.txn,
-            m.EscrowCancel("deadline expired")))
+        self._emit(result, self.wk.customer_bank, st.txn,
+                   m.EscrowCancel("deadline expired"))
         targets = [st.txn.customer, st.merchant]
         if phase is TP.RELEASED:
             targets.append(self.wk.merchant_bank)
         for target in targets:
-            result.messages.append(self._emit(
-                K.COMPLETION_NOTICE, target, st.txn,
-                m.CompletionNotice("aborted", "deadline expired")))
+            self._emit(result, target, st.txn,
+                       m.CompletionNotice("aborted", "deadline expired"))
         return TP.EXPIRED

@@ -278,6 +278,8 @@ PAYLOAD_TYPES = {
     MsgKind.ESCROW_CANCEL: EscrowCancel,
     MsgKind.ABORT_NOTICE: AbortNotice,
 }
+# Each payload type serves one kind, so a payload names its message's kind.
+KIND_OF = {payload_type: kind for kind, payload_type in PAYLOAD_TYPES.items()}
 
 # Field name whose bytes are excluded from hop signatures (see module doc).
 _SIGN_EXEMPT = "sealed"

@@ -309,16 +309,10 @@ def load_scenario(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # World construction
 
-def build_world(config: ScenarioConfig, seed: int | None = None,
-                deadline: int | None = None,
-                tick_limit: int | None = None) -> World:
+def build_world(config: ScenarioConfig) -> World:
     """Instantiate entities with deterministic key material and wire the
-    purchase plan.  CLI overrides replace the scenario's own values."""
-    seed = config.seed if seed is None else seed
-    deadline = config.deadline if deadline is None else deadline
-    tick_limit = config.tick_limit if tick_limit is None else tick_limit
-
-    root_rng = ByteStream(seed)
+    purchase plan."""
+    root_rng = ByteStream(config.seed)
     root_key = crypto.new_signing_key(root_rng.fork("root"))
     root_public = root_key.public_key().public_bytes_raw()
     # One memo of certificate checks for the whole world, filled on use.
@@ -358,7 +352,7 @@ def build_world(config: ScenarioConfig, seed: int | None = None,
     mb = MerchantBank(*base_args(wk.merchant_bank),
                       retry_ticks=config.settle_retry_ticks,
                       retry_cap=config.settle_retry_cap)
-    ttp = Ttp(*base_args(wk.ttp), deadline_ticks=deadline,
+    ttp = Ttp(*base_args(wk.ttp), deadline_ticks=config.deadline,
               regenerate_cap=config.regenerate_cap)
 
     entities: dict = {str(cb.id): cb, str(mb.id): mb, str(ttp.id): ttp}
@@ -391,7 +385,7 @@ def build_world(config: ScenarioConfig, seed: int | None = None,
             plan.append((start, f"C{i}", intent))
     plan.sort(key=lambda item: (item[0], item[1]))
 
-    return World(seed=seed, latency=config.latency, tick_limit=tick_limit,
-                 entities=entities,
+    return World(seed=config.seed, latency=config.latency,
+                 tick_limit=config.tick_limit, entities=entities,
                  customers=customers, cb=cb, mb=mb, ttp=ttp, plan=plan,
                  adversary=list(config.adversary))

@@ -84,6 +84,28 @@ def test_ticks_override_truncates(scenario_file, tmp_path, capsys):
     assert "tick_limit_exceeded: True" in capsys.readouterr().out
 
 
+def test_run_scenario_overrides_win(scenario_file, tmp_path):
+    result, _ = run_scenario(scenario_file, seed=77, ticks=44, deadline=33,
+                             out_dir=tmp_path / "out")
+    assert result.world.seed == 77
+    assert result.world.ttp.deadline_ticks == 33
+    assert result.world.tick_limit == 44
+
+
+# The scenario file rejects `deadline: 0` and `tick_limit: 0`; so do the flags.
+@pytest.mark.parametrize("flag, value", [("--deadline", "0"),
+                                         ("--deadline", "-5"),
+                                         ("--ticks", "0")])
+def test_run_refuses_an_override_below_the_file_minimum(scenario_file,
+                                                        tmp_path, capsys,
+                                                        flag, value):
+    out = tmp_path / "out"
+    code = main(["run", str(scenario_file), flag, value, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"{flag}: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_exits_3_on_an_invariant_failure(scenario_file, tmp_path,
                                             monkeypatch, capsys):
     # Plant a leak: the merchant's PurchaseConfirm carries an order number.
@@ -128,6 +150,19 @@ def test_trust_table_accepts_dir_and_file(scenario_file, tmp_path, capsys):
 def test_trust_table_missing_state(tmp_path, capsys):
     assert main(["trust-table", str(tmp_path)]) == EXIT_CONFIG
     assert "cannot read state" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("state, problem", [
+    ({"trust": []}, "state.trust must be a mapping"),
+    ({"trust": {"M0": {"total": "x", "rejected": 0}}},
+     "state.trust.M0.total must be an integer"),
+    ([1], "state must be a mapping"),
+], ids=["trust-list", "total-string", "top-level-list"])
+def test_trust_table_malformed_state(tmp_path, capsys, state, problem):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    assert main(["trust-table", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"cannot read state: {problem}\n"
 
 
 def test_dispute_prints_transaction_history(scenario_file, tmp_path, capsys):

@@ -150,9 +150,8 @@ def test_illegal_emission_is_dropped(world, monkeypatch):
     merchant, txn = world.entities["M0"], txn_of(world)
 
     def handle(self, msg, phase, now, result):
-        result.messages.append(self._emit(
-            K.TEMP_PAYMENT_QUERY, self.wk.ttp, msg.txn,
-            m.TempPaymentQuery("ORD-M0-1")))
+        self._emit(result, self.wk.ttp, msg.txn,
+                   m.TempPaymentQuery("ORD-M0-1"))
         return MP.AWAIT_CONFIRM
 
     monkeypatch.setattr(type(merchant), "handle", handle)
@@ -252,9 +251,8 @@ def test_timer_moving_outside_its_row_is_refused(world, monkeypatch):
     quote(world, txn)
 
     def on_timer(self, key, phase, now, result):
-        result.messages.append(self._emit(
-            K.ESCROW_CANCEL, self.wk.customer_bank, txn,
-            m.EscrowCancel("deadline expired")))
+        self._emit(result, self.wk.customer_bank, txn,
+                   m.EscrowCancel("deadline expired"))
         return TP.SETTLED
 
     monkeypatch.setattr(type(world.ttp), "on_timer", on_timer)
@@ -595,7 +593,8 @@ def test_arbiter_duplicate_deposit_noted(world):
     quote(world, txn)
     deposit(world, txn, sealed)
     result = deposit(world, txn, sealed, now=8)
-    assert any("DuplicateDeposit" in n for n in result.notes)
+    assert result.notes == [f"Stale:EscrowDeposit:{txn}"]
+    assert (result.messages, result.violations) == ([], [])
     assert [e.event for e in world.ttp.ledger.entries] == ["Deposit"]
 
 

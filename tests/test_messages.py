@@ -199,3 +199,7 @@ def test_payload_dict_is_plain_data(keyset, txn, order):
 
 def test_every_kind_has_a_payload_type():
     assert set(m.PAYLOAD_TYPES) == set(MsgKind)
+    # A payload type serves one kind, so it can name the kind it carries.
+    assert len(set(m.PAYLOAD_TYPES.values())) == len(m.PAYLOAD_TYPES)
+    assert {kind: payload_type for payload_type, kind in m.KIND_OF.items()} \
+        == m.PAYLOAD_TYPES

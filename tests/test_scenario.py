@@ -243,14 +243,6 @@ def test_build_world_entities_and_plan():
         == [(0, "C0"), (1, "C1"), (4, "C0")]
 
 
-def test_build_world_overrides_win():
-    config = ScenarioConfig.from_dict(basic_scenario())
-    world = build_world(config, seed=77, deadline=33, tick_limit=44)
-    assert world.seed == 77
-    assert world.ttp.deadline_ticks == 33
-    assert world.tick_limit == 44
-
-
 def test_build_world_account_numbers_and_history():
     config = ScenarioConfig.from_dict(basic_scenario(
         merchants=[{"catalog": {"widget": 15000},
