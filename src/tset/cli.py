@@ -25,7 +25,8 @@ from pathlib import Path
 
 from .ledger import (Ledger, LedgerIntegrityError, UnknownTransaction,
                      dispute_report)
-from .scenario import ScenarioError, build_world, load_scenario
+from .scenario import (ScenarioError, build_world, check_override,
+                       load_scenario)
 from .simnet import RunResult, Simulation, export_trace, render_summary
 from .trust import TrustRecord, render_table
 
@@ -63,12 +64,11 @@ def run_scenario(scenario_path, seed=None, ticks=None, deadline=None,
     ``seed``, ``ticks`` and ``deadline`` replace the scenario's own values
     and must meet the same minimums."""
     config = load_scenario(scenario_path)
-    for flag, value in (("--ticks", ticks), ("--deadline", deadline)):
-        if value is not None and value < 1:
-            raise ScenarioError(f"{flag}: must be at least 1")
-    overrides = {"seed": seed, "tick_limit": ticks, "deadline": deadline}
+    overrides = {"seed": ("--seed", seed), "tick_limit": ("--ticks", ticks),
+                 "deadline": ("--deadline", deadline)}
     config = dataclasses.replace(config, **{
-        name: value for name, value in overrides.items() if value is not None})
+        name: check_override(name, value, flag)
+        for name, (flag, value) in overrides.items() if value is not None})
     result = Simulation(build_world(config)).run()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

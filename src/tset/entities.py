@@ -26,16 +26,11 @@ from enum import Enum
 from . import crypto, messages as m, tokens
 from .crypto import Certificate
 from .ledger import Ledger, LedgerEntry, trust_lookup
-from .messages import EntityId, MsgKind, OrderInfo, ProtocolMessage, TransactionId
+from .messages import (CB0, MB0, TTP0, EntityId, MsgKind, OrderInfo,
+                       ProtocolMessage, TransactionId)
 from .rng import ByteStream
 from .tokens import KeyMaterial, SealedToken, TokenMint, Verdict
 from .trust import Disposition, Grade, TrustRecord, record_outcome
-
-DEFAULT_DEADLINE_TICKS = 100
-DEFAULT_REGENERATE_CAP = 3
-DEFAULT_SETTLE_RETRY_TICKS = 25
-DEFAULT_SETTLE_RETRY_CAP = 5
-
 
 # ---------------------------------------------------------------------------
 # Phases
@@ -300,30 +295,19 @@ class StepResult:
     violations: list = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class WellKnown:
-    """Directory of the singleton infrastructure entities."""
-
-    ttp: EntityId
-    customer_bank: EntityId
-    merchant_bank: EntityId
-
-
 class Entity:
     """Common machinery: signing, signature checking, phase and timer
     bookkeeping."""
 
     role: m.Role
 
-    def __init__(self, eid: EntityId, signing_key, certificate: Certificate,
-                 directory: dict, certs: crypto.CertificateChecks,
-                 well_known: WellKnown):
+    def __init__(self, eid: EntityId, signing_key, directory: dict,
+                 certs: crypto.CertificateChecks):
         self.id = eid
         self._key = signing_key
-        self.certificate = certificate
+        self.certificate: Certificate = directory[str(eid)]
         self.directory = directory
         self.certs = certs
-        self.wk = well_known
         self.phases: dict[str, Enum] = {}
         # Due tick of each armed timer, by transaction key.
         self.timers: dict[str, int] = {}
@@ -431,15 +415,13 @@ class _CustomerTxn:
 class Customer(Entity):
     role = m.Role.CUSTOMER
 
-    def __init__(self, *args, policy: AcceptancePolicy | None = None,
-                 reject_script: list | None = None,
-                 reject_probability: float = 0.0,
-                 behavior: random.Random | None = None):
+    def __init__(self, *args, policy: AcceptancePolicy, reject_script: list,
+                 reject_probability: float, behavior: random.Random):
         super().__init__(*args)
-        self.policy = policy if policy is not None else AcceptancePolicy()
-        self._reject_script = list(reject_script or [])
+        self.policy = policy
+        self._reject_script = list(reject_script)
         self._reject_probability = reject_probability
-        self._behavior = behavior or random.Random(0)
+        self._behavior = behavior
         self.txns: dict[str, _CustomerTxn] = {}
         self._serial = 0
 
@@ -464,7 +446,7 @@ class Customer(Entity):
         return self._behavior.random() < self._reject_probability
 
     def _request_token(self, st: _CustomerTxn, txn, result):
-        self._emit(result, self.wk.customer_bank, txn,
+        self._emit(result, CB0, txn,
                    m.TokenRequest(st.order.total_price, self.certificate,
                                   st.merchant_cert))
         return CP.AWAIT_TOKEN
@@ -486,31 +468,30 @@ class Customer(Entity):
                 return phase
             st.order = order
             st.merchant_cert = cert
-            self._emit(result, self.wk.ttp, msg.txn,
-                       m.TrustLookup(order.merchant))
+            self._emit(result, TTP0, msg.txn, m.TrustLookup(order.merchant))
             return CP.AWAIT_TRUST
 
         if kind == K.TRUST_REPLY:
             if customer_decide(msg.payload, self.policy) is Decision.PROCEED:
                 return self._request_token(st, msg.txn, result)
             result.notes.append(f"TrustRefusal:{msg.txn}")
-            self._emit(result, self.wk.ttp, msg.txn,
+            self._emit(result, TTP0, msg.txn,
                        m.AbortNotice("trust below policy"))
             return CP.ABORTED
 
         if kind == K.TOKEN_ISSUED:
             self._emit(result, st.order.merchant, msg.txn,
                        m.PurchaseConfirm(st.order, self.certificate))
-            self._emit(result, self.wk.ttp, msg.txn,
+            self._emit(result, TTP0, msg.txn,
                        m.EscrowDeposit(st.order, msg.payload.sealed))
             return CP.AWAIT_GOODS
 
         if kind == K.GOODS_DISPATCH:
             if self._reject_verdict():
-                self._emit(result, self.wk.ttp, msg.txn,
+                self._emit(result, TTP0, msg.txn,
                            m.RejectGoods(st.order.order_number))
                 return CP.AWAIT_GOODS
-            self._emit(result, self.wk.ttp, msg.txn,
+            self._emit(result, TTP0, msg.txn,
                        m.AcceptGoods(st.order.order_number))
             return CP.AWAIT_COMPLETION
 
@@ -524,10 +505,10 @@ class Customer(Entity):
                     return phase
                 return CP.DONE
             result.notes.append(f"Aborted:{msg.txn}:{msg.payload.reason}")
-            if msg.sender != self.wk.ttp:
+            if msg.sender != TTP0:
                 # The arbiter still has its deadline armed; relay the
                 # bank's refusal so the txn closes now, not at expiry.
-                self._emit(result, self.wk.ttp, msg.txn,
+                self._emit(result, TTP0, msg.txn,
                            m.AbortNotice(msg.payload.reason))
             return CP.ABORTED
 
@@ -578,7 +559,7 @@ class Merchant(Entity):
             if order is None or msg.payload.order != order:
                 result.violations.append(f"OrderMismatch:{msg.txn}")
                 return phase
-            self._emit(result, self.wk.ttp, msg.txn,
+            self._emit(result, TTP0, msg.txn,
                        m.TempPaymentQuery(order.order_number))
             return MP.AWAIT_ACK
 
@@ -596,8 +577,7 @@ class Merchant(Entity):
             return MP.AWAIT_CAPTURE
 
         if kind == K.SETTLEMENT:
-            self._emit(result, self.wk.ttp, msg.txn,
-                       m.CompletionNotice("completed"))
+            self._emit(result, TTP0, msg.txn, m.CompletionNotice("completed"))
             return MP.DONE
 
         if kind == K.COMPLETION_NOTICE:
@@ -610,7 +590,7 @@ class Merchant(Entity):
         payload = m.GoodsDispatch(order.order_number, order.product,
                                   order.quantity, replacement)
         self._emit(result, txn.customer, txn, payload)
-        self._emit(result, self.wk.ttp, txn, payload)
+        self._emit(result, TTP0, txn, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -627,13 +607,13 @@ class CustomerBank(Entity):
 
     def __init__(self, *args, keys: KeyMaterial, mint: TokenMint,
                  accounts: dict[str, int], crypto_rng: ByteStream,
-                 account_numbers: dict[str, str] | None = None):
+                 account_numbers: dict[str, str]):
         super().__init__(*args)
         self.keys = keys
         self.mint = mint
         self.accounts = dict(accounts)
         # Private account references; these strings must never ride the wire.
-        self.account_numbers = dict(account_numbers or {})
+        self.account_numbers = dict(account_numbers)
         self.escrow_pool = 0
         self.holds: dict[str, _Hold] = {}
         self.txn_token: dict[str, bytes] = {}
@@ -717,8 +697,7 @@ class CustomerBank(Entity):
         self.escrow_pool -= hold.amount
         self.settled_out_total += hold.amount
         self.settled_amounts[txn_key] = hold.amount
-        self._emit(result, self.wk.merchant_bank, txn,
-                   m.Settlement(hold.amount))
+        self._emit(result, MB0, txn, m.Settlement(hold.amount))
         self._emit(result, txn.customer, txn, m.CompletionNotice("completed"))
         return IP.SETTLED
 
@@ -729,20 +708,19 @@ class CustomerBank(Entity):
             self.mint.revoke(current)
         self.tamper_reports += 1
         result.notes.append(f"TamperDetected:{txn}:{reason}")
-        self._emit(result, self.wk.ttp, txn, m.TamperReport("tamper", reason))
+        self._emit(result, TTP0, txn, m.TamperReport("tamper", reason))
         phase = self.phase_of(txn)
         return IP.TAMPER_WAIT if phase in (IP.ISSUED, IP.TAMPER_WAIT) else phase
 
     def _refuse_replay(self, txn, result):
         self.replay_refusals += 1
         result.notes.append(f"AlreadySettled:{txn}")
-        self._emit(result, self.wk.ttp, txn,
+        self._emit(result, TTP0, txn,
                    m.TamperReport("replay", "AlreadySettled"))
         amount = self.settled_amounts.get(str(txn))
         if amount is not None:
             # Idempotent copy so a lost original cannot strand the payout.
-            self._emit(result, self.wk.merchant_bank, txn,
-                       m.Settlement(amount, duplicate=True))
+            self._emit(result, MB0, txn, m.Settlement(amount, duplicate=True))
         return self.phase_of(txn)
 
     def handle(self, msg, phase, now, result):
@@ -781,8 +759,7 @@ class _Pending:
 class MerchantBank(Entity):
     role = m.Role.MERCHANT_BANK
 
-    def __init__(self, *args, retry_ticks: int = DEFAULT_SETTLE_RETRY_TICKS,
-                 retry_cap: int = DEFAULT_SETTLE_RETRY_CAP):
+    def __init__(self, *args, retry_ticks: int, retry_cap: int):
         super().__init__(*args)
         self.accounts: dict[str, int] = {}
         self.credited_in_total = 0
@@ -797,8 +774,7 @@ class MerchantBank(Entity):
             self.timers[key] = now + self.retry_ticks
         else:
             self.timers.pop(key, None)
-        self._emit(result, self.wk.customer_bank, txn,
-                   m.PaymentRequest(p.sealed, p.merchant))
+        self._emit(result, CB0, txn, m.PaymentRequest(p.sealed, p.merchant))
 
     def handle(self, msg, phase, now, result):
         kind = msg.kind
@@ -862,8 +838,7 @@ class _ArbiterTxn:
 class Ttp(Entity):
     role = m.Role.TTP
 
-    def __init__(self, *args, deadline_ticks: int = DEFAULT_DEADLINE_TICKS,
-                 regenerate_cap: int = DEFAULT_REGENERATE_CAP):
+    def __init__(self, *args, deadline_ticks: int, regenerate_cap: int):
         super().__init__(*args)
         self.ledger = Ledger()
         self.trust: dict[str, TrustRecord] = {}
@@ -922,7 +897,7 @@ class Ttp(Entity):
             self._log(st, now, "Accept", {})
             self._log(st, now, "Release", {"amount": st.amount})
             self._arm(st, now)
-            self._emit(result, self.wk.merchant_bank, st.txn,
+            self._emit(result, MB0, st.txn,
                        m.TokenRelease(st.sealed, st.merchant))
             return TP.RELEASED
         self._record(st, Disposition.REJECTED)
@@ -952,8 +927,7 @@ class Ttp(Entity):
                result: StepResult):
         self._log(st, now, "Abort", {"reason": reason})
         self.timers.pop(str(st.txn), None)
-        self._emit(result, self.wk.customer_bank, st.txn,
-                   m.EscrowCancel(reason))
+        self._emit(result, CB0, st.txn, m.EscrowCancel(reason))
         for target in (st.txn.customer, st.merchant):
             self._emit(result, target, st.txn,
                        m.CompletionNotice("aborted", reason))
@@ -1038,11 +1012,10 @@ class Ttp(Entity):
         if st.deposited_ever:
             self._record(st, Disposition.REJECTED)
         result.notes.append(f"DeadlineExpired:{txn_key}")
-        self._emit(result, self.wk.customer_bank, st.txn,
-                   m.EscrowCancel("deadline expired"))
+        self._emit(result, CB0, st.txn, m.EscrowCancel("deadline expired"))
         targets = [st.txn.customer, st.merchant]
         if phase is TP.RELEASED:
-            targets.append(self.wk.merchant_bank)
+            targets.append(MB0)
         for target in targets:
             self._emit(result, target, st.txn,
                        m.CompletionNotice("aborted", "deadline expired"))

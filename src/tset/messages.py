@@ -59,6 +59,12 @@ class EntityId:
         raise ValueError(f"not an entity id: {text!r}")
 
 
+# The one issuing bank, acquiring bank and arbiter of every world.
+CB0 = EntityId(Role.CUSTOMER_BANK, 0)
+MB0 = EntityId(Role.MERCHANT_BANK, 0)
+TTP0 = EntityId(Role.TTP, 0)
+
+
 @dataclass(frozen=True)
 class TransactionId:
     """Customer-scoped transaction name, e.g. C0-1 for C0's first purchase."""

@@ -10,20 +10,17 @@ mis-typed scenario produces a confidently wrong simulation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
 from . import crypto
 from .entities import (AcceptancePolicy, Customer, CustomerBank, MerchantBank,
-                       Merchant, PurchaseIntent, Ttp, WellKnown,
-                       DEFAULT_DEADLINE_TICKS, DEFAULT_REGENERATE_CAP,
-                       DEFAULT_SETTLE_RETRY_CAP, DEFAULT_SETTLE_RETRY_TICKS)
-from .messages import EntityId, MsgKind, Role
+                       Merchant, PurchaseIntent, Ttp)
+from .messages import CB0, MB0, TTP0, EntityId, MsgKind, Role, TransactionId
 from .rng import ByteStream
-from .simnet import (ActionKind, AdversaryAction, World, DEFAULT_LATENCY,
-                     DEFAULT_TICK_LIMIT)
-from .tokens import TokenMint, new_key_material
+from .simnet import ActionKind, AdversaryAction, World
+from .tokens import AMOUNT_MAX, TokenMint, new_key_material
 from .trust import Grade, TrustRecord
 
 DEFAULT_STAGGER = 3
@@ -78,55 +75,58 @@ class MerchantSpec:
     history: tuple | None = None  # (total, rejected)
 
 
+def _param(default: int, minimum: int | None = None):
+    """A top-level integer run parameter with its default and least
+    allowed value (None: any integer)."""
+    return field(default=default, metadata={"minimum": minimum})
+
+
 @dataclass
 class ScenarioConfig:
-    seed: int
+    """A validated scenario.  Each run parameter states its default and
+    minimum here and nowhere else; the file parser and the command line
+    overrides read them from these fields."""
+
     customers: list
     merchants: list
     adversary: list = field(default_factory=list)
-    latency: int = DEFAULT_LATENCY
-    tick_limit: int = DEFAULT_TICK_LIMIT
-    deadline: int = DEFAULT_DEADLINE_TICKS
-    regenerate_cap: int = DEFAULT_REGENERATE_CAP
-    settle_retry_ticks: int = DEFAULT_SETTLE_RETRY_TICKS
-    settle_retry_cap: int = DEFAULT_SETTLE_RETRY_CAP
-    stagger: int = DEFAULT_STAGGER
+    seed: int = _param(0)
+    latency: int = _param(1, minimum=1)
+    tick_limit: int = _param(10_000, minimum=1)
+    deadline: int = _param(100, minimum=1)              # arbiter, in ticks
+    regenerate_cap: int = _param(3, minimum=0)
+    settle_retry_ticks: int = _param(25, minimum=1)     # acquirer retry timer
+    settle_retry_cap: int = _param(5, minimum=0)
+    stagger: int = _param(DEFAULT_STAGGER, minimum=1)
 
     @staticmethod
     def from_dict(data) -> "ScenarioConfig":
         _require(isinstance(data, dict), "scenario",
                  "top level must be a mapping")
-        _reject_unknown(data, {
-            "seed", "customers", "merchants", "adversary", "latency",
-            "tick_limit", "deadline", "regenerate_cap",
-            "settle_retry_ticks", "settle_retry_cap", "stagger"}, "scenario")
-
-        seed = _get_int(data, "seed", "scenario", default=0)
-        latency = _get_int(data, "latency", "scenario",
-                           default=DEFAULT_LATENCY, minimum=1)
-        tick_limit = _get_int(data, "tick_limit", "scenario",
-                              default=DEFAULT_TICK_LIMIT, minimum=1)
-        deadline = _get_int(data, "deadline", "scenario",
-                            default=DEFAULT_DEADLINE_TICKS, minimum=1)
-        regenerate_cap = _get_int(data, "regenerate_cap", "scenario",
-                                  default=DEFAULT_REGENERATE_CAP, minimum=0)
-        retry_ticks = _get_int(data, "settle_retry_ticks", "scenario",
-                               default=DEFAULT_SETTLE_RETRY_TICKS, minimum=1)
-        retry_cap = _get_int(data, "settle_retry_cap", "scenario",
-                             default=DEFAULT_SETTLE_RETRY_CAP, minimum=0)
-        stagger = _get_int(data, "stagger", "scenario",
-                           default=DEFAULT_STAGGER, minimum=1)
-
+        _reject_unknown(data, _TOP_LEVEL_KEYS, "scenario")
+        params = [_get_int(data, name, "scenario", default, minimum)
+                  for name, (default, minimum) in _PARAMS.items()]
         merchants = _parse_merchants(data.get("merchants"))
         customers = _parse_customers(data.get("customers"), merchants)
         adversary = _parse_adversary(data.get("adversary", []),
                                      len(customers), len(merchants))
-        return ScenarioConfig(
-            seed=seed, customers=customers, merchants=merchants,
-            adversary=adversary, latency=latency, tick_limit=tick_limit,
-            deadline=deadline, regenerate_cap=regenerate_cap,
-            settle_retry_ticks=retry_ticks, settle_retry_cap=retry_cap,
-            stagger=stagger)
+        return ScenarioConfig(customers, merchants, adversary, *params)
+
+
+_TOP_LEVEL_KEYS = frozenset(f.name for f in fields(ScenarioConfig))
+# Run parameter -> (default, minimum), in field order.  They are the fields
+# after the three lists, so from_dict passes them positionally.
+_PARAMS = {f.name: (f.default, f.metadata["minimum"])
+           for f in fields(ScenarioConfig) if "minimum" in f.metadata}
+
+
+def check_override(name: str, value: int, where: str) -> int:
+    """``value`` for run parameter ``name`` if it meets the parameter's
+    minimum; otherwise a ScenarioError naming ``where``."""
+    minimum = _PARAMS[name][1]
+    _require(minimum is None or value >= minimum, where,
+             f"must be at least {minimum}")
+    return value
 
 
 def _parse_merchants(raw) -> list:
@@ -208,6 +208,11 @@ def _parse_customers(raw, merchants: list) -> list:
                      f"{pwhere}.product",
                      f"merchant {midx} does not sell {product!r}")
             quantity = _get_int(p, "quantity", pwhere, default=1, minimum=1)
+            total = merchants[midx].catalog[product] * quantity
+            if total > AMOUNT_MAX:      # the message is built only on failure
+                raise ScenarioError(
+                    f"{pwhere}.quantity: total price {total} exceeds "
+                    f"{AMOUNT_MAX}, the most a token carries")
             start = None
             if "start" in p:
                 start = _get_int(p, "start", pwhere, minimum=0)
@@ -227,11 +232,34 @@ def _parse_customers(raw, merchants: list) -> list:
     return customers
 
 
+# The option each action kind takes beside action, target and trigger.  An
+# absent option keeps its AdversaryAction default; amount has none.
+_ACTION_OPTIONS = {
+    ActionKind.FLIP_BITS: {"bits"},
+    ActionKind.REPLACE_AMOUNT: {"amount"},
+    ActionKind.REPLAY_TOKEN: {"delay"},
+    ActionKind.DELAY: {"delay"},
+    ActionKind.DROP: set(),
+}
+
+
+def _check_txn(value, where: str, customer_ids: set) -> None:
+    """Refuse all but a canonical transaction id of an existing customer."""
+    try:
+        txn = TransactionId.parse(value) if isinstance(value, str) else None
+    except ValueError:
+        txn = None
+    _require(txn is not None and str(txn) == value and txn.serial >= 1,
+             where, "must be a string like C0-1")
+    _require(str(txn.customer) in customer_ids, where,
+             f"no such customer {str(txn.customer)!r}")
+
+
 def _parse_adversary(raw, n_customers: int, n_merchants: int) -> list:
     _require(isinstance(raw, list), "adversary", "must be a list")
-    valid_ids = {f"C{i}" for i in range(n_customers)}
-    valid_ids |= {f"M{i}" for i in range(n_merchants)}
-    valid_ids |= {"CB0", "MB0", "TTP0"}
+    customer_ids = {f"C{i}" for i in range(n_customers)}
+    valid_ids = customer_ids | {f"M{i}" for i in range(n_merchants)}
+    valid_ids |= {str(CB0), str(MB0), str(TTP0)}
     actions = []
     for i, entry in enumerate(raw):
         where = f"adversary[{i}]"
@@ -243,14 +271,8 @@ def _parse_adversary(raw, n_customers: int, n_merchants: int) -> list:
             raise ScenarioError(
                 f"{where}.action: unknown action {name!r}; expected one of "
                 f"{', '.join(a.value for a in ActionKind)}") from None
-        allowed = {"action", "target", "trigger"}
-        if kind is ActionKind.FLIP_BITS:
-            allowed.add("bits")
-        if kind is ActionKind.REPLACE_AMOUNT:
-            allowed.add("amount")
-        if kind in (ActionKind.DELAY, ActionKind.REPLAY_TOKEN):
-            allowed.add("delay")
-        _reject_unknown(entry, allowed, where)
+        _reject_unknown(entry, {"action", "target", "trigger",
+                                *_ACTION_OPTIONS[kind]}, where)
         target = entry.get("target", {}) or {}
         _require(isinstance(target, dict), f"{where}.target",
                  "must be a mapping")
@@ -269,29 +291,35 @@ def _parse_adversary(raw, n_customers: int, n_merchants: int) -> list:
             _require(isinstance(edge, list) and len(edge) == 2,
                      f"{where}.target.edge", "must be [sender, receiver]")
             for eid in edge:
-                _require(eid in valid_ids, f"{where}.target.edge",
-                         f"no such entity {eid!r}")
+                _require(isinstance(eid, str) and eid in valid_ids,
+                         f"{where}.target.edge", f"no such entity {eid!r}")
             target_edge = (edge[0], edge[1])
         target_txn = target.get("txn")
-        _require(target_txn is None or isinstance(target_txn, str),
-                 f"{where}.target.txn", "must be a string like C0-1")
-        trigger = _get_int(entry, "trigger", where, default=1, minimum=1)
-        kwargs = {}
-        if kind is ActionKind.FLIP_BITS:
-            bits = entry.get("bits", [0])
+        if target_txn is not None:
+            _check_txn(target_txn, f"{where}.target.txn", customer_ids)
+        # Unknown options are refused above, so each present one belongs
+        # to this kind.
+        options = {}
+        if "trigger" in entry:
+            options["trigger"] = _get_int(entry, "trigger", where, minimum=1)
+        if "bits" in entry:
+            bits = entry["bits"]
             _require(isinstance(bits, list) and bits
                      and all(isinstance(b, int) and not isinstance(b, bool)
                              and b >= 0 for b in bits),
                      f"{where}.bits", "must be a list of bit offsets")
-            kwargs["bit_offsets"] = tuple(bits)
+            options["bit_offsets"] = tuple(bits)
         if kind is ActionKind.REPLACE_AMOUNT:
-            kwargs["amount"] = _get_int(entry, "amount", where, minimum=0)
-        if kind in (ActionKind.DELAY, ActionKind.REPLAY_TOKEN):
-            kwargs["delay"] = _get_int(entry, "delay", where, default=5,
-                                       minimum=1)
+            amount = _get_int(entry, "amount", where, minimum=0)
+            _require(amount <= AMOUNT_MAX, f"{where}.amount",
+                     f"must be at most {AMOUNT_MAX}, the most a token "
+                     "carries")
+            options["amount"] = amount
+        if "delay" in entry:
+            options["delay"] = _get_int(entry, "delay", where, minimum=1)
         actions.append(AdversaryAction(
             kind=kind, target_kind=target_kind, target_edge=target_edge,
-            target_txn=target_txn, trigger=trigger, **kwargs))
+            target_txn=target_txn, **options))
     return actions
 
 
@@ -320,9 +348,7 @@ def build_world(config: ScenarioConfig) -> World:
 
     ids = ([EntityId(Role.CUSTOMER, i) for i in range(len(config.customers))]
            + [EntityId(Role.MERCHANT, i) for i in range(len(config.merchants))]
-           + [EntityId(Role.CUSTOMER_BANK, 0),
-              EntityId(Role.MERCHANT_BANK, 0),
-              EntityId(Role.TTP, 0)])
+           + [CB0, MB0, TTP0])
     signing_keys = {}
     directory = {}
     for eid in ids:
@@ -331,13 +357,8 @@ def build_world(config: ScenarioConfig) -> World:
         directory[str(eid)] = crypto.issue_certificate(
             root_key, str(eid), key.public_key().public_bytes_raw())
 
-    wk = WellKnown(ttp=EntityId(Role.TTP, 0),
-                   customer_bank=EntityId(Role.CUSTOMER_BANK, 0),
-                   merchant_bank=EntityId(Role.MERCHANT_BANK, 0))
-
     def base_args(eid: EntityId):
-        return (eid, signing_keys[str(eid)], directory[str(eid)],
-                directory, certs, wk)
+        return (eid, signing_keys[str(eid)], directory, certs)
 
     accounts = {f"C{i}": spec.balance
                 for i, spec in enumerate(config.customers)}
@@ -346,13 +367,13 @@ def build_world(config: ScenarioConfig) -> World:
                        for i in range(len(config.customers))}
     keys = new_key_material(root_rng.fork("cb/material"))
     mint = TokenMint(root_rng.fork("cb/mint"), certs)
-    cb = CustomerBank(*base_args(wk.customer_bank), keys=keys, mint=mint,
+    cb = CustomerBank(*base_args(CB0), keys=keys, mint=mint,
                       accounts=accounts, crypto_rng=root_rng.fork("cb/seal"),
                       account_numbers=account_numbers)
-    mb = MerchantBank(*base_args(wk.merchant_bank),
+    mb = MerchantBank(*base_args(MB0),
                       retry_ticks=config.settle_retry_ticks,
                       retry_cap=config.settle_retry_cap)
-    ttp = Ttp(*base_args(wk.ttp), deadline_ticks=config.deadline,
+    ttp = Ttp(*base_args(TTP0), deadline_ticks=config.deadline,
               regenerate_cap=config.regenerate_cap)
 
     entities: dict = {str(cb.id): cb, str(mb.id): mb, str(ttp.id): ttp}

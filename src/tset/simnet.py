@@ -62,9 +62,6 @@ from .messages import MsgKind, ProtocolMessage
 from .tokens import SealedToken
 from .trust import TrustRecord
 
-DEFAULT_TICK_LIMIT = 10_000
-DEFAULT_LATENCY = 1
-
 # Sealed envelope layout constants for field-targeted mutation: the amount
 # occupies the first 8 plaintext bytes behind a 32-byte ephemeral key and a
 # 12-byte nonce, and AES-GCM keeps byte positions aligned.

@@ -24,7 +24,7 @@ from .crypto import Certificate, DecryptionFailure
 from .rng import ByteStream
 
 TOKEN_ID_LEN = 32
-_AMOUNT_MAX = 2 ** 63 - 1
+AMOUNT_MAX = 2 ** 63 - 1     # the most minor units a token carries
 _INNER_AAD = b"tset/token-id"
 
 
@@ -66,7 +66,7 @@ class Token:
     def __post_init__(self):
         if not isinstance(self.amount, int) or isinstance(self.amount, bool):
             raise ValueError("amount must be an int in minor units")
-        if not 0 < self.amount <= _AMOUNT_MAX:
+        if not 0 < self.amount <= AMOUNT_MAX:
             raise ValueError("amount must be positive and fit in 63 bits")
         if len(self.token_id) != TOKEN_ID_LEN:
             raise ValueError("token_id must be 32 bytes")

@@ -231,3 +231,24 @@ def test_console_script_is_wired(capsys):
         command(["--help"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: tset")
+
+
+# Amounts above the 63-bit bound of a token: a purchase total, and the
+# amount a replace_amount action writes into the sealed envelope.
+@pytest.mark.parametrize("overrides, field", [
+    ({"merchants": [{"catalog": {"widget": 2 ** 62}}],
+      "customers": [{"balance": 2 ** 64, "purchases": [
+          {"merchant": 0, "product": "widget", "quantity": 3}]}]},
+     "customers[0].purchases[0].quantity"),
+    ({"adversary": [{"action": "replace_amount", "amount": 2 ** 64,
+                     "target": {"kind": "EscrowDeposit"}}]},
+     "adversary[0].amount"),
+], ids=["purchase-total", "replace-amount"])
+def test_run_refuses_an_amount_a_token_cannot_carry(tmp_path, capsys,
+                                                    overrides, field):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(basic_scenario(**overrides)))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert f"scenario error: {field}: " in capsys.readouterr().err
+    assert not out.exists()

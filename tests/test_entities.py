@@ -28,7 +28,8 @@ from tset.entities import (
     PurchaseIntent,
     customer_decide,
 )
-from tset.messages import MsgKind as K, ProtocolMessage, TransactionId
+from tset.messages import (CB0, TTP0, MsgKind as K, ProtocolMessage,
+                           TransactionId)
 from tset.scenario import ScenarioConfig, build_world
 from tset.tokens import SealedToken
 from tset.trust import Grade, TrustRecord
@@ -150,7 +151,7 @@ def test_illegal_emission_is_dropped(world, monkeypatch):
     merchant, txn = world.entities["M0"], txn_of(world)
 
     def handle(self, msg, phase, now, result):
-        self._emit(result, self.wk.ttp, msg.txn,
+        self._emit(result, TTP0, msg.txn,
                    m.TempPaymentQuery("ORD-M0-1"))
         return MP.AWAIT_CONFIRM
 
@@ -251,7 +252,7 @@ def test_timer_moving_outside_its_row_is_refused(world, monkeypatch):
     quote(world, txn)
 
     def on_timer(self, key, phase, now, result):
-        self._emit(result, self.wk.customer_bank, txn,
+        self._emit(result, CB0, txn,
                    m.EscrowCancel("deadline expired"))
         return TP.SETTLED
 

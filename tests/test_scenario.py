@@ -272,3 +272,112 @@ def test_keys_are_distinct_and_deterministic():
     assert len(set(pubs.values())) == len(pubs)
     assert {n: e.certificate.public_key for n, e in two.entities.items()} \
         == pubs
+
+
+# -- run parameters: documented default and minimum ----------------------------
+
+# Each top-level run parameter's documented default and least accepted value
+# (None: any integer).  Written out here, not read from the schema, so that
+# a changed default or minimum fails a test.
+RUN_PARAMETERS = {
+    "seed": (0, None),
+    "latency": (1, 1),
+    "tick_limit": (10_000, 1),
+    "deadline": (100, 1),
+    "regenerate_cap": (3, 0),
+    "settle_retry_ticks": (25, 1),
+    "settle_retry_cap": (5, 0),
+    "stagger": (3, 1),
+}
+
+
+@pytest.mark.parametrize("name", RUN_PARAMETERS)
+def test_run_parameter_absent_means_its_default(name):
+    data = basic_scenario()
+    data.pop(name, None)
+    assert getattr(ScenarioConfig.from_dict(data), name) \
+        == RUN_PARAMETERS[name][0]
+
+
+@pytest.mark.parametrize("name", RUN_PARAMETERS)
+def test_run_parameter_minimum_is_accepted(name):
+    minimum = RUN_PARAMETERS[name][1]
+    value = -(2 ** 70) if minimum is None else minimum
+    assert getattr(parse(**{name: value}), name) == value
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, (_, least) in RUN_PARAMETERS.items()
+             if least is not None])
+def test_run_parameter_below_its_minimum_is_refused(name):
+    minimum = RUN_PARAMETERS[name][1]
+    rejects(rf"^scenario\.{name}: must be at least {minimum}$",
+            **{name: minimum - 1})
+
+
+def test_built_world_carries_each_run_parameter():
+    config = parse(seed=11, latency=2, tick_limit=700, deadline=40,
+                   regenerate_cap=1, settle_retry_ticks=9,
+                   settle_retry_cap=4, stagger=6,
+                   customers=[{"balance": 100000, "purchases": [
+                       {"merchant": 0, "product": "widget"},
+                       {"merchant": 0, "product": "widget"},
+                       {"merchant": 0, "product": "widget"}]}])
+    world = build_world(config)
+    assert (world.seed, world.latency, world.tick_limit) == (11, 2, 700)
+    assert (world.ttp.deadline_ticks, world.ttp.regenerate_cap) == (40, 1)
+    assert (world.mb.retry_ticks, world.mb.retry_cap) == (9, 4)
+    assert [tick for tick, _, _ in world.plan] == [0, 6, 12]
+
+
+def test_built_world_carries_each_default():
+    data = basic_scenario()
+    data.pop("seed")
+    customer = data["customers"][0]
+    customer["purchases"] = customer["purchases"] * 2
+    world = build_world(ScenarioConfig.from_dict(data))
+    defaults = {name: default
+                for name, (default, _) in RUN_PARAMETERS.items()}
+    assert (world.seed, world.latency, world.tick_limit) \
+        == (defaults["seed"], defaults["latency"], defaults["tick_limit"])
+    assert (world.ttp.deadline_ticks, world.ttp.regenerate_cap) \
+        == (defaults["deadline"], defaults["regenerate_cap"])
+    assert (world.mb.retry_ticks, world.mb.retry_cap) \
+        == (defaults["settle_retry_ticks"], defaults["settle_retry_cap"])
+    assert [tick for tick, _, _ in world.plan] == [0, defaults["stagger"]]
+
+
+# -- adversary targets -----------------------------------------------------------
+
+@pytest.mark.parametrize("txn, problem", [
+    ("c0-1", "must be a string like C0-1"),
+    ("C0-01", "must be a string like C0-1"),
+    ("C0-0", "must be a string like C0-1"),
+    ("C0", "must be a string like C0-1"),
+    (5, "must be a string like C0-1"),
+    ("C7-1", "no such customer 'C7'"),
+    ("M0-1", "no such customer 'M0'"),
+])
+def test_target_txn_must_name_a_transaction_that_can_exist(txn, problem):
+    rejects(rf"^adversary\[0\]\.target\.txn: {problem}$",
+            adversary=[{"action": "drop", "target": {"txn": txn}}])
+
+
+def test_target_txn_of_a_later_purchase_is_accepted():
+    action = parse(adversary=[{"action": "drop",
+                               "target": {"txn": "C0-9"}}]).adversary[0]
+    assert action.target_txn == "C0-9"
+
+
+def test_target_edge_entry_must_be_a_name():
+    rejects(r"^adversary\[0\]\.target\.edge: no such entity \['C0'\]$",
+            adversary=[{"action": "drop",
+                        "target": {"edge": [["C0"], "TTP0"]}}])
+
+
+def test_absent_action_options_keep_the_action_defaults():
+    parsed = parse(adversary=[{"action": "flip_bits"},
+                              {"action": "delay"},
+                              {"action": "replay_token"}]).adversary
+    assert [(a.trigger, a.bit_offsets, a.delay) for a in parsed] \
+        == [(1, (0,), 5)] * 3
