@@ -9,9 +9,16 @@ that changes breaks verification.  The file form is a flat sequence of
 
 records.  There is no update or delete: disputes are settled by reading.
 The ledger keeps only the exact bytes it hashed for each entry.  The file
-form writes them, verification re-hashes them and every entry read back
-(``entries``, dispute reports) is decoded from them, so nothing read from a
-ledger can differ from what its chain head commits to.
+form writes them and every entry read back (``entries``, dispute reports)
+is decoded from them, so nothing read from a ledger can differ from what
+its chain head commits to.
+
+A chain is verified where its bytes enter a ``Ledger``, once: ``append``
+computes each link itself, and ``from_bytes`` (so ``load``) checks every
+link and decodes every entry before it returns.  Nothing else writes the
+kept bytes, so a ``Ledger`` holds a valid chain for its whole life and a
+dispute report re-hashes nothing.  ``Ledger.verify`` is the explicit full
+audit that re-walks the chain.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ EVENTS = frozenset({
 
 
 class LedgerIntegrityError(Exception):
-    """Stored ledger bytes fail chain verification or do not parse."""
+    """Stored ledger bytes fail chain verification or do not decode to
+    valid entries."""
 
 
 class UnknownTransaction(Exception):
@@ -50,6 +58,15 @@ class LedgerEntry:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # One test for all seven types: every entry of a loaded ledger
+        # passes here, and repr names the bad field when one fails.
+        if not (isinstance(self.txn, str) and isinstance(self.actor, str)
+                and isinstance(self.event, str)
+                and isinstance(self.token_digest, str)
+                and isinstance(self.oi_digest, str)
+                and type(self.tick) is int
+                and isinstance(self.details, dict)):
+            raise TypeError(f"mistyped ledger entry field in {self!r}")
         if self.event not in EVENTS:
             raise ValueError(f"unknown ledger event {self.event!r}")
         if self.tick < 0:
@@ -79,7 +96,10 @@ class LedgerEntry:
 
 
 class Ledger:
-    """In-memory chain plus file round-trip.  Strictly append-only."""
+    """In-memory chain plus file round-trip.  Strictly append-only.
+
+    Every ``Ledger`` holds a valid chain: ``append`` and ``from_bytes`` are
+    the only ways in, and each checks the bytes it admits."""
 
     def __init__(self):
         self._raw: list[bytes] = []
@@ -157,6 +177,7 @@ class Ledger:
             return Ledger.from_bytes(fh.read())
 
     def verify(self) -> bool:
+        """Full audit: re-hash the whole chain against the kept links."""
         prev = GENESIS
         for raw, stored in zip(self._raw, self._hashes):
             expected = hashlib.sha256(prev + raw).digest()
@@ -168,9 +189,9 @@ class Ledger:
 
 def dispute_report(ledger: Ledger, txn: str) -> dict:
     """Everything the arbiter can attest about one transaction: its entries
-    in order, their chain positions, and the verified chain head."""
-    if not ledger.verify():
-        raise LedgerIntegrityError("ledger fails chain verification")
+    in order, their chain positions, and the chain head.  The chain was
+    verified when its bytes entered ``ledger``, so only this transaction's
+    rows are decoded here."""
     rows = [(i, LedgerEntry.from_bytes(ledger._raw[i]))
             for i in ledger._positions.get(txn, ())]
     if not rows:

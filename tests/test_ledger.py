@@ -11,6 +11,8 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
+import tset.ledger
+from tset.cli import EXIT_INVARIANT, main
 from tset.ledger import (
     GENESIS,
     Ledger,
@@ -123,6 +125,33 @@ def test_truncation_is_detected():
             Ledger.from_bytes(blob[:cut])
 
 
+def rechain(bodies) -> bytes:
+    """A ledger file with valid links over arbitrary JSON entry bodies."""
+    prev, out = GENESIS, []
+    for body in bodies:
+        raw = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+        prev = hashlib.sha256(prev + raw).digest()
+        out += [struct.pack(">I", len(raw)), raw, prev]
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("txn", []), ("tick", True), ("tick", 1.5), ("actor", None),
+    ("details", [1]), ("event", 1), ("token_digest", 0), ("oi_digest", {}),
+])
+def test_mistyped_entry_with_valid_links_is_refused(field, value, tmp_path,
+                                                    capsys):
+    body = json.loads(fixture_entries()[0].to_bytes())
+    body[field] = value
+    blob = rechain([body])
+    with pytest.raises(LedgerIntegrityError):
+        Ledger.from_bytes(blob)
+    (tmp_path / "ledger.bin").write_bytes(blob)
+    assert main(["dispute", str(tmp_path), "--txn", "C0-1"]) \
+        == EXIT_INVARIANT
+    assert "integrity" in capsys.readouterr().err
+
+
 def test_entry_validation():
     with pytest.raises(ValueError):
         LedgerEntry("C0-1", 0, "TTP0", "NotAnEvent")
@@ -148,6 +177,33 @@ def test_dispute_report_contents():
     assert [e["index"] for e in report["entries"]] == [0, 1, 2]
     assert [e["event"] for e in report["entries"]] \
         == ["Deposit", "Dispatch", "Accept"]
+
+
+def test_dispute_report_hashes_nothing_and_decodes_only_its_rows(
+        monkeypatch):
+    led = fixture_ledger()
+    led.append(LedgerEntry("C1-1", 9, "TTP0", "Deposit"))
+    calls = {"sha256": 0, "from_bytes": 0}
+
+    class CountingHashlib:
+        @staticmethod
+        def sha256(*args):
+            calls["sha256"] += 1
+            return hashlib.sha256(*args)
+
+    decode = LedgerEntry.from_bytes
+
+    def counting_decode(data):
+        calls["from_bytes"] += 1
+        return decode(data)
+
+    monkeypatch.setattr(tset.ledger, "hashlib", CountingHashlib)
+    monkeypatch.setattr(LedgerEntry, "from_bytes",
+                        staticmethod(counting_decode))
+    for txn, rows in (("C0-1", 3), ("C1-1", 1)):
+        calls.update(sha256=0, from_bytes=0)
+        assert len(dispute_report(led, txn)["entries"]) == rows
+        assert calls == {"sha256": 0, "from_bytes": rows}
 
 
 def test_dispute_report_unknown_txn():
@@ -187,6 +243,11 @@ def test_roundtrip_and_append_only_property(entries):
     heads = []
     for entry in entries:
         heads.append(led.append(entry))
-    assert Ledger.from_bytes(led.to_bytes()).head == led.head
+    reloaded = Ledger.from_bytes(led.to_bytes())
+    assert reloaded.head == led.head
     assert len(set(heads)) == len(heads)   # every append moves the head
-    assert led.verify()
+    # A chain is verified where its bytes enter, by append or by load, so
+    # both ledgers pass the full audit and give the same reports.
+    assert led.verify() and reloaded.verify()
+    for txn in {entry.txn for entry in entries}:
+        assert dispute_report(reloaded, txn) == dispute_report(led, txn)
