@@ -7,9 +7,9 @@ emissions; the key is a message kind, ``Begin`` for the customer starting
 a purchase, or ``Timer`` for an entity's timer firing.  Every phase change
 goes through one check against that table, ``Entity._advance``: a pair
 with no row is a protocol violation, logged and never applied; a row
-marked stale absorbs late or duplicate traffic with a ``Stale:`` note and
-no handler call; any other row runs the handler and refuses a next phase
-or an emission the row does not list.
+marked stale absorbs late or duplicate traffic: no handler runs and the
+entity emits nothing; any other row runs the handler and refuses a next
+phase or an emission the row does not list.
 
 Money never leaves double-entry form.  The issuing bank moves a hold from
 the customer account into its escrow pool at token issuance, so settlement
@@ -29,7 +29,7 @@ from .ledger import Ledger, LedgerEntry, trust_lookup
 from .messages import (CB0, MB0, TTP0, EntityId, MsgKind, OrderInfo,
                        ProtocolMessage, TransactionId)
 from .rng import ByteStream
-from .tokens import KeyMaterial, SealedToken, TokenMint, Verdict
+from .tokens import KeyMaterial, SealedToken, TokenMint
 from .trust import Disposition, Grade, TrustRecord, record_outcome
 
 # ---------------------------------------------------------------------------
@@ -87,8 +87,8 @@ class ArbiterPhase(str, Enum):
 # the key is the kind of the message delivered, or Begin when the customer
 # starts a purchase, or Timer when the entity's timer for the transaction
 # fires.  A pair absent from a table is a protocol violation in that phase.
-# A stale row absorbs late or duplicate traffic: the message is noted and
-# the handler is not called.
+# A stale row absorbs late or duplicate traffic: the handler is not called
+# and the entity emits nothing.
 
 class Internal(str, Enum):
     """Table keys of the phase changes no message causes."""
@@ -291,7 +291,6 @@ def customer_decide(reply: m.TrustReply, policy: AcceptancePolicy) -> Decision:
 @dataclass
 class StepResult:
     messages: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
     violations: list = field(default_factory=list)
 
 
@@ -349,8 +348,8 @@ class Entity:
     def _advance(self, key: str, kind: Enum, result: StepResult,
                  act) -> StepResult:
         """The one writer of ``phases``.  Look up the row of the current
-        phase and ``kind``: no row is a protocol violation; a stale row is
-        noted without calling ``act``; otherwise ``act(phase)`` fills
+        phase and ``kind``: no row is a protocol violation; a stale row keeps
+        the phase without calling ``act``; otherwise ``act(phase)`` fills
         ``result`` and returns the next phase, which is kept only if the
         row lists it and every emission."""
         phase = self.phases.get(key, START_PHASE[self.role])
@@ -359,11 +358,7 @@ class Entity:
             result.violations.append(
                 f"ProtocolViolation:{self.id}:{phase.value}x{kind.value}")
             return result
-        if rule.stale:
-            result.notes.append(f"Stale:{kind.value}:{key}")
-            new_phase = phase
-        else:
-            new_phase = act(phase)
+        new_phase = phase if rule.stale else act(phase)
         # A handler that breaks the legality table is refused like a peer
         # that does: the phase stays as it was and its emissions are dropped.
         if new_phase is not phase and new_phase not in rule.next:
@@ -474,7 +469,6 @@ class Customer(Entity):
         if kind == K.TRUST_REPLY:
             if customer_decide(msg.payload, self.policy) is Decision.PROCEED:
                 return self._request_token(st, msg.txn, result)
-            result.notes.append(f"TrustRefusal:{msg.txn}")
             self._emit(result, TTP0, msg.txn,
                        m.AbortNotice("trust below policy"))
             return CP.ABORTED
@@ -504,7 +498,6 @@ class Customer(Entity):
                     result.violations.append(f"EarlyCompletion:{msg.txn}")
                     return phase
                 return CP.DONE
-            result.notes.append(f"Aborted:{msg.txn}:{msg.payload.reason}")
             if msg.sender != TTP0:
                 # The arbiter still has its deadline armed; relay the
                 # bank's refusal so the txn closes now, not at expiry.
@@ -581,7 +574,6 @@ class Merchant(Entity):
             return MP.DONE
 
         if kind == K.COMPLETION_NOTICE:
-            result.notes.append(f"Aborted:{msg.txn}:{msg.payload.reason}")
             return MP.ABORTED
 
         raise AssertionError(f"unhandled {kind} in {phase}")
@@ -640,7 +632,6 @@ class CustomerBank(Entity):
         if txn_key not in self.holds:
             customer = str(msg.sender)
             if self.accounts.get(customer, 0) < req.amount:
-                result.notes.append(f"InsufficientFunds:{msg.txn}")
                 self._emit(result, msg.sender, msg.txn,
                            m.CompletionNotice("aborted", "insufficient funds"))
                 return IP.CANCELLED
@@ -687,9 +678,9 @@ class CustomerBank(Entity):
 
         if self.txn_token.get(txn_key) != opened.token_id:
             return self._tamper(txn, "TokenTxnMismatch", result)
-        outcome = tokens.verify_token(opened, duplicate)
-        if outcome.verdict is Verdict.TAMPERED:
-            detail = ",".join(outcome.mismatched_fields)
+        mismatched = tokens.verify_token(opened, duplicate)
+        if mismatched:
+            detail = ",".join(mismatched)
             return self._tamper(txn, f"FieldMismatch:{detail}", result)
 
         self.mint.settle(opened.token_id)
@@ -707,14 +698,12 @@ class CustomerBank(Entity):
         if current is not None:
             self.mint.revoke(current)
         self.tamper_reports += 1
-        result.notes.append(f"TamperDetected:{txn}:{reason}")
         self._emit(result, TTP0, txn, m.TamperReport("tamper", reason))
         phase = self.phase_of(txn)
         return IP.TAMPER_WAIT if phase in (IP.ISSUED, IP.TAMPER_WAIT) else phase
 
     def _refuse_replay(self, txn, result):
         self.replay_refusals += 1
-        result.notes.append(f"AlreadySettled:{txn}")
         self._emit(result, TTP0, txn,
                    m.TamperReport("replay", "AlreadySettled"))
         amount = self.settled_amounts.get(str(txn))
@@ -803,7 +792,6 @@ class MerchantBank(Entity):
         if kind == K.COMPLETION_NOTICE:
             if phase is AP.AWAIT_PAYMENT:
                 # Funds may already have left the issuer; keep presenting.
-                result.notes.append(f"RetainPending:{msg.txn}")
                 return phase
             return AP.ABORTED
 
@@ -813,7 +801,6 @@ class MerchantBank(Entity):
         """Present the released token again."""
         p = self.pending[txn_key]
         p.retries += 1
-        result.notes.append(f"SettleRetry:{txn_key}:{p.retries}")
         self._present(TransactionId.parse(txn_key), now, result)
         return phase
 
@@ -1011,7 +998,6 @@ class Ttp(Entity):
         self._log(st, now, "DeadlineExpired", {"phase": phase.value})
         if st.deposited_ever:
             self._record(st, Disposition.REJECTED)
-        result.notes.append(f"DeadlineExpired:{txn_key}")
         self._emit(result, CB0, st.txn, m.EscrowCancel("deadline expired"))
         targets = [st.txn.customer, st.merchant]
         if phase is TP.RELEASED:

@@ -329,6 +329,8 @@ def load_scenario(path) -> ScenarioConfig:
             data = yaml.safe_load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario is not valid UTF-8: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario is not valid YAML: {exc}") from exc
     return ScenarioConfig.from_dict(data)

@@ -20,13 +20,13 @@ quiescent, with no message in flight and no timer armed, unless the next
 live event lies past the tick limit.
 
 The adversary script is immutable input, shared by every world built
-from one scenario.  A run keeps the match counts of the actions that have
-not fired yet, keyed by the message kind they target (untargeted actions
-share one bucket), each with its script position.  A send walks its kind's
-bucket merged with the untargeted one in script order: every action that
-wants the message counts it until one fires, and the message counts toward
-no action after that one.  An action leaves its bucket when it fires, so
-each fires at most once per run.
+from one scenario.  A run keeps, for each message kind, the match counts
+of the unfired actions that can want that kind, in script order; an
+untargeted action's count is one entry shared by every kind's list.  A
+send walks its kind's list once: every action that wants the message
+counts it until one fires, and the message counts toward no action after
+that one.  A fired action's entry leaves every list, so each action fires
+at most once per run.
 
 The adversary owns the wire but no keys.  It can flip bits in or rewrite
 fields of the sealed token bytes it sees, replay token-carrying messages,
@@ -50,7 +50,6 @@ from __future__ import annotations
 import heapq
 import os
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -111,6 +110,11 @@ class AdversaryAction:
         if self.target_txn is not None and str(msg.txn) != self.target_txn:
             return False
         return True
+
+
+def _kinds_of(action: AdversaryAction):
+    """The message kinds ``action`` can want."""
+    return MsgKind if action.target_kind is None else (action.target_kind,)
 
 
 def _mutate_sealed(msg: ProtocolMessage, action: AdversaryAction) -> ProtocolMessage:
@@ -256,14 +260,12 @@ class InvariantMonitor:
 class RunResult:
     trace: list
     summary: dict
-    notes: list
     violations: list
     invariant_failures: list
     ledger: Ledger
     trust: dict[str, TrustRecord]
     world: World
     quiescent: bool
-    ticks: int
 
 
 class Simulation:
@@ -271,15 +273,14 @@ class Simulation:
         self.world = world
         self.monitor = InvariantMonitor(world)
         self.trace: list[TraceRecord] = []
-        self.notes: list[str] = []
         self.violations: list[str] = []
-        # Target kind (None: any kind) -> [script position, action,
-        # matches still needed to fire] per unfired action, in script
-        # order; an action is deleted when it fires.
-        self._unfired: dict[MsgKind | None, list] = {}
-        for position, action in enumerate(world.adversary):
-            self._unfired.setdefault(action.target_kind, []).append(
-                [position, action, action.trigger])
+        # Message kind -> [action, matches still needed to fire] per unfired
+        # action that targets that kind or none, in script order.
+        self._unfired: dict[MsgKind, list] = {kind: [] for kind in MsgKind}
+        for action in world.adversary:
+            armed = [action, action.trigger]
+            for kind in _kinds_of(action):
+                self._unfired[kind].append(armed)
         self._heap: list = []
         self._queued_timers: set = set()
         self._seq = 0
@@ -329,29 +330,20 @@ class Simulation:
     def _fired_by(self, msg: ProtocolMessage) -> AdversaryAction | None:
         """Counts ``msg`` toward the unfired actions that want it, in script
         order, up to the first one it fires, which leaves the run."""
-        kinded = self._unfired.get(msg.kind, ())
-        untargeted = self._unfired.get(None, ())
-        i = j = 0
-        while i < len(kinded) or j < len(untargeted):
-            if j == len(untargeted) or (i < len(kinded)
-                                        and kinded[i][0] < untargeted[j][0]):
-                bucket, at = kinded, i
-                i += 1
-            else:
-                bucket, at = untargeted, j
-                j += 1
-            armed = bucket[at]
-            if armed[1].wants(msg):
-                armed[2] -= 1
-                if not armed[2]:
-                    del bucket[at]
-                    return armed[1]
+        for armed in self._unfired[msg.kind]:
+            if armed[0].wants(msg):
+                armed[1] -= 1
+                if not armed[1]:
+                    # Every other entry still needs a match, so only this
+                    # one equals [action, 0].
+                    for kind in _kinds_of(armed[0]):
+                        self._unfired[kind].remove(armed)
+                    return armed[0]
         return None
 
     # -- delivery ------------------------------------------------------------
 
     def _apply_result(self, result, now: int) -> None:
-        self.notes.extend(result.notes)
         self.violations.extend(result.violations)
         for out in result.messages:
             self.send(out, now)
@@ -410,9 +402,6 @@ class Simulation:
         aborted = sum(1 for p in ttp_phases if p is TP.ABORTED)
         expired = sum(1 for p in ttp_phases if p is TP.EXPIRED)
         completed = len(world.cb.settled_amounts)
-        events = Counter(e.event for e in world.ttp.ledger)
-        regenerations = events["Regenerate"]
-        expiries = events["DeadlineExpired"]
         summary = {
             "seed": world.seed,
             "ticks": self._now,
@@ -427,8 +416,12 @@ class Simulation:
             "settlements": completed,
             "replay_refusals": world.cb.replay_refusals,
             "tamper_reports": world.cb.tamper_reports,
-            "regenerations": regenerations,
-            "deadline_expiries": expiries,
+            # The arbiter logs Regenerate where it counts regen_count, and
+            # DeadlineExpired only as it moves a purchase to Expired, which
+            # has no Timer row.
+            "regenerations": sum(st.regen_count
+                                 for st in world.ttp.txns.values()),
+            "deadline_expiries": expired,
             "protocol_violations": len(self.violations),
             "invariant_failures": len(self.monitor.failures),
             "initial_account_total": self.monitor.initial_total,
@@ -438,11 +431,10 @@ class Simulation:
             "total_settled_minor_units": world.cb.settled_out_total,
         }
         return RunResult(
-            trace=self.trace, summary=summary, notes=self.notes,
-            violations=self.violations,
+            trace=self.trace, summary=summary, violations=self.violations,
             invariant_failures=self.monitor.failures,
             ledger=world.ttp.ledger, trust=world.ttp.trust, world=world,
-            quiescent=not tick_limit_exceeded, ticks=self._now)
+            quiescent=not tick_limit_exceeded)
 
 
 def render_summary(summary: dict) -> str:

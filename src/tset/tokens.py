@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from enum import Enum
 
 from . import crypto
 from .crypto import Certificate, DecryptionFailure
@@ -103,17 +102,6 @@ class KeyMaterial:
 def new_key_material(rng: ByteStream) -> KeyMaterial:
     secret, public = crypto.new_box_keypair(rng)
     return KeyMaterial(secret, public, rng.take(32))
-
-
-class Verdict(Enum):
-    MATCH = "Match"
-    TAMPERED = "Tampered"
-
-
-@dataclass(frozen=True)
-class VerifyOutcome:
-    verdict: Verdict
-    mismatched_fields: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +210,11 @@ _COMPARED_FIELDS = ("amount", "cert_customer", "cert_merchant",
                     "token_id", "timestamp")
 
 
-def verify_token(presented: Token, duplicate: Token) -> VerifyOutcome:
-    """Field-by-field comparison against the mint's stored duplicate."""
-    mismatched = tuple(f for f in _COMPARED_FIELDS
-                       if getattr(presented, f) != getattr(duplicate, f))
-    if mismatched:
-        return VerifyOutcome(Verdict.TAMPERED, mismatched)
-    return VerifyOutcome(Verdict.MATCH)
+def verify_token(presented: Token, duplicate: Token) -> tuple[str, ...]:
+    """Field-by-field comparison against the mint's stored duplicate: the
+    names of the fields that differ, empty when the tokens match."""
+    return tuple(f for f in _COMPARED_FIELDS
+                 if getattr(presented, f) != getattr(duplicate, f))
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,7 @@ def _second_presentation_trials(count: int) -> dict:
 
         funds_before = (sum(cb.accounts.values()), cb.escrow_pool,
                         cb.settled_out_total)
+        refusals_before = cb.replay_refusals
         again = cb.step(signed("MB0", K.PAYMENT_REQUEST, "CB0", txn,
                                present), now=serial * 10 + 4)
         funds_after = (sum(cb.accounts.values()), cb.escrow_pool,
@@ -302,7 +303,7 @@ def _second_presentation_trials(count: int) -> dict:
             == [K.TAMPER_REPORT, K.SETTLEMENT], serial
         assert again.messages[0].payload.reason == "replay", serial
         assert again.messages[1].payload.duplicate, serial
-        assert any(note.startswith("AlreadySettled:") for note in again.notes)
+        assert cb.replay_refusals == refusals_before + 1, serial
         assert cb.phase_of(txn) is IP.SETTLED, serial
         refused += 1
     return {"count": count, "refused": refused,

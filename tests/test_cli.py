@@ -136,6 +136,14 @@ def test_run_invalid_scenario(tmp_path, capsys):
     assert "scenario.colour" in capsys.readouterr().err
 
 
+def test_run_scenario_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"seed: 1\n\xff\n")
+    code = main(["run", str(bad), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "scenario error:" in capsys.readouterr().err
+
+
 def test_trust_table_accepts_dir_and_file(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     run_scenario(scenario_file, out_dir=out)

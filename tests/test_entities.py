@@ -85,7 +85,7 @@ def test_illegal_pair_is_violation_without_state_change(world):
                  m.AcceptGoods("ORD-M0-1"))
     result = ttp.step(msg, 1)
     assert result.violations == ["ProtocolViolation:TTP0:NewxAcceptGoods"]
-    assert (result.messages, result.notes) == ([], [])
+    assert result.messages == []
     assert ttp.phase_of(txn) is TP.NEW
 
 
@@ -198,7 +198,6 @@ def test_stale_pair_is_absorbed_without_its_handler(world, monkeypatch,
 
     monkeypatch.setattr(type(entity), "handle", handle)
     result = entity.step(msg, 20)
-    assert result.notes == [f"Stale:{kind.value}:{txn}"]
     assert (result.messages, result.violations) == ([], [])
     assert entity.phase_of(txn) is before
 
@@ -228,7 +227,6 @@ due = ttp.timer_due(str(txn))
 result = ttp.fire_timer(str(txn), due)
 print(json.dumps({"violations": result.violations,
                   "messages": len(result.messages),
-                  "notes": result.notes,
                   "phase": ttp.phase_of(txn).value,
                   "events": [entry.event for entry in ttp.ledger]}))
 """
@@ -244,7 +242,7 @@ def test_timer_without_a_row_is_refused_under_any_optimisation(flags):
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
         "violations": ["ProtocolViolation:TTP0:SettledxTimer"],
-        "messages": 0, "notes": [], "phase": "Settled", "events": []}
+        "messages": 0, "phase": "Settled", "events": []}
 
 
 def test_timer_moving_outside_its_row_is_refused(world, monkeypatch):
@@ -550,7 +548,7 @@ def test_abort_notice_keeps_pending_while_awaiting_payment(world):
     result = world.mb.step(
         signed(world, "TTP0", K.COMPLETION_NOTICE, "MB0", txn,
                m.CompletionNotice("aborted", "deadline expired")), 15)
-    assert any("RetainPending" in n for n in result.notes)
+    assert (result.messages, result.violations) == ([], [])
     assert world.mb.phase_of(txn) is AP.AWAIT_PAYMENT
     assert world.mb.timer_due(str(txn)) is not None     # still presenting
 
@@ -588,14 +586,14 @@ def test_arbiter_escrow_and_query_race(world):
         == ["Deposit", "TempAck"]
 
 
-def test_arbiter_duplicate_deposit_noted(world):
+def test_arbiter_duplicate_deposit_is_absorbed(world):
     txn = txn_of(world)
     sealed, _ = issue_token(world, txn)
     quote(world, txn)
     deposit(world, txn, sealed)
     result = deposit(world, txn, sealed, now=8)
-    assert result.notes == [f"Stale:EscrowDeposit:{txn}"]
     assert (result.messages, result.violations) == ([], [])
+    assert world.ttp.phase_of(txn) is TP.HELD
     assert [e.event for e in world.ttp.ledger.entries] == ["Deposit"]
 
 

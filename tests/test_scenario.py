@@ -212,6 +212,13 @@ def test_load_scenario_bad_yaml(tmp_path):
         load_scenario(path)
 
 
+def test_load_scenario_not_utf8(tmp_path):
+    path = tmp_path / "s.yaml"
+    path.write_bytes(b"seed: 1\n\xff\n")
+    with pytest.raises(ScenarioError, match="not valid UTF-8"):
+        load_scenario(path)
+
+
 def test_bundled_scenarios_parse():
     import pathlib
     root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"

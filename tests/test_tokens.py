@@ -22,7 +22,6 @@ from tset.tokens import (
     TokenIdDecryptionFailure,
     TokenMint,
     UnknownTokenId,
-    Verdict,
     canonical_deserialize,
     canonical_serialize,
     new_key_material,
@@ -98,9 +97,7 @@ def test_wire_never_silently_absorbs_a_bit_flip(sample_token):
             except MalformedBytes:
                 continue
             assert token != sample_token, (byte, bit)
-            outcome = verify_token(token, sample_token)
-            assert outcome.verdict is Verdict.TAMPERED
-            assert outcome.mismatched_fields
+            assert verify_token(token, sample_token)
 
 
 def test_token_field_validation(keyset):
@@ -173,12 +170,8 @@ def test_verify_token_reports_mismatched_fields(sample_token, keyset):
     other = Token(sample_token.amount + 1, sample_token.cert_customer,
                   sample_token.cert_merchant, sample_token.token_id,
                   sample_token.timestamp + 1)
-    outcome = verify_token(other, sample_token)
-    assert outcome.verdict is Verdict.TAMPERED
-    assert outcome.mismatched_fields == ("amount", "timestamp")
-    match = verify_token(sample_token, sample_token)
-    assert match.verdict is Verdict.MATCH
-    assert match.mismatched_fields == ()
+    assert verify_token(other, sample_token) == ("amount", "timestamp")
+    assert verify_token(sample_token, sample_token) == ()
 
 
 # -- the mint -------------------------------------------------------------------

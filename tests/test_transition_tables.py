@@ -41,8 +41,8 @@ customer starts a purchase) or `Timer` (the entity's timer for the
 transaction fires).  It lists the phases the entity may move to and the
 message kinds it may emit while doing so.  A `(phase, key)` pair absent
 from a table is a protocol violation: it is logged and nothing changes.
-A stale row absorbs late or duplicate traffic: the entity notes
-`Stale:<kind>:<txn>`, stays in its phase and does not run its handler.
+A stale row absorbs late or duplicate traffic: the entity emits nothing,
+stays in its phase and does not run its handler.
 A handler whose next phase or emission its row does not list is refused
 the same way as a peer: the phase stays and the emissions are dropped.
 """
