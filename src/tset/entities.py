@@ -25,12 +25,13 @@ from enum import Enum
 
 from . import crypto, messages as m, tokens
 from .crypto import Certificate
-from .ledger import Ledger, LedgerEntry, trust_lookup
+from .ledger import Ledger, LedgerEntry
 from .messages import (CB0, MB0, TTP0, EntityId, MsgKind, OrderInfo,
                        ProtocolMessage, TransactionId)
 from .rng import ByteStream
 from .tokens import KeyMaterial, SealedToken, TokenMint
-from .trust import Disposition, Grade, TrustRecord, record_outcome
+from .trust import (Disposition, Grade, TrustRecord, merchant_standing,
+                    record_outcome)
 
 # ---------------------------------------------------------------------------
 # Phases
@@ -254,11 +255,6 @@ START_PHASE = {
 # ---------------------------------------------------------------------------
 # Customer decision policy
 
-class Decision(Enum):
-    PROCEED = "Proceed"
-    ABORT = "Abort"
-
-
 @dataclass(frozen=True)
 class AcceptancePolicy:
     """Trust gate applied before committing to a purchase.  With no minimum
@@ -269,20 +265,13 @@ class AcceptancePolicy:
     min_grade: Grade | None = None
     accept_unrated: bool | None = None
 
-    def allows_unrated(self) -> bool:
-        if self.accept_unrated is not None:
-            return self.accept_unrated
-        return self.min_grade is None
-
-
-def customer_decide(reply: m.TrustReply, policy: AcceptancePolicy) -> Decision:
-    if not reply.rated:
-        return Decision.PROCEED if policy.allows_unrated() else Decision.ABORT
-    if policy.min_grade is None:
-        return Decision.PROCEED
-    if Grade[reply.grade] >= policy.min_grade:
-        return Decision.PROCEED
-    return Decision.ABORT
+    def admits(self, reply: m.TrustReply) -> bool:
+        """Whether the customer may buy from a merchant of this standing."""
+        if not reply.rated:
+            if self.accept_unrated is not None:
+                return self.accept_unrated
+            return self.min_grade is None
+        return self.min_grade is None or Grade[reply.grade] >= self.min_grade
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +456,7 @@ class Customer(Entity):
             return CP.AWAIT_TRUST
 
         if kind == K.TRUST_REPLY:
-            if customer_decide(msg.payload, self.policy) is Decision.PROCEED:
+            if self.policy.admits(msg.payload):
                 return self._request_token(st, msg.txn, result)
             self._emit(result, TTP0, msg.txn,
                        m.AbortNotice("trust below policy"))
@@ -666,10 +655,8 @@ class CustomerBank(Entity):
         try:
             duplicate = self.mint.duplicate_of(opened.token_id)
         except tokens.AlreadySettled:
-            if self.phase_of(txn) is IP.SETTLED:
-                return self._refuse_replay(txn, result)
-            # A live txn presenting some other settled id is forgery, not
-            # replay of this txn's settlement.
+            # handle() refuses a replay in Settled before calling settle, so
+            # this id settled for another purchase: forgery, not replay.
             return self._tamper(txn, "AlreadySettledForeign", result)
         except tokens.RevokedToken:
             return self._tamper(txn, "RevokedToken", result)
@@ -812,13 +799,12 @@ class MerchantBank(Entity):
 class _ArbiterTxn:
     txn: TransactionId
     merchant: EntityId
-    amount: int | None = None
+    amount: int | None = None         # set by the deposit, never cleared
     oi_digest: str = ""
     token_digest: str = ""
     product: str = ""
     sealed: SealedToken | None = None   # the deposit; dropped to regenerate
     pending_query: str | None = None
-    deposited_ever: bool = False
     regen_count: int = 0
 
 
@@ -866,7 +852,6 @@ class Ttp(Entity):
         st.product = order.product
         st.oi_digest = m.order_digest(order)
         st.token_digest = m.sealed_digest(msg.payload.sealed)
-        st.deposited_ever = True
         self._log(st, now, "Deposit", {"amount": st.amount})
         self._arm(st, now)
         if st.pending_query is not None:
@@ -931,10 +916,14 @@ class Ttp(Entity):
             st = _ArbiterTxn(msg.txn, msg.payload.merchant)
             self.txns[txn_key] = st
             self._arm(st, now)
-            standing = trust_lookup(self.trust, str(msg.payload.merchant))
-            reply = m.TrustReply(standing["rated"],
-                                 standing.get("trust_factor"),
-                                 standing.get("grade"))
+            record = self.trust.get(str(msg.payload.merchant))
+            if record is None or record.total == 0:
+                # No verdicts yet: the merchant is unrated, not perfect.
+                reply = m.TrustReply(False)
+            else:
+                standing = merchant_standing(record)
+                reply = m.TrustReply(True, standing["trust_factor"],
+                                     standing["grade"])
             self._emit(result, msg.sender, msg.txn, reply)
             return TP.QUOTED
 
@@ -996,7 +985,7 @@ class Ttp(Entity):
         st = self.txns[txn_key]
         self.timers.pop(txn_key, None)
         self._log(st, now, "DeadlineExpired", {"phase": phase.value})
-        if st.deposited_ever:
+        if st.amount is not None:
             self._record(st, Disposition.REJECTED)
         self._emit(result, CB0, st.txn, m.EscrowCancel("deadline expired"))
         targets = [st.txn.customer, st.merchant]

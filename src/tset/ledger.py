@@ -28,8 +28,6 @@ import json
 import struct
 from dataclasses import dataclass, field
 
-from .trust import TrustRecord, merchant_standing
-
 GENESIS = b"\x00" * 32
 
 EVENTS = frozenset({
@@ -207,15 +205,3 @@ def dispute_report(ledger: Ledger, txn: str) -> dict:
             for i, e in rows
         ],
     }
-
-
-def trust_lookup(records: dict[str, TrustRecord], merchant: str) -> dict:
-    """Standing of one merchant as the arbiter reports it.  A merchant with
-    no recorded verdicts (or never seen) is unrated, not perfect."""
-    record = records.get(merchant)
-    if record is None or record.total == 0:
-        return {"merchant": merchant, "rated": False}
-    standing = merchant_standing(record)
-    standing["merchant"] = merchant
-    standing["rated"] = True
-    return standing

@@ -22,16 +22,15 @@ from tset.entities import (
     AcquirerPhase as AP,
     ArbiterPhase as TP,
     CustomerPhase as CP,
-    Decision,
     IssuerPhase as IP,
     MerchantPhase as MP,
     PurchaseIntent,
-    customer_decide,
 )
 from tset.messages import (CB0, TTP0, MsgKind as K, ProtocolMessage,
                            TransactionId)
+from tset.rng import ByteStream
 from tset.scenario import ScenarioConfig, build_world
-from tset.tokens import SealedToken
+from tset.tokens import SealedToken, open_token, seal_token
 from tset.trust import Grade, TrustRecord
 
 from conftest import basic_scenario
@@ -57,14 +56,14 @@ def txn_of(world, serial=1) -> TransactionId:
 
 def test_decide_default_accepts_unrated():
     reply = m.TrustReply(rated=False)
-    assert customer_decide(reply, AcceptancePolicy()) is Decision.PROCEED
+    assert AcceptancePolicy().admits(reply)
 
 
 def test_decide_min_grade_refuses_unrated():
     policy = AcceptancePolicy(min_grade=Grade.B1)
-    assert customer_decide(m.TrustReply(False), policy) is Decision.ABORT
+    assert not policy.admits(m.TrustReply(False))
     allow = AcceptancePolicy(min_grade=Grade.B1, accept_unrated=True)
-    assert customer_decide(m.TrustReply(False), allow) is Decision.PROCEED
+    assert allow.admits(m.TrustReply(False))
 
 
 def test_decide_compares_grades():
@@ -72,9 +71,9 @@ def test_decide_compares_grades():
     at = m.TrustReply(True, "70.00", "B1")
     above = m.TrustReply(True, "97.50", "A1")
     below = m.TrustReply(True, "66.67", "B2")
-    assert customer_decide(at, policy) is Decision.PROCEED
-    assert customer_decide(above, policy) is Decision.PROCEED
-    assert customer_decide(below, policy) is Decision.ABORT
+    assert policy.admits(at)
+    assert policy.admits(above)
+    assert not policy.admits(below)
 
 
 # -- generic step() behavior ----------------------------------------------------
@@ -437,6 +436,45 @@ def test_tampered_presentation_reports_and_waits(world):
     assert world.cb.escrow_pool == 15000            # hold intact for retry
 
 
+def _settle_other(world, other):
+    present(world, txn_of(world, 2),
+            seal_token(other, world.cb.keys, ByteStream(b"forger")))
+    assert world.cb.phase_of(txn_of(world, 2)) is IP.SETTLED
+    return other
+
+
+# Forgeries presented for C0-1, by the detail they must be reported under.
+# Each maps (world, C0-1's token, C0-2's token) to (token, sealing keys).
+FORGERIES = {
+    "FieldMismatch:amount": lambda world, token, other: (
+        dataclasses.replace(token, amount=99), world.cb.keys),
+    "UnknownTokenId": lambda world, token, other: (
+        dataclasses.replace(token, token_id=bytes(range(32))), world.cb.keys),
+    "TokenIdDecryptionFailure": lambda world, token, other: (
+        token, dataclasses.replace(world.cb.keys, symmetric_key=bytes(32))),
+    "TokenTxnMismatch": lambda world, token, other: (other, world.cb.keys),
+    "AlreadySettledForeign": lambda world, token, other: (
+        _settle_other(world, other), world.cb.keys),
+}
+
+
+@pytest.mark.parametrize("detail", FORGERIES)
+def test_forged_presentation_names_its_flaw(world, detail):
+    # Each token opens under the bank's own keys, so the check that refuses
+    # it is the one after the envelope: id, mint record, purchase, fields.
+    txn = txn_of(world)
+    sealed, _ = issue_token(world, txn)
+    token = open_token(sealed, world.cb.keys)
+    other = open_token(issue_token(world, txn_of(world, 2))[0], world.cb.keys)
+    forged, keys = FORGERIES[detail](world, token, other)
+    result = present(world, txn,
+                     seal_token(forged, keys, ByteStream(b"forger")))
+    assert [(msg.kind, msg.payload.detail) for msg in result.messages] \
+        == [(K.TAMPER_REPORT, detail)]
+    assert world.cb.phase_of(txn) is IP.TAMPER_WAIT
+    assert world.cb.holds["C0-1"].amount == 15000
+
+
 def test_reissue_after_tamper_reuses_hold_and_settles(world):
     txn = txn_of(world)
     sealed, _ = issue_token(world, txn)
@@ -554,6 +592,23 @@ def test_abort_notice_keeps_pending_while_awaiting_payment(world):
 
 
 # -- arbiter ------------------------------------------------------------------------
+
+def test_arbiter_trust_reply_rated_vs_unrated(world):
+    # A merchant with no verdicts, recorded or not, is unrated, not perfect.
+    world.ttp.trust = {"M0": TrustRecord(total=1000, rejected=25),
+                       "M1": TrustRecord()}
+    replies = {}
+    for serial, merchant in enumerate(["M0", "M1", "M9"], start=1):
+        result = world.ttp.step(
+            signed(world, "C0", K.TRUST_LOOKUP, "TTP0", txn_of(world, serial),
+                   m.TrustLookup(m.EntityId.parse(merchant))), 3)
+        [reply] = result.messages
+        assert reply.kind is K.TRUST_REPLY
+        replies[merchant] = reply.payload
+    assert replies == {"M0": m.TrustReply(True, "97.50", "A1"),
+                       "M1": m.TrustReply(False),
+                       "M9": m.TrustReply(False)}
+
 
 def quote(world, txn):
     return world.ttp.step(

@@ -20,9 +20,7 @@ from tset.ledger import (
     LedgerIntegrityError,
     UnknownTransaction,
     dispute_report,
-    trust_lookup,
 )
-from tset.trust import TrustRecord
 
 GOLDEN_HEAD = "4f2edb44ecfc84a5f08eb0938ba0ac08ff34b63266b6b40a1c7b6b1202f2eb49"
 GOLDEN_FILE_SHA = (
@@ -209,16 +207,6 @@ def test_dispute_report_hashes_nothing_and_decodes_only_its_rows(
 def test_dispute_report_unknown_txn():
     with pytest.raises(UnknownTransaction):
         dispute_report(fixture_ledger(), "C9-9")
-
-
-def test_trust_lookup_unrated_vs_rated():
-    records = {"M0": TrustRecord(total=1000, rejected=25),
-               "M1": TrustRecord()}
-    rated = trust_lookup(records, "M0")
-    assert rated["rated"] and rated["grade"] == "A1"
-    assert rated["trust_factor"] == "97.50"
-    assert trust_lookup(records, "M1") == {"merchant": "M1", "rated": False}
-    assert trust_lookup(records, "M9") == {"merchant": "M9", "rated": False}
 
 
 # -- properties ------------------------------------------------------------------
