@@ -2,7 +2,11 @@
 
 Certificates are a minimal in-model PKI: one root signing key per run signs
 (subject, public key) pairs, and every entity checks certificates against
-the root public key through the run's shared CertificateChecks.
+the root public key through the run's shared CertificateChecks.  That
+checks each certificate once and keeps the loaded public key of each one
+that checks out, so a hop signature is verified against a key parsed once
+per world; every signature is still verified on every call.  A
+certificate builds its canonical JSON once, when it is built.
 Asymmetric sealing is hybrid: an ephemeral X25519 exchange feeds HKDF-SHA256,
 and the derived key runs AES-256-GCM.  Both the hybrid and the plain
 symmetric primitive are authenticated, so any bit flip in a sealed blob
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -54,11 +59,17 @@ def sign(key: Ed25519PrivateKey, data: bytes) -> bytes:
     return key.sign(data)
 
 
-def verify(public_key: bytes, signature: bytes, data: bytes) -> bool:
+def load_public_key(raw: bytes) -> Ed25519PublicKey:
+    """The Ed25519 public key of its raw 32 bytes."""
+    return Ed25519PublicKey.from_public_bytes(raw)
+
+
+def verify(public_key: Ed25519PublicKey, signature: bytes,
+           data: bytes) -> bool:
     try:
-        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, data)
+        public_key.verify(signature, data)
         return True
-    except (InvalidSignature, ValueError):
+    except InvalidSignature:
         return False
 
 
@@ -80,6 +91,12 @@ class Certificate:
             raise ValueError("certificate public key must be 32 bytes")
         if len(self.signature) != SIG_LEN:
             raise ValueError("certificate signature must be 64 bytes")
+        # Its canonical JSON object, as json writes it with sorted keys and
+        # ensure_ascii.  Not a field, so equality and hashing ignore it.
+        object.__setattr__(self, "canonical_json", (
+            '{"public_key":"%s","signature":"%s","subject":%s}'
+            % (self.public_key.hex(), self.signature.hex(),
+               encode_basestring_ascii(self.subject))))
 
 
 def _cert_signing_bytes(subject: str, public_key: bytes) -> bytes:
@@ -94,30 +111,39 @@ def issue_certificate(root_key: Ed25519PrivateKey, subject: str,
 
 
 def verify_certificate(cert: Certificate, root_public: bytes) -> bool:
-    return verify(root_public, cert.signature,
+    return verify(load_public_key(root_public), cert.signature,
                   _cert_signing_bytes(cert.subject, cert.public_key))
 
 
 class CertificateChecks:
     """Certificate checks against one root key, each made once.
 
-    The outcome is kept per certificate value, so every distinct certificate
-    is verified against the root the first time it is presented; a forged or
+    Kept per certificate value: the loaded public key of a certificate that
+    verifies against the root, None for one that does not.  Every distinct
+    certificate is verified the first time it is presented; a forged or
     altered one is a different value and is verified (and refused) in turn.
-    One instance serves one world: what it keeps is bounded by the
-    certificates that world sees.
+    Only the certificate check and the parsing of its key are kept: a
+    signature made with the key is verified on every call.  One instance
+    serves one world: what it keeps is bounded by the certificates that
+    world sees.
     """
 
     def __init__(self, root_public: bytes):
         self.root_public = root_public
-        self._outcomes: dict[Certificate, bool] = {}
+        self._keys: dict[Certificate, Ed25519PublicKey | None] = {}
+
+    def key(self, cert: Certificate) -> Ed25519PublicKey | None:
+        """The subject's loaded key if ``cert`` is root-signed, else None."""
+        try:
+            return self._keys[cert]
+        except KeyError:
+            key = (load_public_key(cert.public_key)
+                   if verify_certificate(cert, self.root_public) else None)
+            self._keys[cert] = key
+            return key
 
     def valid(self, cert: Certificate) -> bool:
-        ok = self._outcomes.get(cert)
-        if ok is None:
-            ok = verify_certificate(cert, self.root_public)
-            self._outcomes[cert] = ok
-        return ok
+        return self.key(cert) is not None
 
 
 def encode_certificate(cert: Certificate) -> bytes:
@@ -166,6 +192,11 @@ def new_box_keypair(rng: ByteStream) -> tuple[bytes, bytes]:
     return (priv.private_bytes_raw(), priv.public_key().public_bytes_raw())
 
 
+def load_box_key(secret: bytes) -> X25519PrivateKey:
+    """The X25519 private key of its raw 32 bytes."""
+    return X25519PrivateKey.from_private_bytes(secret)
+
+
 def _box_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
     return HKDF(algorithm=hashes.SHA256(), length=32, salt=None,
                 info=b"tset/box" + eph_pub + recipient_pub).derive(shared)
@@ -182,19 +213,21 @@ def seal_box(recipient_public: bytes, plaintext: bytes, rng: ByteStream) -> byte
     return eph_pub + nonce + ct
 
 
-def open_box(recipient_secret: bytes, blob: bytes) -> bytes:
+def open_box(recipient: X25519PrivateKey, recipient_public: bytes,
+             blob: bytes) -> bytes:
+    """Opens a seal_box blob with the recipient's loaded key;
+    ``recipient_public`` is that key's raw public half."""
     if len(blob) < X25519_KEY_LEN + NONCE_LEN + 16:
         raise DecryptionFailure("sealed blob too short")
     eph_pub = blob[:X25519_KEY_LEN]
     nonce = blob[X25519_KEY_LEN:X25519_KEY_LEN + NONCE_LEN]
     ct = blob[X25519_KEY_LEN + NONCE_LEN:]
-    priv = X25519PrivateKey.from_private_bytes(recipient_secret)
-    recipient_pub = priv.public_key().public_bytes_raw()
     try:
-        shared = priv.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+        shared = recipient.exchange(
+            X25519PublicKey.from_public_bytes(eph_pub))
     except ValueError as exc:
         raise DecryptionFailure("invalid ephemeral key") from exc
-    key = _box_key(shared, eph_pub, recipient_pub)
+    key = _box_key(shared, eph_pub, recipient_public)
     try:
         return AESGCM(key).decrypt(nonce, ct, eph_pub)
     except InvalidTag as exc:

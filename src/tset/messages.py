@@ -10,20 +10,30 @@ travels to the bank, where detection (and the tamper report) belongs.
 The hop signature is checked on every delivery.  The sender's certificate
 is checked against the root key once per world (crypto.CertificateChecks):
 a certificate never changes, so a second check could only repeat the first.
+That check keeps the certificate's loaded public key, and the hop signature
+is verified against it: the key is parsed once per world, the signature
+every time.
+
 A message is frozen, so its encodings are built once and kept for the
 signature check, the trace digest and the privacy monitor.  Each message is
-JSON-encoded once, for its signed part; the whole-message bytes are derived
-from those by putting the sealed bytes in place of their mask and adding the
-signature, and equal ``canonical_bytes()``, the reference encoding.
+JSON-encoded once, for its signed part, by its payload type's own encoder:
+the type's fields are sorted by name once, at import; a certificate brings
+its JSON, built once; strings are escaped by json's own ensure_ascii
+escaper.  The whole-message bytes are derived from the signed part by
+putting the sealed bytes in place of their mask and adding the signature.
+Both equal what ``_jsonable`` and json make of the same message
+(``canonical_bytes()``), the reference encoding.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _string
 
 from . import crypto
 from .crypto import Certificate
@@ -321,6 +331,72 @@ def _canon(obj) -> bytes:
 _MASKED_FIELD = _canon({_SIGN_EXEMPT: _MASK})[1:-1]
 
 
+# ---------------------------------------------------------------------------
+# One encoder per payload type: the signed part written directly, with the
+# bytes that _jsonable and _canon give.
+
+_MASK_JSON = _string(_MASK)
+
+
+def _scalar(value) -> str:
+    """A str, int, bool or None field as json writes it."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"cannot canonicalize {type(value).__name__}")
+
+
+def _object_encoder(cls):
+    """The writer of a ``cls`` instance as a JSON object.  Its fields are
+    sorted by name here, once; each is written by the encoder of its
+    annotated type, or as a scalar.  A payload's sealed field is its mask."""
+    hints = typing.get_type_hints(cls)
+    plan = [(f'{_string(f.name)}:',
+             f.name,
+             (lambda _: _MASK_JSON) if f.name == _SIGN_EXEMPT
+             else _FIELD_ENCODERS.get(hints[f.name], _scalar))
+            for f in sorted(fields(cls), key=lambda f: f.name)]
+
+    def encode(value) -> str:
+        return "{%s}" % ",".join([key + write(getattr(value, name))
+                                  for key, name, write in plan])
+    return encode
+
+
+_FIELD_ENCODERS = {
+    EntityId: lambda eid: _string(str(eid)),
+    Certificate: lambda cert: cert.canonical_json,
+}
+_FIELD_ENCODERS[OrderInfo] = _object_encoder(OrderInfo)
+_PAYLOAD_ENCODERS = {cls: _object_encoder(cls)
+                     for cls in PAYLOAD_TYPES.values()}
+_SIGNED_PART = '{"kind":%s,"payload":%s,"receiver":%s,"sender":%s,"txn":%s}'
+
+
+def _json_keys(cls) -> frozenset:
+    """Every key of the JSON form of a ``cls`` instance, at any depth: the
+    encoders above write an order and a certificate as nested objects, and
+    every other field as a string, a number, a bool or null."""
+    hints = typing.get_type_hints(cls)
+    keys = set()
+    for f in fields(cls):
+        keys.add(f.name)
+        if hints[f.name] in (OrderInfo, Certificate):
+            keys |= _json_keys(hints[f.name])
+    return frozenset(keys)
+
+
+# Payload type -> every key of its JSON form, for the privacy monitor.
+PAYLOAD_KEYS = {cls: _json_keys(cls) for cls in PAYLOAD_TYPES.values()}
+
+
 def payload_dict(msg: "ProtocolMessage") -> dict | str | int | None:
     return _jsonable(msg.payload)
 
@@ -353,12 +429,6 @@ class ProtocolMessage:
     # with any field changed is encoded afresh.
 
     @cached_property
-    def plain_payload(self) -> dict:
-        """The payload as JSON-ready data, sealed bytes in hex.  Shared by
-        every reader of this message: read it, never modify it."""
-        return _jsonable(self.payload)
-
-    @cached_property
     def signed_part(self) -> bytes:
         """signing_bytes(), kept."""
         return self.signing_bytes()
@@ -379,7 +449,8 @@ class ProtocolMessage:
         return b'%s,"signature":"%s"%s' % (signed[:at], signature, signed[at:])
 
     def _header(self, mask_sealed: bool) -> dict:
-        payload = self.plain_payload
+        """The message as _jsonable data, for the reference encoding."""
+        payload = _jsonable(self.payload)
         if mask_sealed and self.sealed_token() is not None:
             payload = {**payload, _SIGN_EXEMPT: _MASK}
         return {
@@ -392,8 +463,14 @@ class ProtocolMessage:
 
     def signing_bytes(self) -> bytes:
         """Encodes what the hop signature covers: header and payload as
-        canonical JSON, the sealed bytes masked."""
-        return _canon(self._header(mask_sealed=True))
+        canonical JSON, the sealed bytes masked, written by the payload
+        type's encoder.  Equals ``_canon(self._header(mask_sealed=True))``."""
+        payload = self.payload
+        return (_SIGNED_PART % (
+            _string(self.kind.value),
+            _PAYLOAD_ENCODERS[type(payload)](payload),
+            _string(str(self.receiver)), _string(str(self.sender)),
+            _string(str(self.txn)))).encode()
 
     def canonical_bytes(self) -> bytes:
         """Encodes the whole message, signature and sealed bytes included."""
@@ -423,21 +500,20 @@ class ProtocolMessage:
 
 
 def sign_message(msg: ProtocolMessage, key) -> ProtocolMessage:
-    """The signed copy of ``msg``.  It keeps the encodings of ``msg`` that
-    the signature does not enter: the signed part and the plain payload."""
+    """The signed copy of ``msg``.  It keeps the signed part of ``msg``,
+    which the signature does not enter."""
     signed = replace(msg, signature=crypto.sign(key, msg.signed_part))
-    signed.__dict__.update(signed_part=msg.signed_part,
-                           plain_payload=msg.plain_payload)
+    signed.__dict__["signed_part"] = msg.signed_part
     return signed
 
 
 def verify_message(msg: ProtocolMessage, sender_cert: Certificate,
                    certs: crypto.CertificateChecks) -> bool:
     """The certificate names the sender and is root-signed (checked once per
-    world), and the hop signature verifies (checked on every call)."""
+    world, which keeps its loaded key), and the hop signature verifies
+    against that key (checked on every call)."""
     if str(msg.sender) != sender_cert.subject:
         return False
-    if not certs.valid(sender_cert):
-        return False
-    return crypto.verify(sender_cert.public_key, msg.signature,
-                         msg.signed_part)
+    key = certs.key(sender_cert)
+    return key is not None and crypto.verify(key, msg.signature,
+                                             msg.signed_part)

@@ -40,9 +40,9 @@ An invariant monitor audits the books after every delivery: total funds
 settles twice for value, and messages never carry data their receiver must
 not see (bank secrets and account numbers stay out of commerce traffic,
 order contents stay away from the issuing bank).  The payload's key set
-depends only on its type and is computed once per type.  The bytes of every
-message not bound for the issuing bank are scanned for the two bank
-secrets, and for the account numbers only when their common prefix occurs.
+depends only on its type (messages.PAYLOAD_KEYS).  The bytes of every message not bound for the issuing bank are
+scanned for the two bank secrets, and for the account numbers only when
+their common prefix occurs.
 """
 
 from __future__ import annotations
@@ -175,15 +175,6 @@ _FORBIDDEN_AT_COMMERCE = frozenset(
 _FORBIDDEN_AT_ISSUER = frozenset({"product", "quantity", "order_number"})
 
 
-def _payload_keys(obj) -> set:
-    keys = set()
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            keys.add(k)
-            keys |= _payload_keys(v)
-    return keys
-
-
 class InvariantMonitor:
     """Cross-entity checks the protocol itself cannot express."""
 
@@ -200,9 +191,6 @@ class InvariantMonitor:
         # and b"" occurs in every message, so then all are scanned.
         self._account_prefix = os.path.commonprefix(accounts).encode()
         self._settled_for_value: set[str] = set()
-        # Payload type -> every key of its JSON form, at any depth.  A type
-        # fixes its keys, so the first message of each type computes them.
-        self._keys_by_type: dict[type, frozenset] = {}
 
     def conserved_total(self) -> int:
         cb, mb = self.world.cb, self.world.mb
@@ -228,10 +216,7 @@ class InvariantMonitor:
 
     def check_privacy(self, msg: ProtocolMessage, now: int) -> None:
         role = msg.receiver.role
-        keys = self._keys_by_type.get(type(msg.payload))
-        if keys is None:
-            keys = frozenset(_payload_keys(msg.plain_payload))
-            self._keys_by_type[type(msg.payload)] = keys
+        keys = m.PAYLOAD_KEYS[type(msg.payload)]
         if role in (m.Role.MERCHANT, m.Role.MERCHANT_BANK):
             bad = keys & _FORBIDDEN_AT_COMMERCE
             if bad:

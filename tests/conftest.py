@@ -3,10 +3,11 @@
 import pytest
 
 from tset import crypto
+from tset import messages as m
 from tset.rng import ByteStream
 from tset.scenario import ScenarioConfig, build_world
 from tset.simnet import Simulation
-from tset.tokens import Token
+from tset.tokens import SealedToken, Token
 
 
 class KeyFixture:
@@ -35,6 +36,39 @@ def keyset() -> KeyFixture:
 def sample_token(keyset) -> Token:
     return Token(15000, keyset.cert_customer, keyset.cert_merchant,
                  bytes(range(32)), 7)
+
+
+def sample_payloads(keys: KeyFixture) -> dict:
+    """One payload of every message kind, every optional field set."""
+    K = m.MsgKind
+    order = m.OrderInfo("ORD-M0-1", "widget", 2, 7500, 15000,
+                        m.EntityId.parse("M0"))
+    sealed = SealedToken(b"\xab" * 60)
+    return {
+        K.BROWSE: m.Browse("widget", 2),
+        K.OFFER: m.Offer(order, keys.cert_merchant),
+        K.TRUST_LOOKUP: m.TrustLookup(order.merchant),
+        K.TRUST_REPLY: m.TrustReply(True, "0.9", "A1"),
+        K.TOKEN_REQUEST: m.TokenRequest(15000, keys.cert_customer,
+                                        keys.cert_merchant),
+        K.TOKEN_ISSUED: m.TokenIssued(sealed),
+        K.PURCHASE_CONFIRM: m.PurchaseConfirm(order, keys.cert_customer),
+        K.ESCROW_DEPOSIT: m.EscrowDeposit(order, sealed),
+        K.TEMP_PAYMENT_QUERY: m.TempPaymentQuery(order.order_number),
+        K.TEMP_PAYMENT_ACK: m.TempPaymentAck("ab" * 32, 15000),
+        K.GOODS_DISPATCH: m.GoodsDispatch(order.order_number, "widget", 2,
+                                          replacement=True),
+        K.ACCEPT_GOODS: m.AcceptGoods(order.order_number),
+        K.REJECT_GOODS: m.RejectGoods(order.order_number, "broken"),
+        K.TOKEN_RELEASE: m.TokenRelease(sealed, order.merchant),
+        K.PAYMENT_REQUEST: m.PaymentRequest(sealed, order.merchant),
+        K.SETTLEMENT: m.Settlement(15000, duplicate=True),
+        K.TAMPER_REPORT: m.TamperReport("amount", "mismatch"),
+        K.REGENERATE_REQUEST: m.RegenerateRequest(),
+        K.COMPLETION_NOTICE: m.CompletionNotice("aborted", "expired"),
+        K.ESCROW_CANCEL: m.EscrowCancel("rejected"),
+        K.ABORT_NOTICE: m.AbortNotice("no funds"),
+    }
 
 
 def run_dict(data: dict):

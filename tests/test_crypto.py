@@ -11,7 +11,7 @@ def rng():
 
 def test_sign_verify_roundtrip(rng):
     key = crypto.new_signing_key(rng)
-    pub = key.public_key().public_bytes_raw()
+    pub = crypto.load_public_key(key.public_key().public_bytes_raw())
     sig = crypto.sign(key, b"hello")
     assert crypto.verify(pub, sig, b"hello")
     assert not crypto.verify(pub, sig, b"hullo")
@@ -20,7 +20,8 @@ def test_sign_verify_roundtrip(rng):
 def test_verify_rejects_garbage_key(rng):
     key = crypto.new_signing_key(rng)
     sig = crypto.sign(key, b"data")
-    assert not crypto.verify(b"\x00" * 32, sig, b"data")
+    assert not crypto.verify(crypto.load_public_key(b"\x00" * 32), sig,
+                             b"data")
 
 
 # -- certificates -----------------------------------------------------------
@@ -142,31 +143,34 @@ def test_sym_rejects_short_blob(rng):
 def test_box_roundtrip(rng):
     secret, public = crypto.new_box_keypair(rng)
     blob = crypto.seal_box(public, b"secret message", rng)
-    assert crypto.open_box(secret, blob) == b"secret message"
+    assert crypto.open_box(crypto.load_box_key(secret), public, blob) \
+        == b"secret message"
 
 
 def test_box_rejects_wrong_recipient(rng):
     _, public = crypto.new_box_keypair(rng)
-    other_secret, _ = crypto.new_box_keypair(rng)
+    other_secret, other_public = crypto.new_box_keypair(rng)
     blob = crypto.seal_box(public, b"secret message", rng)
     with pytest.raises(crypto.DecryptionFailure):
-        crypto.open_box(other_secret, blob)
+        crypto.open_box(crypto.load_box_key(other_secret), other_public,
+                        blob)
 
 
 def test_box_rejects_any_bit_flip(rng):
     secret, public = crypto.new_box_keypair(rng)
+    key = crypto.load_box_key(secret)
     blob = crypto.seal_box(public, b"msg", rng)
     for i in range(len(blob)):
         flipped = bytearray(blob)
         flipped[i] ^= 0x80
         with pytest.raises(crypto.DecryptionFailure):
-            crypto.open_box(secret, bytes(flipped))
+            crypto.open_box(key, public, bytes(flipped))
 
 
 def test_box_rejects_short_blob(rng):
-    secret, _ = crypto.new_box_keypair(rng)
+    secret, public = crypto.new_box_keypair(rng)
     with pytest.raises(crypto.DecryptionFailure):
-        crypto.open_box(secret, b"\x00" * 40)
+        crypto.open_box(crypto.load_box_key(secret), public, b"\x00" * 40)
 
 
 def test_box_envelope_layout(rng):

@@ -1,6 +1,8 @@
 import dataclasses
+import typing
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tset import crypto
 from tset import messages as m
@@ -14,8 +16,9 @@ from tset.messages import (
     sign_message,
     verify_message,
 )
-from tset.rng import ByteStream
 from tset.tokens import SealedToken
+
+from conftest import sample_payloads
 
 
 def eid(text: str) -> EntityId:
@@ -203,3 +206,88 @@ def test_every_kind_has_a_payload_type():
     assert len(set(m.PAYLOAD_TYPES.values())) == len(m.PAYLOAD_TYPES)
     assert {kind: payload_type for payload_type, kind in m.KIND_OF.items()} \
         == m.PAYLOAD_TYPES
+
+
+# -- the per-type encoders against the reference encoding -------------------
+
+def _reference_signed_part(msg: ProtocolMessage) -> bytes:
+    return m._canon(msg._header(mask_sealed=True))
+
+
+def test_signing_bytes_of_every_kind_equal_the_reference(keyset, txn):
+    samples = sample_payloads(keyset)
+    assert set(samples) == set(MsgKind)
+    for kind, payload in samples.items():
+        msg = ProtocolMessage(kind, eid("C0"), eid("M0"), txn, payload)
+        assert msg.signing_bytes() == _reference_signed_part(msg), kind
+        signed = sign_message(msg, keyset.customer_key)
+        assert signed.wire == signed.canonical_bytes(), kind
+
+
+def _payload_keys(obj) -> set:
+    """Every key of a JSON-ready value, at any depth."""
+    keys = set()
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            keys.add(k)
+            keys |= _payload_keys(v)
+    return keys
+
+
+def test_each_payload_type_has_the_key_set_of_its_json_form(keyset, txn):
+    for kind, payload in sample_payloads(keyset).items():
+        msg = ProtocolMessage(kind, eid("C0"), eid("M0"), txn, payload)
+        assert m.PAYLOAD_KEYS[type(payload)] \
+            == _payload_keys(m.payload_dict(msg)), kind
+
+
+# Quotes, backslashes, control characters, non-ASCII text and the spelling
+# of the mask, beside text of any kind.
+_text = st.one_of(st.text(), st.text(
+    alphabet='"\\/\x00\x08\x1f\x7f\u00e9\u2028\U0001f600<>sealed:,'))
+_eids = st.builds(EntityId, st.sampled_from(Role), st.integers(0, 10 ** 6))
+
+
+@st.composite
+def _orders(draw) -> OrderInfo:
+    quantity = draw(st.integers(1, 10 ** 6))
+    unit_price = draw(st.integers(1, 2 ** 80))
+    return OrderInfo(draw(_text), draw(_text), quantity, unit_price,
+                     quantity * unit_price, draw(_eids))
+
+
+_BY_ANNOTATION = {
+    str: _text,
+    str | None: st.one_of(st.none(), _text),
+    # Large amounts, past 64 bits too, and negative ones.
+    int: st.one_of(st.integers(), st.integers(2 ** 62, 2 ** 200)),
+    # A bool field holding an int must stay a number.
+    bool: st.one_of(st.booleans(), st.integers(-1, 2)),
+    EntityId: _eids,
+    OrderInfo: _orders(),
+    crypto.Certificate: st.builds(
+        crypto.Certificate, _text.filter(bool),
+        st.binary(min_size=32, max_size=32),
+        st.binary(min_size=64, max_size=64)),
+    SealedToken: st.builds(SealedToken, st.binary(min_size=60, max_size=90)),
+}
+
+
+def _messages(kind: MsgKind):
+    payload_type = m.PAYLOAD_TYPES[kind]
+    hints = typing.get_type_hints(payload_type)
+    drawn = {f.name: _BY_ANNOTATION[hints[f.name]]
+             for f in dataclasses.fields(payload_type)}
+    if payload_type is m.CompletionNotice:
+        drawn["status"] = st.sampled_from(["completed", "aborted"])
+    return st.builds(ProtocolMessage, st.just(kind), _eids, _eids,
+                     st.builds(TransactionId, _eids, st.integers(0, 10 ** 9)),
+                     st.builds(payload_type, **drawn),
+                     st.binary(max_size=64))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(msg=st.sampled_from(MsgKind).flatmap(_messages))
+def test_signing_bytes_equal_the_reference_whatever_the_fields(msg):
+    assert msg.signing_bytes() == _reference_signed_part(msg)
+    assert msg.wire == msg.canonical_bytes()

@@ -1,6 +1,7 @@
 """End-to-end simulation runs and the network's adversary hooks."""
 
 import copy
+import dataclasses
 import functools
 from pathlib import Path
 
@@ -145,6 +146,41 @@ def test_each_certificate_is_checked_once_per_world(monkeypatch):
     assert len(senders) == 5
     assert sorted(cert.subject for cert in checked) \
         == sorted(2 * list(senders))
+
+
+def test_every_delivery_verifies_its_signature_a_replayed_one_too(
+        monkeypatch):
+    verified, checked = [], []
+    _counting(monkeypatch, crypto, "verify", verified)
+    _counting(monkeypatch, crypto, "verify_certificate", checked)
+    result = run_scenario(adversary=[{"action": "replay_token",
+                                      "target": {"kind": "PaymentRequest"}}])
+    flags = [record.flag for record in result.trace]
+    assert "replayed" in flags and "dropped" not in flags
+    # Each certificate check verifies the root's signature once; every other
+    # call is one delivery's hop signature, the replay's included.
+    assert len(verified) == len(flags) + len(checked)
+
+
+def test_a_flipped_signature_is_refused_after_the_key_is_loaded(
+        monkeypatch):
+    world = build_world(ScenarioConfig.from_dict(basic_scenario()))
+    customer, merchant = world.customers["C0"], world.entities["M0"]
+    browse = m.sign_message(
+        ProtocolMessage(K.BROWSE, customer.id, merchant.id,
+                        TransactionId(customer.id, 1), m.Browse("widget", 1)),
+        customer._key)
+    assert merchant.step(browse, 0).violations == []
+    key = merchant.certs.key(customer.certificate)
+    assert key is not None
+    flipped = bytearray(browse.signature)
+    flipped[0] ^= 0x01
+    forged = dataclasses.replace(browse, signature=bytes(flipped))
+    verified = []
+    _counting(monkeypatch, crypto, "verify", verified)
+    assert merchant.step(forged, 1).violations \
+        == ["BadSignature:Browse:C0->M0"]
+    assert verified == [key]
 
 
 def test_trace_is_monotone_and_well_formed():

@@ -148,6 +148,12 @@ def test_open_rejects_wrong_box_key(sample_token, keys):
         open_token(sealed, other)
 
 
+def test_key_material_refuses_a_box_public_of_another_secret(keys):
+    other = new_key_material(ByteStream(100))
+    with pytest.raises(ValueError):
+        KeyMaterial(keys.box_secret, other.box_public, keys.symmetric_key)
+
+
 def test_inner_layer_failure_is_distinguished(sample_token, keys):
     """Outer box opens but the embedded id was encrypted under a different
     symmetric key: the failure names the inner layer."""
