@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``tokens``: payment tokens, canonical wire form, two-layer sealing, mint
+- ``tokens``: payment tokens, sealed token format, two-layer sealing, mint
 - ``trust``: exact-rational merchant scoring and letter grades
 - ``messages``: signed protocol messages between the five roles
 - ``entities``: the five role state machines and their legality tables

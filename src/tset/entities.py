@@ -763,10 +763,9 @@ class MerchantBank(Entity):
             return AP.AWAIT_PAYMENT
 
         if kind == K.SETTLEMENT:
-            p = self.pending.pop(txn_key, None)
-            if p is None:
-                result.violations.append(f"SettlementWithoutRelease:{msg.txn}")
-                return phase
+            # The table admits a Settlement only in AwaitPayment, which only
+            # a TokenRelease enters, and it fills ``pending``.
+            p = self.pending.pop(txn_key)
             self.timers.pop(txn_key, None)
             merchant = str(p.merchant)
             self.accounts[merchant] = (self.accounts.get(merchant, 0)

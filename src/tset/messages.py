@@ -15,22 +15,20 @@ is verified against it: the key is parsed once per world, the signature
 every time.
 
 A message is frozen, so its encodings are built once and kept for the
-signature check, the trace digest and the privacy monitor.  Each message is
+signature check, the trace digest and the privacy monitor.  Both are
+canonical JSON: sorted keys, no spaces, ASCII only.  Each message is
 JSON-encoded once, for its signed part, by its payload type's own encoder:
 the type's fields are sorted by name once, at import; a certificate brings
 its JSON, built once; strings are escaped by json's own ensure_ascii
 escaper.  The whole-message bytes are derived from the signed part by
 putting the sealed bytes in place of their mask and adding the signature.
-Both equal what ``_jsonable`` and json make of the same message
-(``canonical_bytes()``), the reference encoding.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import typing
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _string
@@ -302,40 +300,13 @@ _SIGN_EXEMPT = "sealed"
 _MASK = "<sealed>"
 
 
-def _jsonable(value):
-    if isinstance(value, SealedToken):
-        return value.envelope.hex()
-    if isinstance(value, Certificate):
-        return {"subject": value.subject,
-                "public_key": value.public_key.hex(),
-                "signature": value.signature.hex()}
-    if isinstance(value, (EntityId, TransactionId)):
-        return str(value)
-    if is_dataclass(value):
-        return {f.name: _jsonable(getattr(value, f.name))
-                for f in fields(value)}
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    raise TypeError(f"cannot canonicalize {type(value).__name__}")
-
-
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _canon(obj) -> bytes:
-    return _ENCODER.encode(obj).encode()
-
-
-# The masked field as it appears in the signed part.  JSON escapes every
-# quote inside a string, so these bytes can only be the field itself.
-_MASKED_FIELD = _canon({_SIGN_EXEMPT: _MASK})[1:-1]
-
-
 # ---------------------------------------------------------------------------
-# One encoder per payload type: the signed part written directly, with the
-# bytes that _jsonable and _canon give.
+# One encoder per payload type: the signed part written directly.
 
 _MASK_JSON = _string(_MASK)
+# The masked field as it appears in the signed part.  JSON escapes every
+# quote inside a string, so these bytes can only be the field itself.
+_MASKED_FIELD = f"{_string(_SIGN_EXEMPT)}:{_MASK_JSON}".encode()
 
 
 def _scalar(value) -> str:
@@ -397,12 +368,9 @@ def _json_keys(cls) -> frozenset:
 PAYLOAD_KEYS = {cls: _json_keys(cls) for cls in PAYLOAD_TYPES.values()}
 
 
-def payload_dict(msg: "ProtocolMessage") -> dict | str | int | None:
-    return _jsonable(msg.payload)
-
-
 def order_digest(order: OrderInfo) -> str:
-    return hashlib.sha256(_canon(_jsonable(order))).hexdigest()
+    encoded = _FIELD_ENCODERS[OrderInfo](order).encode()
+    return hashlib.sha256(encoded).hexdigest()
 
 
 def sealed_digest(sealed: SealedToken) -> str:
@@ -435,9 +403,9 @@ class ProtocolMessage:
 
     @cached_property
     def wire(self) -> bytes:
-        """canonical_bytes(), kept, derived from the signed part: the sealed
-        bytes replace their mask, and the signature goes before txn, the
-        last of the sorted keys."""
+        """The whole message, derived from the signed part: the sealed bytes
+        replace their mask, and the signature goes before txn, the last of
+        the sorted keys."""
         signed = self.signed_part
         sealed = self.sealed_token()
         if sealed is not None:
@@ -448,23 +416,10 @@ class ProtocolMessage:
         signature = self.signature.hex().encode()
         return b'%s,"signature":"%s"%s' % (signed[:at], signature, signed[at:])
 
-    def _header(self, mask_sealed: bool) -> dict:
-        """The message as _jsonable data, for the reference encoding."""
-        payload = _jsonable(self.payload)
-        if mask_sealed and self.sealed_token() is not None:
-            payload = {**payload, _SIGN_EXEMPT: _MASK}
-        return {
-            "kind": self.kind.value,
-            "sender": str(self.sender),
-            "receiver": str(self.receiver),
-            "txn": str(self.txn),
-            "payload": payload,
-        }
-
     def signing_bytes(self) -> bytes:
         """Encodes what the hop signature covers: header and payload as
         canonical JSON, the sealed bytes masked, written by the payload
-        type's encoder.  Equals ``_canon(self._header(mask_sealed=True))``."""
+        type's encoder."""
         payload = self.payload
         return (_SIGNED_PART % (
             _string(self.kind.value),
@@ -474,9 +429,7 @@ class ProtocolMessage:
 
     def canonical_bytes(self) -> bytes:
         """Encodes the whole message, signature and sealed bytes included."""
-        body = self._header(mask_sealed=False)
-        body["signature"] = self.signature.hex()
-        return _canon(body)
+        return self.wire
 
     def digest(self) -> str:
         return hashlib.sha256(self.wire).hexdigest()
@@ -502,7 +455,8 @@ class ProtocolMessage:
 def sign_message(msg: ProtocolMessage, key) -> ProtocolMessage:
     """The signed copy of ``msg``.  It keeps the signed part of ``msg``,
     which the signature does not enter."""
-    signed = replace(msg, signature=crypto.sign(key, msg.signed_part))
+    signed = ProtocolMessage(msg.kind, msg.sender, msg.receiver, msg.txn,
+                             msg.payload, crypto.sign(key, msg.signed_part))
     signed.__dict__["signed_part"] = msg.signed_part
     return signed
 

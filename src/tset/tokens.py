@@ -1,4 +1,4 @@
-"""Payment tokens: canonical wire form, two-layer sealing, and the mint.
+"""Payment tokens: the sealed token format, two-layer sealing, and the mint.
 
 A token binds an amount, both parties' certificates, a single-use 256-bit
 token id, and an issue timestamp.  The issuing bank keeps a duplicate of
@@ -25,10 +25,6 @@ from .rng import ByteStream
 TOKEN_ID_LEN = 32
 AMOUNT_MAX = 2 ** 63 - 1     # the most minor units a token carries
 _INNER_AAD = b"tset/token-id"
-
-
-class MalformedBytes(Exception):
-    """Byte string does not parse as the expected structure."""
 
 
 class TokenIdDecryptionFailure(Exception):
@@ -112,7 +108,7 @@ def new_key_material(rng: ByteStream) -> KeyMaterial:
 
 
 # ---------------------------------------------------------------------------
-# Wire layout, shared by the canonical and the sealed form
+# Layout of the plaintext inside the sealed box
 #
 #   offset  size  field
 #   ------  ----  -----------------------------
@@ -121,37 +117,36 @@ def new_key_material(rng: ByteStream) -> KeyMaterial:
 #   12      var   customer certificate
 #   .       4     merchant certificate length
 #   .       var   merchant certificate
-#   .       var   id field (see below)
+#   .       4     encrypted token id length
+#   .       var   encrypted token id
 #   .       8     issue timestamp, big-endian ms
 #
-# The canonical form's id field is the raw 32-byte token id.  The sealed
-# form's is the id encrypted under the bank's symmetric key, behind its
-# own 4-byte length.
+# The token id is encrypted under the bank's symmetric key
+# (crypto.sym_encrypt: 12-byte nonce, ciphertext, 16-byte tag).
 
-def _encode(token: Token, id_field: bytes, *, prefixed: bool) -> bytes:
+def _encode(token: Token, id_field: bytes) -> bytes:
     cert_c = crypto.encode_certificate(token.cert_customer)
     cert_m = crypto.encode_certificate(token.cert_merchant)
-    id_len = struct.pack(">I", len(id_field)) if prefixed else b""
     return b"".join([
         struct.pack(">Q", token.amount),
         struct.pack(">I", len(cert_c)), cert_c,
         struct.pack(">I", len(cert_m)), cert_m,
-        id_len, id_field,
+        struct.pack(">I", len(id_field)), id_field,
         struct.pack(">Q", token.timestamp),
     ])
 
 
-def _decode(data: bytes, error: type[Exception], *, prefixed: bool,
-            open_id=bytes) -> Token:
+def _decode(data: bytes, open_id) -> Token:
     """Parse ``data`` into a Token whose id is ``open_id(id field)``,
-    raising ``error`` if it does not parse or the token is invalid."""
+    raising DecryptionFailure if it does not parse or the token is
+    invalid."""
     view = memoryview(data)
     pos = 0
 
     def need(n: int) -> memoryview:
         nonlocal pos
         if pos + n > len(view):
-            raise error("token bytes truncated")
+            raise DecryptionFailure("token bytes truncated")
         chunk = view[pos:pos + n]
         pos += n
         return chunk
@@ -166,24 +161,17 @@ def _decode(data: bytes, error: type[Exception], *, prefixed: bool,
         try:
             certs.append(crypto.decode_certificate(raw))
         except ValueError as exc:
-            raise error(f"bad {side} certificate: {exc}") from exc
-    id_field = bytes(need(length() if prefixed else TOKEN_ID_LEN))
+            raise DecryptionFailure(
+                f"bad {side} certificate: {exc}") from exc
+    id_field = bytes(need(length()))
     (timestamp,) = struct.unpack(">Q", need(8))
     if pos != len(view):
-        raise error("trailing bytes after token")
+        raise DecryptionFailure("trailing bytes after token")
     token_id = open_id(id_field)
     try:
         return Token(amount, certs[0], certs[1], token_id, timestamp)
     except ValueError as exc:
-        raise error(str(exc)) from exc
-
-
-def canonical_serialize(token: Token) -> bytes:
-    return _encode(token, token.token_id, prefixed=False)
-
-
-def canonical_deserialize(data: bytes) -> Token:
-    return _decode(data, MalformedBytes, prefixed=False)
+        raise DecryptionFailure(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +182,7 @@ def seal_token(token: Token, keys: KeyMaterial, rng: ByteStream) -> SealedToken:
     token (with the encrypted id in place of the raw one) to the box key."""
     inner = crypto.sym_encrypt(keys.symmetric_key, token.token_id,
                                _INNER_AAD, rng)
-    plain = _encode(token, inner, prefixed=True)
+    plain = _encode(token, inner)
     return SealedToken(crypto.seal_box(keys.box_public, plain, rng))
 
 
@@ -210,7 +198,7 @@ def open_token(sealed: SealedToken, keys: KeyMaterial) -> Token:
         except DecryptionFailure as exc:
             raise TokenIdDecryptionFailure(str(exc)) from exc
 
-    return _decode(plain, DecryptionFailure, prefixed=True, open_id=open_id)
+    return _decode(plain, open_id)
 
 
 _COMPARED_FIELDS = ("amount", "cert_customer", "cert_merchant",

@@ -37,6 +37,7 @@ from tset.trust import (
     trust_value,
 )
 
+import reference_encoding as ref
 from conftest import basic_scenario
 
 SEALED_KINDS = ("EscrowDeposit", "TokenIssued", "TokenRelease",
@@ -99,23 +100,23 @@ class PrivacyScan:
         secrets, products = context
         role = msg.receiver.role
         if role in (Role.MERCHANT, Role.MERCHANT_BANK):
-            leaked = self._field_names(m.payload_dict(msg)) \
+            leaked = self._field_names(ref.payload_dict(msg)) \
                 & self.ACCOUNT_FIELDS
             if leaked:
                 self.findings.append(
                     f"{msg.kind.value}->{msg.receiver}: fields {leaked}")
-            blob = msg.canonical_bytes()
+            blob = ref.whole(msg)
             for secret in secrets:
                 if secret in blob:
                     self.findings.append(
                         f"{msg.kind.value}->{msg.receiver}: secret bytes")
         elif role is Role.CUSTOMER_BANK:
-            leaked = self._field_names(m.payload_dict(msg)) \
+            leaked = self._field_names(ref.payload_dict(msg)) \
                 & self.ORDER_FIELDS
             if leaked:
                 self.findings.append(
                     f"{msg.kind.value}->{msg.receiver}: fields {leaked}")
-            text = json.dumps(m.payload_dict(msg))
+            text = json.dumps(ref.payload_dict(msg))
             if "ORD-" in text or any(p in text for p in products):
                 self.findings.append(
                     f"{msg.kind.value}->{msg.receiver}: order text")

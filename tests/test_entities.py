@@ -76,6 +76,13 @@ def test_decide_compares_grades():
     assert not policy.admits(below)
 
 
+def assert_refused(result, violation, entity, txn, phase):
+    """One violation named, nothing emitted, the phase kept."""
+    assert result.violations == [violation]
+    assert result.messages == []
+    assert entity.phase_of(txn) is phase
+
+
 # -- generic step() behavior ----------------------------------------------------
 
 def test_illegal_pair_is_violation_without_state_change(world):
@@ -337,6 +344,20 @@ def test_customer_trust_gate_aborts(world):
     assert customer.phase_of(txn) is CP.ABORTED
 
 
+def test_customer_refuses_completion_before_its_verdict(world):
+    customer = world.customers["C0"]
+    customer.begin_purchase(PurchaseIntent(world.entities["M0"].id,
+                                           "widget", 1))
+    txn = txn_of(world)
+    customer.step(offer_for(world, txn), 2)
+    customer.step(signed(world, "TTP0", K.TRUST_REPLY, "C0", txn,
+                         m.TrustReply(False)), 3)
+    early = signed(world, "CB0", K.COMPLETION_NOTICE, "C0", txn,
+                   m.CompletionNotice("completed"))
+    assert_refused(customer.step(early, 4), "EarlyCompletion:C0-1",
+                   customer, txn, CP.AWAIT_TOKEN)
+
+
 # -- merchant ----------------------------------------------------------------------
 
 def test_merchant_quotes_catalog_price(world):
@@ -357,6 +378,48 @@ def test_merchant_rejects_unknown_product(world):
         signed(world, "C0", K.BROWSE, "M0", txn, m.Browse("anvil", 1)), 1)
     assert any("UnknownProduct" in v for v in result.violations)
     assert merchant.phase_of(txn) is MP.NEW
+
+
+def merchant_awaiting_confirm(world):
+    """M0 after quoting C0-1; returns the transaction and the order."""
+    txn = txn_of(world)
+    result = world.entities["M0"].step(
+        signed(world, "C0", K.BROWSE, "M0", txn, m.Browse("widget", 1)), 1)
+    return txn, result.messages[0].payload.order
+
+
+def confirm(world, txn, order, cert):
+    return world.entities["M0"].step(
+        signed(world, "C0", K.PURCHASE_CONFIRM, "M0", txn,
+               m.PurchaseConfirm(order, cert)), 2)
+
+
+def test_merchant_refuses_confirm_with_another_partys_certificate(world):
+    merchant = world.entities["M0"]
+    txn, order = merchant_awaiting_confirm(world)
+    result = confirm(world, txn, order, merchant.certificate)
+    assert_refused(result, "AuthFailure:PurchaseConfirm:C0", merchant, txn,
+                   MP.AWAIT_CONFIRM)
+
+
+def test_merchant_refuses_confirm_of_another_order(world):
+    merchant = world.entities["M0"]
+    txn, order = merchant_awaiting_confirm(world)
+    other = dataclasses.replace(order, quantity=2, total_price=30000)
+    result = confirm(world, txn, other, world.customers["C0"].certificate)
+    assert_refused(result, "OrderMismatch:C0-1", merchant, txn,
+                   MP.AWAIT_CONFIRM)
+
+
+def test_merchant_refuses_ack_of_another_amount(world):
+    merchant = world.entities["M0"]
+    txn, order = merchant_awaiting_confirm(world)
+    confirm(world, txn, order, world.customers["C0"].certificate)
+    assert merchant.phase_of(txn) is MP.AWAIT_ACK
+    ack = signed(world, "TTP0", K.TEMP_PAYMENT_ACK, "M0", txn,
+                 m.TempPaymentAck("ab" * 32, order.total_price - 1))
+    assert_refused(merchant.step(ack, 3), "AckAmountMismatch:C0-1:14999",
+                   merchant, txn, MP.AWAIT_ACK)
 
 
 # -- issuing bank --------------------------------------------------------------------
@@ -388,6 +451,17 @@ def test_issue_insufficient_funds_aborts(world):
     assert result.messages[0].payload.status == "aborted"
     assert world.cb.phase_of(txn) is IP.CANCELLED
     assert world.cb.escrow_pool == 0
+
+
+def test_issue_refuses_another_partys_certificate(world):
+    txn = txn_of(world)
+    merchant_cert = world.entities["M0"].certificate
+    req = signed(world, "C0", K.TOKEN_REQUEST, "CB0", txn,
+                 m.TokenRequest(15000, merchant_cert, merchant_cert))
+    assert_refused(world.cb.step(req, 5), "AuthFailure:TokenRequest:C0",
+                   world.cb, txn, IP.NEW)
+    assert world.cb.accounts["C0"] == 100000
+    assert world.cb.holds == {}
 
 
 def present(world, txn, sealed):
@@ -505,6 +579,21 @@ def test_reissue_after_tamper_reuses_hold_and_settles(world):
     assert world.cb.settled_out_total == 15000
 
 
+def test_reissue_refuses_another_amount_than_the_hold(world):
+    txn = txn_of(world)
+    sealed, _ = issue_token(world, txn)
+    mutated = bytearray(sealed.envelope)
+    mutated[50] ^= 0xFF
+    present(world, txn, SealedToken(bytes(mutated)))
+    assert world.cb.phase_of(txn) is IP.TAMPER_WAIT
+    fresh, result = issue_token(world, txn, amount=16000)
+    assert fresh is None
+    assert_refused(result, "HoldAmountMismatch:C0-1", world.cb, txn,
+                   IP.TAMPER_WAIT)
+    assert world.cb.holds["C0-1"].amount == 15000
+    assert world.cb.escrow_pool == 15000
+
+
 def test_escrow_cancel_refunds_hold(world):
     txn = txn_of(world)
     sealed, _ = issue_token(world, txn)
@@ -577,6 +666,23 @@ def test_settlement_without_release_is_violation(world):
     assert result.violations and "ProtocolViolation" in result.violations[0]
     assert world.mb.phase_of(txn) is AP.NEW
     assert world.mb.accounts == {}
+
+
+def test_abort_notice_before_release_closes_the_purchase(world):
+    # The arbiter's notice outran its TokenRelease, or the release was lost:
+    # the acquirer closes the purchase and absorbs the late release.
+    txn = txn_of(world)
+    result = world.mb.step(
+        signed(world, "TTP0", K.COMPLETION_NOTICE, "MB0", txn,
+               m.CompletionNotice("aborted", "deadline expired")), 15)
+    assert (result.messages, result.violations) == ([], [])
+    assert world.mb.phase_of(txn) is AP.ABORTED
+    sealed, _ = issue_token(world, txn)
+    late = release_to_mb(world, txn, sealed)
+    assert (late.messages, late.violations) == ([], [])
+    assert world.mb.phase_of(txn) is AP.ABORTED
+    assert world.mb.pending == {}
+    assert world.mb.timer_due(str(txn)) is None
 
 
 def test_abort_notice_keeps_pending_while_awaiting_payment(world):

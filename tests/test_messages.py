@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import typing
 
 import pytest
@@ -18,6 +19,7 @@ from tset.messages import (
 )
 from tset.tokens import SealedToken
 
+import reference_encoding as ref
 from conftest import sample_payloads
 
 
@@ -114,8 +116,8 @@ def test_sealed_bytes_excluded_from_signature(keyset, txn):
     b = a.with_sealed(sealed_fixture(b"bb"))
     assert a.signing_bytes() == b.signing_bytes()
     assert a.signature == b.signature
-    # but the full canonical form (and thus the trace digest) differs
-    assert a.canonical_bytes() != b.canonical_bytes()
+    # but the whole message (and thus the trace digest) differs
+    assert a.wire != b.wire
     assert a.digest() != b.digest()
     assert b"<sealed>" in a.signing_bytes()
     assert sealed_fixture(b"aa").envelope.hex().encode() \
@@ -169,9 +171,9 @@ def test_wire_equals_the_reference_encoding_whatever_the_strings(keyset,
         msg = ProtocolMessage(kind, eid("C0"), eid("TTP0"), txn, payload)
         signed = sign_message(msg, keyset.customer_key)
         for each in (msg, signed):
-            assert each.wire == each.canonical_bytes(), kind
+            assert each.wire == ref.whole(each), kind
     swapped = signed.with_sealed(sealed_fixture(b"cd"))
-    assert swapped.wire == swapped.canonical_bytes()
+    assert swapped.wire == ref.whole(swapped)
     assert swapped.wire != signed.wire
 
 
@@ -191,11 +193,23 @@ def test_order_digest_stable_and_distinct(order):
     assert m.order_digest(order) != m.order_digest(other)
 
 
+def test_order_digest_hashes_the_reference_bytes_of_the_order(order):
+    # The ledger's oi_digest: a change here changes every ledger digest.
+    text = '"sealed":"<sealed>" \u00e9\x00\\'
+    for each in (order, OrderInfo(text, text, 3, 2 ** 70, 3 * 2 ** 70,
+                                  eid("M12"))):
+        assert m.order_digest(each) \
+            == hashlib.sha256(ref.canon(ref.jsonable(each))).hexdigest()
+    assert m.order_digest(order) == (
+        "098c9dd2ac24615c7500de1c6ad8681449f43ee57488facacd72fa45f444f94c")
+
+
 def test_payload_dict_is_plain_data(keyset, txn, order):
+    # The reference form the privacy scan reads: nested dicts, sealed hex.
     msg = ProtocolMessage(
         MsgKind.ESCROW_DEPOSIT, eid("C0"), eid("TTP0"), txn,
         m.EscrowDeposit(order, sealed_fixture(b"ab")))
-    d = m.payload_dict(msg)
+    d = ref.payload_dict(msg)
     assert d["order"]["product"] == "widget"
     assert d["sealed"] == (b"ab" * 30).hex()
 
@@ -210,18 +224,14 @@ def test_every_kind_has_a_payload_type():
 
 # -- the per-type encoders against the reference encoding -------------------
 
-def _reference_signed_part(msg: ProtocolMessage) -> bytes:
-    return m._canon(msg._header(mask_sealed=True))
-
-
 def test_signing_bytes_of_every_kind_equal_the_reference(keyset, txn):
     samples = sample_payloads(keyset)
     assert set(samples) == set(MsgKind)
     for kind, payload in samples.items():
         msg = ProtocolMessage(kind, eid("C0"), eid("M0"), txn, payload)
-        assert msg.signing_bytes() == _reference_signed_part(msg), kind
+        assert msg.signing_bytes() == ref.signed_part(msg), kind
         signed = sign_message(msg, keyset.customer_key)
-        assert signed.wire == signed.canonical_bytes(), kind
+        assert signed.wire == ref.whole(signed), kind
 
 
 def _payload_keys(obj) -> set:
@@ -238,7 +248,7 @@ def test_each_payload_type_has_the_key_set_of_its_json_form(keyset, txn):
     for kind, payload in sample_payloads(keyset).items():
         msg = ProtocolMessage(kind, eid("C0"), eid("M0"), txn, payload)
         assert m.PAYLOAD_KEYS[type(payload)] \
-            == _payload_keys(m.payload_dict(msg)), kind
+            == _payload_keys(ref.payload_dict(msg)), kind
 
 
 # Quotes, backslashes, control characters, non-ASCII text and the spelling
@@ -289,5 +299,5 @@ def _messages(kind: MsgKind):
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(msg=st.sampled_from(MsgKind).flatmap(_messages))
 def test_signing_bytes_equal_the_reference_whatever_the_fields(msg):
-    assert msg.signing_bytes() == _reference_signed_part(msg)
-    assert msg.wire == msg.canonical_bytes()
+    assert msg.signing_bytes() == ref.signed_part(msg)
+    assert msg.wire == ref.whole(msg)

@@ -31,6 +31,7 @@ from tset.simnet import (
     render_summary,
 )
 
+import reference_encoding as ref
 from conftest import basic_scenario, run_dict
 
 
@@ -101,8 +102,8 @@ def test_each_message_is_encoded_once_for_signing_and_once_whole(
     assert result.summary["tamper_reports"] == 1
     assert len(signing) == len(result.trace)
     assert len(set(map(id, signing))) == len(signing)
-    # The whole bytes are derived from the signed part; the reference
-    # encoding is never run.
+    # The whole bytes are derived from the signed part, kept as ``wire``;
+    # no delivery asks for canonical_bytes().
     assert whole == []
 
 
@@ -133,7 +134,7 @@ def test_every_delivered_message_has_the_reference_bytes():
     assert flags.count("mutated") == 2
     assert {"delayed", "replayed"} <= set(flags)
     for flag, msg in sim.delivered:
-        assert msg.wire == msg.canonical_bytes(), (flag, msg.kind)
+        assert msg.wire == ref.whole(msg), (flag, msg.kind)
 
 
 def test_each_certificate_is_checked_once_per_world(monkeypatch):

@@ -1,8 +1,10 @@
-"""Wire format, sealing, verification, and mint behavior.
+"""Sealed token format, sealing, verification, and mint behavior.
 
-The canonical byte layout is pinned twice: once against an independent
-struct.pack construction in the test and once against frozen golden values,
-so a change to either the framing or the certificate encoding fails loudly.
+The byte layout inside the sealed box is pinned twice: once against an
+independent struct.pack construction in the test and once against frozen
+golden values, so a change to either the framing or the certificate
+encoding fails loudly.  The plaintext is read by opening the box with
+crypto.open_box, and parsed back by resealing it and calling open_token.
 """
 
 import hashlib
@@ -15,15 +17,12 @@ from tset.rng import ByteStream
 from tset.tokens import (
     AlreadySettled,
     KeyMaterial,
-    MalformedBytes,
     RevokedToken,
     SealedToken,
     Token,
     TokenIdDecryptionFailure,
     TokenMint,
     UnknownTokenId,
-    canonical_deserialize,
-    canonical_serialize,
     new_key_material,
     seal_token,
     open_token,
@@ -31,70 +30,95 @@ from tset.tokens import (
 )
 
 # Frozen from the layout definition: seed-42 certificates, amount 15000,
-# token id 00..1f, timestamp 7.
-GOLDEN_WIRE_LEN = 256
+# token id 00..1f, timestamp 7, the keys of stream 99, sealed with stream 5.
+GOLDEN_WIRE_LEN = 288
 GOLDEN_WIRE_SHA256 = (
-    "0a419e1878fb398972c86b769e48c7a0f13a0f82e58a00c297abed9d1de98f59")
+    "8bc0bf2ce3393389776488774bd862ba7745d70f070da56d5e3f620a6fda52d7")
+_INNER_AAD = b"tset/token-id"
 
 
-def independent_wire(token: Token) -> bytes:
-    """Oracle: rebuild the documented layout without canonical_serialize."""
+@pytest.fixture()
+def keys():
+    return new_key_material(ByteStream(99))
+
+
+def sealed_plaintext(token: Token, keys: KeyMaterial) -> bytes:
+    """The bytes seal_token puts inside the box, sealing with stream 5."""
+    sealed = seal_token(token, keys, ByteStream(5))
+    return crypto.open_box(keys.box_key, keys.box_public, sealed.envelope)
+
+
+def reopen(plain: bytes, keys: KeyMaterial) -> Token:
+    """open_token of ``plain`` sealed to the bank's box key."""
+    blob = crypto.seal_box(keys.box_public, plain, ByteStream(6))
+    return open_token(SealedToken(blob), keys)
+
+
+def independent_wire(token: Token, keys: KeyMaterial) -> bytes:
+    """Oracle: rebuild the documented layout without the token codec.  The
+    id is encrypted with the first bytes of the sealing stream, as
+    seal_token does before it seals the box."""
+    inner = crypto.sym_encrypt(keys.symmetric_key, token.token_id,
+                               _INNER_AAD, ByteStream(5))
     cert_c = crypto.encode_certificate(token.cert_customer)
     cert_m = crypto.encode_certificate(token.cert_merchant)
     return (struct.pack(">Q", token.amount)
             + struct.pack(">I", len(cert_c)) + cert_c
             + struct.pack(">I", len(cert_m)) + cert_m
-            + token.token_id
+            + struct.pack(">I", len(inner)) + inner
             + struct.pack(">Q", token.timestamp))
 
 
-def test_wire_matches_independent_oracle(sample_token):
-    assert canonical_serialize(sample_token) == independent_wire(sample_token)
+def test_wire_matches_independent_oracle(sample_token, keys):
+    assert sealed_plaintext(sample_token, keys) \
+        == independent_wire(sample_token, keys)
 
 
-def test_wire_matches_golden_pin(sample_token):
-    wire = canonical_serialize(sample_token)
+def test_wire_matches_golden_pin(sample_token, keys):
+    wire = sealed_plaintext(sample_token, keys)
     assert len(wire) == GOLDEN_WIRE_LEN
     assert hashlib.sha256(wire).hexdigest() == GOLDEN_WIRE_SHA256
 
 
-def test_wire_field_positions(sample_token):
-    wire = canonical_serialize(sample_token)
+def test_wire_field_positions(sample_token, keys):
+    wire = sealed_plaintext(sample_token, keys)
     assert wire[:8] == struct.pack(">Q", 15000)
     (clen,) = struct.unpack_from(">I", wire, 8)
     assert clen == 100
     assert wire[-8:] == struct.pack(">Q", 7)
-    assert wire[-40:-8] == bytes(range(32))
+    # nonce, 32 encrypted id bytes and the tag, behind their length
+    assert wire[-72:-68] == struct.pack(">I", 60)
+    assert crypto.sym_decrypt(keys.symmetric_key, wire[-68:-8],
+                              _INNER_AAD) == bytes(range(32))
 
 
-def test_roundtrip(sample_token):
-    assert canonical_deserialize(canonical_serialize(sample_token)) \
-        == sample_token
+def test_roundtrip(sample_token, keys):
+    assert reopen(sealed_plaintext(sample_token, keys), keys) == sample_token
 
 
-def test_deserialize_rejects_truncation(sample_token):
-    wire = canonical_serialize(sample_token)
-    for cut in (0, 1, 7, 8, 11, 50, len(wire) - 1):
-        with pytest.raises(MalformedBytes):
-            canonical_deserialize(wire[:cut])
+def test_deserialize_rejects_truncation(sample_token, keys):
+    wire = sealed_plaintext(sample_token, keys)
+    for cut in (0, 1, 7, 8, 11, 50, 220, 223, len(wire) - 1):
+        with pytest.raises(crypto.DecryptionFailure):
+            reopen(wire[:cut], keys)
 
 
-def test_deserialize_rejects_trailing_bytes(sample_token):
-    with pytest.raises(MalformedBytes):
-        canonical_deserialize(canonical_serialize(sample_token) + b"\x00")
+def test_deserialize_rejects_trailing_bytes(sample_token, keys):
+    with pytest.raises(crypto.DecryptionFailure):
+        reopen(sealed_plaintext(sample_token, keys) + b"\x00", keys)
 
 
-def test_wire_never_silently_absorbs_a_bit_flip(sample_token):
-    """Flipping any single bit either fails to parse or yields a token that
+def test_wire_never_silently_absorbs_a_bit_flip(sample_token, keys):
+    """Flipping any single bit either fails to open or yields a token that
     compares unequal; no flip can round-trip back to the original."""
-    wire = canonical_serialize(sample_token)
+    wire = sealed_plaintext(sample_token, keys)
     for byte in range(len(wire)):
         for bit in range(8):
             mutated = bytearray(wire)
             mutated[byte] ^= 1 << bit
             try:
-                token = canonical_deserialize(bytes(mutated))
-            except MalformedBytes:
+                token = reopen(bytes(mutated), keys)
+            except (crypto.DecryptionFailure, TokenIdDecryptionFailure):
                 continue
             assert token != sample_token, (byte, bit)
             assert verify_token(token, sample_token)
@@ -119,11 +143,6 @@ def test_sealed_token_rejects_short_envelope():
 
 
 # -- sealing ------------------------------------------------------------------
-
-@pytest.fixture()
-def keys():
-    return new_key_material(ByteStream(99))
-
 
 def test_seal_open_roundtrip(sample_token, keys):
     sealed = seal_token(sample_token, keys, ByteStream(5))
