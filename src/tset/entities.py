@@ -251,6 +251,15 @@ START_PHASE = {
     m.Role.TTP: TP.NEW,
 }
 
+# The phases in which a role is done with a purchase.
+TERMINAL = {
+    m.Role.CUSTOMER: {CP.DONE, CP.ABORTED},
+    m.Role.MERCHANT: {MP.DONE, MP.ABORTED},
+    m.Role.CUSTOMER_BANK: {IP.SETTLED, IP.CANCELLED},
+    m.Role.MERCHANT_BANK: {AP.SETTLED, AP.ABORTED},
+    m.Role.TTP: {TP.SETTLED, TP.ABORTED, TP.EXPIRED},
+}
+
 
 # ---------------------------------------------------------------------------
 # Customer decision policy

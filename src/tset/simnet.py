@@ -15,9 +15,8 @@ than now.  A popped timer entry whose tick no longer equals
 ``timer_due(k)`` is stale and dropped; it neither moves the clock nor
 counts against the tick limit.  A timer its entity refuses to fire (no
 ``Timer`` row in its phase) stays due at the tick it was refused at, so it
-is not queued again: like a refused message, it is dropped.  The run ends
-quiescent, with no message in flight and no timer armed, unless the next
-live event lies past the tick limit.
+is not queued again: like a refused message, it is dropped.  A run is
+quiescent when no event is left at or before the tick limit.
 
 The adversary script is immutable input, shared by every world built
 from one scenario.  A run keeps, for each message kind, the match counts
@@ -40,9 +39,9 @@ An invariant monitor audits the books after every delivery: total funds
 settles twice for value, and messages never carry data their receiver must
 not see (bank secrets and account numbers stay out of commerce traffic,
 order contents stay away from the issuing bank).  The payload's key set
-depends only on its type (messages.PAYLOAD_KEYS).  The bytes of every message not bound for the issuing bank are
-scanned for the two bank secrets, and for the account numbers only when
-their common prefix occurs.
+depends only on its type (messages.PAYLOAD_KEYS).  The bytes of every
+message not bound for the issuing bank are scanned for the two bank
+secrets, and for the account numbers only when their common prefix occurs.
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import messages as m
-from .entities import (ArbiterPhase as TP, Customer, CustomerBank, Entity,
-                       MerchantBank, Ttp)
+from .entities import (TERMINAL, ArbiterPhase as TP, Customer, CustomerBank,
+                       Entity, IssuerPhase as IP, MerchantBank, Ttp)
 from .ledger import Ledger
 from .messages import MsgKind, ProtocolMessage
 from .tokens import SealedToken
@@ -270,7 +269,6 @@ class Simulation:
         self._queued_timers: set = set()
         self._seq = 0
         self._now = 0
-        self._attempted = 0
 
     # -- scheduling ----------------------------------------------------------
 
@@ -350,7 +348,6 @@ class Simulation:
     def run(self) -> RunResult:
         for tick, customer_id, intent in self.world.plan:
             self._push(tick, ("begin", customer_id, intent))
-        tick_limit_exceeded = False
 
         while self._heap:
             entry = heapq.heappop(self._heap)
@@ -361,8 +358,7 @@ class Simulation:
                 if entity.timer_due(key) != tick:
                     continue                    # re-armed or cleared: stale
             if tick > self.world.tick_limit:
-                tick_limit_exceeded = True
-                break
+                return self._result(quiescent=False)
             self._now = tick
             if is_timer:
                 self._apply_result(entity.fire_timer(key, tick), tick)
@@ -372,41 +368,38 @@ class Simulation:
             if what == "deliver":
                 self._deliver(subject, detail, tick)
             else:
-                self._attempted += 1
                 customer = self.world.customers[subject]
                 self._apply_result(customer.begin_purchase(detail), tick)
 
-        return self._result(tick_limit_exceeded)
+        return self._result(quiescent=True)
 
     # -- reporting ---------------------------------------------------------
 
-    def _result(self, tick_limit_exceeded: bool) -> RunResult:
+    def _result(self, quiescent: bool) -> RunResult:
         world = self.world
-        ttp_phases = [world.ttp.phases.get(key, TP.NEW)
-                      for key in world.ttp.txns]
-        aborted = sum(1 for p in ttp_phases if p is TP.ABORTED)
-        expired = sum(1 for p in ttp_phases if p is TP.EXPIRED)
-        completed = len(world.cb.settled_amounts)
+        # A purchase the customer began is unresolved while some party holds
+        # it in a non-terminal phase, else completed if the issuer settled it.
+        begun = {txn for c in world.customers.values() for txn in c.phases}
+        unresolved = begun & {txn for entity in world.entities.values()
+                              for txn, phase in entity.phases.items()
+                              if phase not in TERMINAL[entity.role]}
+        ended = [world.cb.phases.get(txn) for txn in begun - unresolved]
         summary = {
             "seed": world.seed,
             "ticks": self._now,
-            "quiescent": not tick_limit_exceeded,
-            "tick_limit_exceeded": tick_limit_exceeded,
-            "txns_attempted": self._attempted,
-            "txns_completed": completed,
-            "txns_aborted": aborted,
-            "txns_expired": expired,
-            "txns_unresolved": max(
-                0, self._attempted - completed - aborted - expired),
-            "settlements": completed,
+            "quiescent": quiescent,
+            "txns_attempted": len(begun),
+            "txns_completed": ended.count(IP.SETTLED),
+            "txns_aborted": len(ended) - ended.count(IP.SETTLED),
+            "txns_unresolved": len(unresolved),
             "replay_refusals": world.cb.replay_refusals,
             "tamper_reports": world.cb.tamper_reports,
-            # The arbiter logs Regenerate where it counts regen_count, and
-            # DeadlineExpired only as it moves a purchase to Expired, which
-            # has no Timer row.
+            # The arbiter logs Regenerate as it counts one, and DeadlineExpired
+            # once per purchase, as it moves the purchase to Expired.
             "regenerations": sum(st.regen_count
                                  for st in world.ttp.txns.values()),
-            "deadline_expiries": expired,
+            "deadline_expiries": sum(1 for phase in world.ttp.phases.values()
+                                     if phase is TP.EXPIRED),
             "protocol_violations": len(self.violations),
             "invariant_failures": len(self.monitor.failures),
             "initial_account_total": self.monitor.initial_total,
@@ -419,7 +412,7 @@ class Simulation:
             trace=self.trace, summary=summary, violations=self.violations,
             invariant_failures=self.monitor.failures,
             ledger=world.ttp.ledger, trust=world.ttp.trust, world=world,
-            quiescent=not tick_limit_exceeded)
+            quiescent=quiescent)
 
 
 def render_summary(summary: dict) -> str:

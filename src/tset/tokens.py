@@ -264,9 +264,6 @@ class TokenMint:
     def revoke(self, token_id: bytes) -> None:
         self._revoked.add(token_id)
 
-    def is_settled(self, token_id: bytes) -> bool:
-        return token_id in self._settled
-
     @property
     def issued_count(self) -> int:
         return len(self._duplicates)

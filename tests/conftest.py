@@ -94,3 +94,15 @@ def basic_scenario(**overrides) -> dict:
     data["merchants"] = [dict(m) for m in BASIC_SCENARIO["merchants"]]
     data.update(overrides)
     return data
+
+
+# The members of the five phase enums in which a party is done with a
+# purchase; each name means the same in every enum that has it.
+ENDED = {"Done", "Aborted", "Settled", "Cancelled", "Expired"}
+
+
+def stranded(world) -> set:
+    """Purchases some entity holds in a phase that is not an end."""
+    return {txn for entity in world.entities.values()
+            for txn, phase in entity.phases.items()
+            if phase.value not in ENDED}

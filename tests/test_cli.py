@@ -81,7 +81,7 @@ def test_ticks_override_truncates(scenario_file, tmp_path, capsys):
     code = main(["run", str(scenario_file), "--ticks", "3",
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_OK
-    assert "tick_limit_exceeded: True" in capsys.readouterr().out
+    assert "quiescent: False" in capsys.readouterr().out
 
 
 def test_run_scenario_overrides_win(scenario_file, tmp_path):

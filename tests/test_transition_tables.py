@@ -11,6 +11,7 @@ from pathlib import Path
 
 from tset.entities import (
     START_PHASE,
+    TERMINAL,
     TRANSITION_TABLES,
     Entity,
     Internal,
@@ -45,6 +46,9 @@ A stale row absorbs late or duplicate traffic: the entity emits nothing,
 stays in its phase and does not run its handler.
 A handler whose next phase or emission its row does not list is refused
 the same way as a peer: the phase stays and the emissions are dropped.
+The terminal phases, from `tset.entities.TERMINAL`, are those in which
+the role is done with a purchase; the run summary counts a purchase as
+unresolved while any party holds it in another phase.
 """
 
 
@@ -58,8 +62,10 @@ def render_tables() -> str:
     for role, table in TRANSITION_TABLES.items():
         start = START_PHASE[role]
         order = list(type(start))
+        terminal = sorted(TERMINAL[role], key=order.index)
         out.append(f"\n## {TITLES[role]} `{role.value}`  "
-                   f"(start phase: `{start.value}`)\n\n")
+                   f"(start phase: `{start.value}`; terminal: "
+                   f"{', '.join(f'`{p.value}`' for p in terminal)})\n\n")
         out.append("| phase | on | may move to | may emit | stale |\n")
         out.append("|---|---|---|---|---|\n")
         rows = sorted(table.items(), key=lambda row: order.index(row[0][0]))
@@ -112,6 +118,16 @@ def test_no_emission_without_transition_rule():
                 assert type(kind) is MsgKind, (phase, kind)
                 assert (rule.next, rule.emits) == ((phase,), ()), \
                     (phase, kind)
+
+
+def test_terminal_phases_are_not_start_and_have_no_timer():
+    assert set(TERMINAL) == set(Role)
+    for role, table in TRANSITION_TABLES.items():
+        timed = {phase for phase, kind in table if kind is Internal.TIMER}
+        for phase in TERMINAL[role]:
+            assert isinstance(phase, type(START_PHASE[role])), (role, phase)
+            assert phase is not START_PHASE[role], role
+            assert phase not in timed, (role, phase)
 
 
 def test_begin_rows_only_for_the_customer():
