@@ -1,4 +1,5 @@
-"""Signatures, certificates, and the two encryption primitives.
+"""Signatures, certificates, the two encryption primitives, and the helper
+process that verifies hop signatures.
 
 Certificates are a minimal in-model PKI: one root signing key per run signs
 (subject, public key) pairs, and every entity checks certificates against
@@ -11,10 +12,26 @@ Asymmetric sealing is hybrid: an ephemeral X25519 exchange feeds HKDF-SHA256,
 and the derived key runs AES-256-GCM.  Both the hybrid and the plain
 symmetric primitive are authenticated, so any bit flip in a sealed blob
 fails the tag check.
+
+An Ed25519 verification holds the GIL, so a second thread cannot overlap
+one; a second process can.  The simulator sends the hop signature of a
+delivery it queues behind others to ``helper()``, one process forked per
+process on first use, which verifies it while the simulator works through
+the deliveries ahead of it.  A ``SignatureCheck`` names the exact key,
+signature and signed bytes its verdict is about, and
+``CertificateChecks.signed`` uses that verdict only for those bytes; every
+other signature is verified in the calling process.  The helper is never
+asked for a verdict twice and keeps nothing between checks.  If it dies,
+the verdicts it owes raise ``HelperLost``: none is read as a bad signature.
 """
 
 from __future__ import annotations
 
+import atexit
+import collections
+import gc
+import os
+import signal
 import struct
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -123,14 +140,18 @@ class CertificateChecks:
     certificate is verified the first time it is presented; a forged or
     altered one is a different value and is verified (and refused) in turn.
     Only the certificate check and the parsing of its key are kept: a
-    signature made with the key is verified on every call.  One instance
-    serves one world: what it keeps is bounded by the certificates that
-    world sees.
+    signature made with the key is verified on every call, inline or, when
+    the simulator offered the helper's check of those very bytes, by the
+    helper.  One instance serves one world: what it keeps is bounded by
+    the certificates that world sees.
     """
 
     def __init__(self, root_public: bytes):
         self.root_public = root_public
         self._keys: dict[Certificate, Ed25519PublicKey | None] = {}
+        # The helper's check of the delivery in hand, if it was sent one;
+        # the simulator sets it, and ``signed`` takes it.
+        self.offered: SignatureCheck | None = None
 
     def key(self, cert: Certificate) -> Ed25519PublicKey | None:
         """The subject's loaded key if ``cert`` is root-signed, else None."""
@@ -144,6 +165,21 @@ class CertificateChecks:
 
     def valid(self, cert: Certificate) -> bool:
         return self.key(cert) is not None
+
+    def signed(self, cert: Certificate, signature: bytes,
+               data: bytes) -> bool:
+        """Whether ``cert`` is root-signed and ``signature`` over ``data``
+        verifies under its key.  The offered check's verdict answers only
+        for the very key, signature and bytes it was sent; anything else
+        is verified here."""
+        check, self.offered = self.offered, None
+        key = self.key(cert)
+        if key is None:
+            return False
+        if check is not None and check.covers(cert.public_key, signature,
+                                              data):
+            return check.valid()
+        return verify(key, signature, data)
 
 
 def encode_certificate(cert: Certificate) -> bytes:
@@ -232,3 +268,261 @@ def open_box(recipient: X25519PrivateKey, recipient_public: bytes,
         return AESGCM(key).decrypt(nonce, ct, eph_pub)
     except InvalidTag as exc:
         raise DecryptionFailure("authentication tag mismatch") from exc
+
+
+# ---------------------------------------------------------------------------
+# The helper process that verifies hop signatures
+#
+# One pipe carries length-framed batches of checks: [4B length] followed
+# by, per check, [32B public key][2B signature length][4B data length]
+# [signature][data].  The other carries one byte per verification the
+# helper made, in the order of the checks: 1 if the signature verifies,
+# 0 if it does not.
+
+_LENGTH = struct.Struct(">I")
+_CHECK = struct.Struct(">HI")
+# The answers owed at any time fit in the smallest pipe buffer, one page:
+# the helper never waits to write an answer, so it always reads on, and a
+# batch being sent is always taken.
+_ANSWER_ROOM = 4096
+
+
+class HelperLost(RuntimeError):
+    """The helper process died or broke its framing.  The verdicts it owes
+    are lost; none is read as a bad signature."""
+
+
+class SignatureCheck:
+    """One signature sent to the helper: the raw public key, signature and
+    signed bytes its verdict is about, and that verdict once it is in."""
+
+    __slots__ = ("public_key", "signature", "data", "verdict", "_helper")
+
+    def __init__(self, helper: "Helper", public_key: bytes, signature: bytes,
+                 data: bytes):
+        self._helper = helper
+        self.public_key = public_key
+        self.signature = signature
+        self.data = data
+        self.verdict: bool | None = None
+
+    def covers(self, public_key: bytes, signature: bytes,
+               data: bytes) -> bool:
+        return (data == self.data and signature == self.signature
+                and public_key == self.public_key)
+
+    def valid(self) -> bool:
+        """The helper's verdict, waited for if it is not in yet."""
+        return self._helper.verdict(self)
+
+
+def _read(fd: int, size: int) -> bytes:
+    """``size`` bytes from ``fd``, fewer only at end of file."""
+    parts = []
+    while size:
+        part = os.read(fd, size)
+        if not part:
+            break
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _write(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _serve(checks: int, answers: int) -> None:
+    """The helper's loop: answer every batch, until the pipe of checks
+    closes."""
+    while True:
+        head = _read(checks, _LENGTH.size)
+        if len(head) < _LENGTH.size:
+            return
+        (size,) = _LENGTH.unpack(head)
+        batch = _read(checks, size)
+        verdicts = bytearray()
+        at = 0
+        while at < len(batch):
+            key = batch[at:at + 32]
+            sig_len, data_len = _CHECK.unpack_from(batch, at + 32)
+            at += 32 + _CHECK.size
+            signature = batch[at:at + sig_len]
+            data = batch[at + sig_len:at + sig_len + data_len]
+            at += sig_len + data_len
+            try:
+                load_public_key(key).verify(signature, data)
+                verdicts.append(1)
+            except InvalidSignature:
+                verdicts.append(0)
+        _write(answers, verdicts)
+
+
+def _keep_only(*fds: int) -> None:
+    """Close every file descriptor but ``fds``."""
+    start = 0
+    for fd in sorted(fds):
+        os.closerange(start, fd)
+        start = fd + 1
+    os.closerange(start, os.sysconf("SC_OPEN_MAX"))
+
+
+def _reap(pid: int):
+    """The exit status of child ``pid``, waited for; None if it was
+    already reaped."""
+    try:
+        return os.waitpid(pid, 0)[1]
+    except ChildProcessError:
+        return None
+
+
+class Helper:
+    """A forked process that verifies batches of Ed25519 signatures.
+
+    ``check`` queues one verification, ``flush`` sends the queued ones as a
+    batch, and a check's ``valid()`` reads answers, which come in the order
+    of the checks, until its own is in.  One thread uses it at a time.
+    The helper keeps only stderr and its ends of the two pipes, ignores
+    SIGINT, and exits when the pipe of checks reaches end of file, so it
+    cannot outlive this process."""
+
+    def __init__(self):
+        checks_in, self._checks = os.pipe()
+        self._answers, answers_out = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (checks_in, self._checks, self._answers, answers_out):
+                os.close(fd)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                gc.disable()    # its collections would copy the whole heap
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                _keep_only(2, checks_in, answers_out)
+                _serve(checks_in, answers_out)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(checks_in)
+        os.close(answers_out)
+        self.pid = pid
+        # Verifications the helper reported making, summed over answers.
+        self.verified = 0
+        # Why this end no longer talks to the helper; None while it does.
+        self.lost: str | None = None
+        self._unsent: list[SignatureCheck] = []
+        self._sent: collections.deque = collections.deque()  # unanswered
+
+    def check(self, public_key: bytes, signature: bytes,
+              data: bytes) -> SignatureCheck:
+        """Queue the verification of ``signature`` over ``data`` under the
+        raw Ed25519 ``public_key``."""
+        check = SignatureCheck(self, public_key, signature, data)
+        self._unsent.append(check)
+        if len(self._unsent) == _ANSWER_ROOM:
+            self.flush()
+        return check
+
+    def flush(self) -> None:
+        """Send the queued checks as one batch."""
+        if not self._unsent:
+            return
+        self._talking()
+        batch, self._unsent = self._unsent, []
+        while len(self._sent) + len(batch) > _ANSWER_ROOM:
+            self._collect()
+        parts = []
+        for c in batch:
+            parts += (c.public_key, _CHECK.pack(len(c.signature), len(c.data)),
+                      c.signature, c.data)
+        body = b"".join(parts)
+        self._sent += batch
+        try:
+            _write(self._checks, _LENGTH.pack(len(body)) + body)
+        except OSError as exc:
+            self._fail(f"took no checks ({exc})")
+
+    def verdict(self, check: SignatureCheck) -> bool:
+        self.flush()
+        while check.verdict is None:
+            self._collect()
+        return check.verdict
+
+    def drain(self) -> None:
+        """Wait for the verdict of every check queued so far."""
+        if self.lost is None:
+            self.flush()
+            while self._sent:
+                self._collect()
+
+    def _collect(self) -> None:
+        """Wait for answers, and give each to the oldest unanswered check."""
+        self._talking()
+        verdicts = os.read(self._answers, _ANSWER_ROOM)
+        if not verdicts:
+            self._fail("closed its pipe")
+        if len(verdicts) > len(self._sent) or not set(verdicts) <= {0, 1}:
+            self._fail(f"answered {len(self._sent)} checks with {verdicts!r}")
+        self.verified += len(verdicts)
+        for verdict in verdicts:
+            self._sent.popleft().verdict = verdict == 1
+
+    def _talking(self) -> None:
+        """Raise HelperLost unless this end still talks to the helper: a
+        closed pipe's descriptor may name another file by now."""
+        if self.lost is not None:
+            raise HelperLost(f"signature helper {self.pid}: {self.lost}")
+
+    def _shut(self, reason: str) -> None:
+        """Close this process's ends of the pipes."""
+        if self.lost is None:
+            self.lost = reason
+            os.close(self._checks)
+            os.close(self._answers)
+
+    def close(self) -> None:
+        """Stop the helper: it reads end of file, exits, and is reaped."""
+        if self.lost is None:
+            self._shut("closed")
+            _reap(self.pid)
+
+    def _fail(self, what: str) -> None:
+        self._shut(what)
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        raise HelperLost(f"signature helper {self.pid} {what}; exit status "
+                         f"{_reap(self.pid)}")
+
+
+_helper: Helper | None = None
+
+
+def helper() -> Helper:
+    """This process's helper, started on first use and after a loss."""
+    global _helper
+    if _helper is None or _helper.lost is not None:
+        _helper = Helper()
+    return _helper
+
+
+def _disown_helper() -> None:
+    """In a forked child: close the copies of the parent's pipes, so that
+    the child starts its own helper and the parent's sees end of file when
+    the parent exits."""
+    if _helper is not None:
+        _helper._shut("belongs to the parent process")
+
+
+def _close_helper() -> None:
+    if _helper is not None:
+        _helper.close()
+
+
+os.register_at_fork(after_in_child=_disown_helper)
+atexit.register(_close_helper)

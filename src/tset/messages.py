@@ -7,12 +7,20 @@ issuing bank through its own two encryption layers, and hop signatures must
 not turn intermediaries into tamper oracles.  A mutated envelope therefore
 travels to the bank, where detection (and the tamper report) belongs.
 
-The hop signature is checked on every delivery.  The sender's certificate
-is checked against the root key once per world (crypto.CertificateChecks):
-a certificate never changes, so a second check could only repeat the first.
-That check keeps the certificate's loaded public key, and the hop signature
-is verified against it: the key is parsed once per world, the signature
-every time.
+The hop signature is checked on every delivery, by the receiver's
+Entity.step through verify_message, in the simulator's process.  The
+sender's certificate is checked against the root key once per world
+(crypto.CertificateChecks): a certificate never changes, so a second check
+could only repeat the first.  That check keeps the certificate's loaded
+public key, and the hop signature is verified against it: the key is parsed
+once per world, the signature every time.  The Ed25519 verification itself
+runs in one of two places.  For a delivery the simulator queued behind
+others, it ran in the helper process (crypto.helper) while the deliveries
+ahead were made, and verify_message takes that verdict, which answers for
+the exact key, signature and signed part it was computed on and nothing
+else.  Every other signature is verified inline.  The subject match, the
+certificate check and the BadSignature refusal stay in the simulator's
+process either way.
 
 A message is frozen, so its encodings are built once and kept for the
 signature check, the trace digest and the privacy monitor.  Both are
@@ -465,9 +473,8 @@ def verify_message(msg: ProtocolMessage, sender_cert: Certificate,
                    certs: crypto.CertificateChecks) -> bool:
     """The certificate names the sender and is root-signed (checked once per
     world, which keeps its loaded key), and the hop signature verifies
-    against that key (checked on every call)."""
+    against that key (checked on every call: here, or by the helper process
+    when the simulator sent it these very bytes)."""
     if str(msg.sender) != sender_cert.subject:
         return False
-    key = certs.key(sender_cert)
-    return key is not None and crypto.verify(key, msg.signature,
-                                             msg.signed_part)
+    return certs.signed(sender_cert, msg.signature, msg.signed_part)

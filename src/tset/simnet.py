@@ -18,6 +18,20 @@ counts against the tick limit.  A timer its entity refuses to fire (no
 is not queued again: like a refused message, it is dropped.  A run is
 quiescent when no event is left at or before the tick limit.
 
+Every delivery's hop signature is verified before its receiver acts on
+it (messages.verify_message).  A delivery queued while at least two other
+deliveries are queued sends its Ed25519 check, the key its receiver knows
+the sender by, the signature and the signed part, to the process's helper
+(crypto.helper) as it is queued.  The checks an event queued go out as one
+batch before the next event, so the helper verifies them while the
+deliveries ahead are made; at delivery the receiver uses that verdict if it
+covers the very bytes delivered, and verifies inline otherwise, as it does
+every delivery that was queued behind fewer.  Each queued delivery gets its own
+check, a replay's included, and the checks of deliveries the tick limit
+cuts off are waited for when the run ends.  The verdicts, like every
+verification, are deterministic, so where a signature is verified never
+changes a run's outputs.
+
 The adversary script is immutable input, shared by every world built
 from one scenario.  A run keeps, for each message kind, the match counts
 of the unfired actions that can want that kind, in script order; an
@@ -52,7 +66,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import messages as m
+from . import crypto, messages as m
 from .entities import (TERMINAL, ArbiterPhase as TP, Customer, CustomerBank,
                        Entity, IssuerPhase as IP, MerchantBank, Ttp)
 from .ledger import Ledger
@@ -76,6 +90,14 @@ class ActionKind(str, Enum):
 
 _TOKEN_ACTIONS = (ActionKind.FLIP_BITS, ActionKind.REPLACE_AMOUNT,
                   ActionKind.REPLAY_TOKEN)
+
+# A delivery's check goes to the helper process when at least this many
+# deliveries are queued as it is.  The work of one delivery ahead does not
+# cover the helper's verification and the two processes' wake-ups: the
+# one-purchase worlds of a tamper sweep ran slower with checks sent behind
+# a single delivery than with none sent.  They never queue a delivery
+# behind two, so they verify every signature inline and start no helper.
+_HELPER_AFTER = 2
 
 
 @dataclass(frozen=True)
@@ -269,6 +291,9 @@ class Simulation:
         self._queued_timers: set = set()
         self._seq = 0
         self._now = 0
+        self._deliveries = 0        # deliveries in the heap
+        self._helper: crypto.Helper | None = None
+        self._in_hand: crypto.SignatureCheck | None = None
 
     # -- scheduling ----------------------------------------------------------
 
@@ -282,6 +307,29 @@ class Simulation:
                 and timer not in self._queued_timers):
             self._queued_timers.add(timer)
             heapq.heappush(self._heap, timer)
+
+    def _queue(self, tick: int, msg: ProtocolMessage, flag: str) -> None:
+        """Queue a delivery.  Behind enough queued deliveries, its hop
+        signature goes to the helper process, which verifies it while the
+        deliveries ahead of it are made."""
+        check = (self._check_later(msg)
+                 if self._deliveries >= _HELPER_AFTER else None)
+        self._deliveries += 1
+        self._push(tick, ("deliver", msg, flag, check))
+
+    def _check_later(self,
+                     msg: ProtocolMessage) -> crypto.SignatureCheck | None:
+        """The helper's check of ``msg``'s signature under the key its
+        receiver knows the sender by; None if there is no such key."""
+        receiver = self.world.entities.get(str(msg.receiver))
+        cert = (None if receiver is None
+                else receiver.directory.get(str(msg.sender)))
+        if cert is None:
+            return None
+        if self._helper is None:
+            self._helper = crypto.helper()
+        return self._helper.check(cert.public_key, msg.signature,
+                                  msg.signed_part)
 
     def _record(self, tick: int, msg: ProtocolMessage, flag: str) -> None:
         self.trace.append(TraceRecord(tick, str(msg.sender),
@@ -303,12 +351,11 @@ class Simulation:
                 deliver_at += action.delay
                 flag = "delayed"
             elif action.kind is ActionKind.REPLAY_TOKEN:
-                self._push(deliver_at + action.delay, ("deliver", msg,
-                                                       "replayed"))
+                self._queue(deliver_at + action.delay, msg, "replayed")
             else:
                 msg = _mutate_sealed(msg, action)
                 flag = "mutated"
-        self._push(deliver_at, ("deliver", msg, flag))
+        self._queue(deliver_at, msg, flag)
 
     def _fired_by(self, msg: ProtocolMessage) -> AdversaryAction | None:
         """Counts ``msg`` toward the unfired actions that want it, in script
@@ -338,6 +385,7 @@ class Simulation:
         if receiver is None:
             self.violations.append(f"NoSuchEntity:{msg.receiver}")
             return
+        receiver.certs.offered = self._in_hand
         result = receiver.step(msg, now)
         self._apply_result(result, now)
         self._arm(receiver, str(msg.txn))
@@ -347,29 +395,37 @@ class Simulation:
 
     def run(self) -> RunResult:
         for tick, customer_id, intent in self.world.plan:
-            self._push(tick, ("begin", customer_id, intent))
+            self._push(tick, ("begin", customer_id, intent, None))
 
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            tick, is_timer = entry[0], entry[1]
-            if is_timer:
-                self._queued_timers.discard(entry)
-                entity, key = self.world.entities[entry[2]], entry[3]
-                if entity.timer_due(key) != tick:
-                    continue                    # re-armed or cleared: stale
-            if tick > self.world.tick_limit:
-                return self._result(quiescent=False)
-            self._now = tick
-            if is_timer:
-                self._apply_result(entity.fire_timer(key, tick), tick)
-                self._arm(entity, key)
-                continue
-            what, subject, detail = entry[3]
-            if what == "deliver":
-                self._deliver(subject, detail, tick)
-            else:
-                customer = self.world.customers[subject]
-                self._apply_result(customer.begin_purchase(detail), tick)
+        try:
+            while self._heap:
+                if self._helper is not None:
+                    self._helper.flush()    # the checks the last event sent
+                entry = heapq.heappop(self._heap)
+                tick, is_timer = entry[0], entry[1]
+                if is_timer:
+                    self._queued_timers.discard(entry)
+                    entity, key = self.world.entities[entry[2]], entry[3]
+                    if entity.timer_due(key) != tick:
+                        continue                # re-armed or cleared: stale
+                if tick > self.world.tick_limit:
+                    return self._result(quiescent=False)
+                self._now = tick
+                if is_timer:
+                    self._apply_result(entity.fire_timer(key, tick), tick)
+                    self._arm(entity, key)
+                    continue
+                what, subject, detail, self._in_hand = entry[3]
+                if what == "deliver":
+                    self._deliveries -= 1
+                    self._deliver(subject, detail, tick)
+                else:
+                    customer = self.world.customers[subject]
+                    self._apply_result(customer.begin_purchase(detail), tick)
+        finally:
+            # Checks whose deliveries the tick limit cut off, among others.
+            if self._helper is not None:
+                self._helper.drain()
 
         return self._result(quiescent=True)
 

@@ -1,0 +1,234 @@
+"""The helper process that verifies hop signatures: its verdicts and its
+lifetime."""
+
+import dataclasses
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from tset import crypto
+from tset.scenario import build_world, load_scenario
+from tset.simnet import Simulation, export_trace
+
+ROOT = Path(__file__).resolve().parents[1]
+# Overlapping purchases: most deliveries are queued behind others.
+MIXED = ROOT / "scenarios" / "mixed.yaml"
+
+
+def mixed_world():
+    return build_world(load_scenario(MIXED))
+
+
+def _inline_signatures(monkeypatch) -> list:
+    """The signatures that crypto.verify checks from now on."""
+    seen = []
+    real = crypto.verify
+
+    def recorded(key, signature, data):
+        seen.append(signature)
+        return real(key, signature, data)
+
+    monkeypatch.setattr(crypto, "verify", recorded)
+    return seen
+
+
+# -- verdicts ----------------------------------------------------------------
+
+def test_the_helper_answers_each_check_for_its_own_bytes(keyset):
+    data = b"signed part"
+    good = crypto.sign(keyset.customer_key, data)
+    bad = bytes([good[0] ^ 1]) + good[1:]
+    helper = crypto.helper()
+    before = helper.verified
+    key = keyset.cert_customer.public_key
+    checks = [helper.check(key, good, data), helper.check(key, bad, data),
+              helper.check(key, good, data + b"!"),
+              helper.check(keyset.cert_merchant.public_key, good, data),
+              helper.check(key, b"", data)]
+    assert [c.valid() for c in checks] == [True, False, False, False, False]
+    assert helper.verified - before == len(checks)
+    assert checks[0].covers(key, good, data)
+    assert not checks[0].covers(key, good, data + b"!")
+    assert not checks[0].covers(key, bad, data)
+    assert not checks[0].covers(keyset.cert_merchant.public_key, good, data)
+
+
+def test_a_check_of_other_bytes_is_verified_inline(keyset, monkeypatch):
+    data = b"signed part"
+    good = crypto.sign(keyset.customer_key, data)
+    bad = bytes([good[0] ^ 1]) + good[1:]
+    certs = crypto.CertificateChecks(keyset.root_public)
+    cert = keyset.cert_customer
+    inline = _inline_signatures(monkeypatch)
+    # The offered verdict is for the good signature; the bad one is
+    # verified here, and refused.
+    certs.offered = crypto.helper().check(cert.public_key, good, data)
+    assert not certs.signed(cert, bad, data)
+    assert certs.offered is None
+    # The offered verdict for the bad signature answers for it alone.
+    certs.offered = crypto.helper().check(cert.public_key, bad, data)
+    assert not certs.signed(cert, bad, data)
+    assert certs.signed(cert, good, data)
+    assert inline.count(bad) == 1 and inline.count(good) == 1
+
+
+class _Forging(Simulation):
+    """Flips one bit of the signature of the ``nth`` message sent, and
+    notes each refusal with the trace position of its delivery."""
+
+    def __init__(self, world, nth: int):
+        super().__init__(world)
+        self.nth = nth
+        self.sent = 0
+        self.forged = None
+        self.refused = []
+
+    def send(self, msg, now):
+        self.sent += 1
+        if self.sent == self.nth:
+            flipped = bytearray(msg.signature)
+            flipped[0] ^= 0x01
+            msg = self.forged = dataclasses.replace(
+                msg, signature=bytes(flipped))
+        super().send(msg, now)
+
+    def _deliver(self, msg, flag, now):
+        before = len(self.violations)
+        super()._deliver(msg, flag, now)
+        self.refused += [(len(self.trace) - 1, violation)
+                         for violation in self.violations[before:]]
+
+
+@pytest.mark.parametrize("nth", [12, 30])
+def test_a_forged_signature_on_the_helper_path_is_refused_as_inline(
+        monkeypatch, nth):
+    inline = _inline_signatures(monkeypatch)
+    offloaded = _Forging(mixed_world(), nth)
+    result = offloaded.run()
+    # Other deliveries were queued when the forged one was, so its
+    # signature went to the helper and was never verified here.
+    assert offloaded.forged.signature not in inline
+    forged = offloaded.forged
+    refusal = (f"BadSignature:{forged.kind.value}:{forged.sender}"
+               f"->{forged.receiver}")
+    assert refusal in [violation for _, violation in offloaded.refused]
+
+    monkeypatch.setattr(Simulation, "_check_later", lambda self, msg: None)
+    reference = _Forging(mixed_world(), nth)
+    expected = reference.run()
+    assert reference.forged.signature in inline
+    assert offloaded.refused == reference.refused
+    assert export_trace(result.trace) == export_trace(expected.trace)
+    assert result.summary == expected.summary
+
+
+# -- lifetime ----------------------------------------------------------------
+
+class _KillingHelper(Simulation):
+    """Kills the helper process before its ``at``-th delivery."""
+
+    def __init__(self, world, at: int):
+        super().__init__(world)
+        self.at = at
+
+    def _deliver(self, msg, flag, now):
+        if len(self.trace) == self.at:
+            os.kill(crypto.helper().pid, signal.SIGKILL)
+        super()._deliver(msg, flag, now)
+
+
+def test_a_dead_helper_fails_the_run_and_refuses_no_signature():
+    expected = Simulation(mixed_world()).run()
+    dead = crypto.helper()
+    sim = _KillingHelper(mixed_world(), at=10)
+    with pytest.raises(crypto.HelperLost):
+        sim.run()
+    assert not [v for v in sim.violations if v.startswith("BadSignature")]
+    assert dead.lost is not None
+    # The next run starts a new helper and is whole.
+    result = Simulation(mixed_world()).run()
+    assert crypto.helper().pid != dead.pid
+    assert export_trace(result.trace) == export_trace(expected.trace)
+    assert result.summary == expected.summary
+
+
+def _session(sid: int) -> list[int]:
+    """The pids of the processes in session ``sid``, zombies included."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                stat = (entry / "stat").read_text()
+            except OSError:
+                continue        # it exited while we looked
+            if int(stat.rpartition(")")[2].split()[3]) == sid:
+                pids.append(int(entry.name))
+    return pids
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads the process table from /proc")
+def test_a_cli_run_leaves_no_helper_behind(tmp_path):
+    # The scenario's run sends checks to a helper.
+    before = crypto.helper().verified
+    Simulation(mixed_world()).run()
+    assert crypto.helper().verified > before
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    # Its own session: the helper it forks is in it too.  No pipe to it:
+    # reading one to its end would wait for the helper as well.
+    with open(tmp_path / "stderr", "wb") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tset.cli", "run", str(MIXED), "--out",
+             str(tmp_path / "out")],
+            env=env, stdout=subprocess.DEVNULL, stderr=stderr,
+            start_new_session=True)
+        assert proc.wait(timeout=120) == 0, \
+            (tmp_path / "stderr").read_text()
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "txns_attempted: 4\n" in summary
+    deadline = time.monotonic() + 5
+    while _session(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _session(proc.pid) == []
+
+
+def test_a_forked_child_starts_its_own_helper():
+    expected = export_trace(Simulation(mixed_world()).run().trace)
+    parent = crypto.helper()
+    verified = parent.verified
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        ok = False
+        try:
+            os.close(read)
+            # The child closed its copies of the parent's pipes at the fork.
+            ok = parent.lost is not None
+            result = Simulation(mixed_world()).run()
+            ours = crypto.helper()
+            ok = (ok and ours is not parent and ours.pid != parent.pid
+                  and ours.verified > 0
+                  and export_trace(result.trace) == expected)
+            ours.close()
+        finally:
+            os.write(write, b"1" if ok else b"0")
+            os._exit(0)
+    os.close(write)
+    answer = os.read(read, 1)
+    os.close(read)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert answer == b"1"
+    # The parent's helper answered none of the child's checks and still
+    # serves the parent.
+    assert parent.lost is None and parent.verified == verified
+    assert crypto.helper() is parent
+    assert export_trace(Simulation(mixed_world()).run().trace) == expected
+    assert parent.verified > verified
