@@ -15,16 +15,21 @@ its chain head commits to.
 
 A chain is verified where its bytes enter a ``Ledger``, once: ``append``
 computes each link itself, and ``from_bytes`` (so ``load``) checks every
-link and decodes every entry before it returns.  Nothing else writes the
-kept bytes, so a ``Ledger`` holds a valid chain for its whole life and a
-dispute report re-hashes nothing.  ``Ledger.verify`` is the explicit full
-audit that re-walks the chain.
+link and every entry before it returns.  It walks the records once: for
+each it checks the bounds, re-hashes the link, decodes the entry's text
+once with the standard JSON decoder and checks the seven fields with
+``check_entry_fields``, the rules ``LedgerEntry`` itself applies, then
+indexes the bytes by transaction.  No entry object is built or kept.
+Nothing else writes the kept bytes, so a ``Ledger`` holds a valid chain for
+its whole life and a dispute report re-hashes nothing.  ``Ledger.verify``
+is the explicit full audit that re-walks the chain.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -45,6 +50,72 @@ class UnknownTransaction(Exception):
     """No ledger entry references the requested transaction."""
 
 
+# The exact type of each entry field, in field order: the type json gives
+# the value back as, so an entry equals its own reloaded copy.  A bool is
+# not an int here.
+FIELD_TYPES = {"txn": str, "tick": int, "actor": str, "event": str,
+               "token_digest": str, "oi_digest": str, "details": dict}
+_TYPES = tuple(FIELD_TYPES.values())
+
+
+def check_entry_fields(txn, tick, actor, event, token_digest, oi_digest,
+                       details) -> None:
+    """The rules every ledger entry meets, built or loaded: each field has
+    its type in ``FIELD_TYPES``, ``event`` is in ``EVENTS`` and ``tick`` is
+    non-negative.  Raises TypeError or ValueError naming the first field
+    that breaks them."""
+    if (type(txn), type(tick), type(actor), type(event), type(token_digest),
+            type(oi_digest), type(details)) != _TYPES:
+        values = (txn, tick, actor, event, token_digest, oi_digest, details)
+        for (name, kind), value in zip(FIELD_TYPES.items(), values):
+            if type(value) is not kind:
+                article = "an" if kind is int else "a"
+                raise TypeError(f"ledger entry field {name!r} must be "
+                                f"{article} {kind.__name__}, "
+                                f"got {type(value).__name__}")
+    if event not in EVENTS:
+        raise ValueError(f"ledger entry field 'event' must be a known event, "
+                         f"got {event!r}")
+    if tick < 0:
+        raise ValueError(
+            f"ledger entry field 'tick' must be non-negative, got {tick}")
+
+
+_DECODER = json.JSONDecoder()
+_SPACE = json.decoder.WHITESPACE.match
+_FIELDS = operator.itemgetter(*FIELD_TYPES)
+
+
+def _json_value(text: str):
+    """``json.loads(text)``, by the standard decoder's own scanner: this is
+    ``JSONDecoder.decode`` with its two whitespace searches skipped where
+    there is nothing to skip, as in the compact objects the ledger writes."""
+    start = 0 if text.startswith("{") else _SPACE(text, 0).end()
+    try:
+        value, end = _DECODER.scan_once(text, start)
+    except StopIteration as exc:
+        raise json.JSONDecodeError("Expecting value", text,
+                                   exc.value) from None
+    if end != len(text) and _SPACE(text, end).end() != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return value
+
+
+def _entry_fields(raw: bytes) -> tuple:
+    """The seven field values of one entry's bytes, in field order: the
+    UTF-8 text decoded once by ``_json_value``, then checked by
+    ``check_entry_fields``.  Accepts exactly the bytes that
+    ``json.loads(raw.decode())`` followed by ``LedgerEntry(...)`` accepts;
+    anything else, an entry nested too deeply to decode included, raises
+    LedgerIntegrityError."""
+    try:
+        values = _FIELDS(_json_value(raw.decode()))
+        check_entry_fields(*values)
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise LedgerIntegrityError(f"entry does not parse: {exc}") from exc
+    return values
+
+
 @dataclass(frozen=True)
 class LedgerEntry:
     txn: str
@@ -56,19 +127,8 @@ class LedgerEntry:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # One test for all seven types: every entry of a loaded ledger
-        # passes here, and repr names the bad field when one fails.
-        if not (isinstance(self.txn, str) and isinstance(self.actor, str)
-                and isinstance(self.event, str)
-                and isinstance(self.token_digest, str)
-                and isinstance(self.oi_digest, str)
-                and type(self.tick) is int
-                and isinstance(self.details, dict)):
-            raise TypeError(f"mistyped ledger entry field in {self!r}")
-        if self.event not in EVENTS:
-            raise ValueError(f"unknown ledger event {self.event!r}")
-        if self.tick < 0:
-            raise ValueError("tick must be non-negative")
+        check_entry_fields(self.txn, self.tick, self.actor, self.event,
+                           self.token_digest, self.oi_digest, self.details)
 
     def to_bytes(self) -> bytes:
         body = {
@@ -84,13 +144,7 @@ class LedgerEntry:
 
     @staticmethod
     def from_bytes(data: bytes) -> "LedgerEntry":
-        try:
-            body = json.loads(data.decode())
-            return LedgerEntry(body["txn"], body["tick"], body["actor"],
-                               body["event"], body["token_digest"],
-                               body["oi_digest"], body["details"])
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-            raise LedgerIntegrityError(f"entry does not parse: {exc}") from exc
+        return LedgerEntry(*_entry_fields(data))
 
 
 class Ledger:
@@ -165,7 +219,7 @@ class Ledger:
             if stored != expected:
                 raise LedgerIntegrityError(
                     f"chain hash mismatch at entry {len(ledger)}")
-            ledger._keep(LedgerEntry.from_bytes(raw).txn, raw, expected)
+            ledger._keep(_entry_fields(raw)[0], raw, expected)
             prev = expected
         return ledger
 

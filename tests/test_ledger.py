@@ -9,11 +9,13 @@ import json
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import reference_decoding as ref
 import tset.ledger
 from tset.cli import EXIT_INVARIANT, main
 from tset.ledger import (
+    EVENTS,
     GENESIS,
     Ledger,
     LedgerEntry,
@@ -123,11 +125,16 @@ def test_truncation_is_detected():
             Ledger.from_bytes(blob[:cut])
 
 
+def canonical(body) -> bytes:
+    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+
+
 def rechain(bodies) -> bytes:
-    """A ledger file with valid links over arbitrary JSON entry bodies."""
+    """A ledger file with valid links over arbitrary JSON entry bodies; a
+    body given as bytes is taken as the entry bytes themselves."""
     prev, out = GENESIS, []
     for body in bodies:
-        raw = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+        raw = body if isinstance(body, bytes) else canonical(body)
         prev = hashlib.sha256(prev + raw).digest()
         out += [struct.pack(">I", len(raw)), raw, prev]
     return b"".join(out)
@@ -142,7 +149,28 @@ def test_mistyped_entry_with_valid_links_is_refused(field, value, tmp_path,
     body = json.loads(fixture_entries()[0].to_bytes())
     body[field] = value
     blob = rechain([body])
-    with pytest.raises(LedgerIntegrityError):
+    named = f"ledger entry field {field!r} must be"
+    with pytest.raises(LedgerIntegrityError, match=named):
+        Ledger.from_bytes(blob)
+    (tmp_path / "ledger.bin").write_bytes(blob)
+    assert main(["dispute", str(tmp_path), "--txn", "C0-1"]) \
+        == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "integrity" in err and named in err
+
+
+def nested(body, depth) -> bytes:
+    """``body``'s entry bytes with ``depth`` nested lists in its details."""
+    text = canonical(dict(body, details={"deep": None})).decode()
+    return text.replace('"deep":null',
+                        '"deep":' + "[" * depth + "]" * depth).encode()
+
+
+def test_entry_nested_too_deeply_to_decode_is_refused(tmp_path, capsys):
+    # json.loads raises RecursionError here, not ValueError.
+    blob = rechain([nested(json.loads(fixture_entries()[0].to_bytes()),
+                           5000)])
+    with pytest.raises(LedgerIntegrityError, match="recursion"):
         Ledger.from_bytes(blob)
     (tmp_path / "ledger.bin").write_bytes(blob)
     assert main(["dispute", str(tmp_path), "--txn", "C0-1"]) \
@@ -151,10 +179,15 @@ def test_mistyped_entry_with_valid_links_is_refused(field, value, tmp_path,
 
 
 def test_entry_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'event' must be a known event"):
         LedgerEntry("C0-1", 0, "TTP0", "NotAnEvent")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'tick' must be non-negative"):
         LedgerEntry("C0-1", -1, "TTP0", "Deposit")
+    with pytest.raises(TypeError, match="^ledger entry field 'tick' must be "
+                                        "an int, got bool$"):
+        LedgerEntry("C0-1", True, "TTP0", "Deposit")
+    with pytest.raises(TypeError, match="'details' must be a dict, got list"):
+        LedgerEntry("C0-1", 0, "TTP0", "Deposit", details=[])
 
 
 def test_entries_view_is_immutable():
@@ -204,6 +237,48 @@ def test_dispute_report_hashes_nothing_and_decodes_only_its_rows(
         assert calls == {"sha256": 0, "from_bytes": rows}
 
 
+def test_load_hashes_and_decodes_each_entry_once(monkeypatch):
+    bodies = [dict(json.loads(entry.to_bytes()), txn=f"C{n % 7}-1")
+              for n in range(20) for entry in fixture_entries()]
+    blob = rechain(bodies)
+    calls = {"sha256": 0, "field_checks": 0, "entries_built": 0}
+    decoded = []
+
+    class CountingHashlib:
+        @staticmethod
+        def sha256(*args):
+            calls["sha256"] += 1
+            return hashlib.sha256(*args)
+
+    value, decode = tset.ledger._json_value, json.JSONDecoder.decode
+    check = tset.ledger.check_entry_fields
+
+    def counting_value(text):
+        decoded.append(text)
+        return value(text)
+
+    def counting_decode(self, text, *args):   # json.loads goes here too
+        decoded.append(text)
+        return decode(self, text, *args)
+
+    def counting_check(*fields):
+        calls["field_checks"] += 1
+        return check(*fields)
+
+    def counting_build(self):
+        calls["entries_built"] += 1
+
+    monkeypatch.setattr(tset.ledger, "hashlib", CountingHashlib)
+    monkeypatch.setattr(tset.ledger, "_json_value", counting_value)
+    monkeypatch.setattr(json.JSONDecoder, "decode", counting_decode)
+    monkeypatch.setattr(tset.ledger, "check_entry_fields", counting_check)
+    monkeypatch.setattr(LedgerEntry, "__post_init__", counting_build)
+    led = Ledger.from_bytes(blob)
+    assert len(led) == len(bodies) == 60
+    assert calls == {"sha256": 60, "field_checks": 60, "entries_built": 0}
+    assert decoded == [canonical(body).decode() for body in bodies]
+
+
 def test_dispute_report_unknown_txn():
     with pytest.raises(UnknownTransaction):
         dispute_report(fixture_ledger(), "C9-9")
@@ -239,3 +314,112 @@ def test_roundtrip_and_append_only_property(entries):
     assert led.verify() and reloaded.verify()
     for txn in {entry.txn for entry in entries}:
         assert dispute_report(reloaded, txn) == dispute_report(led, txn)
+
+
+# -- the one-pass loader against the reference decoding --------------------------
+
+json_leaf = (st.none() | st.booleans() | st.integers()
+             | st.floats(allow_nan=False) | st.text(max_size=4))
+json_value = st.recursive(
+    json_leaf,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+valid_body = st.fixed_dictionaries({
+    "txn": st.sampled_from(["C0-1", "C1-2", "Mé-1"]),
+    "tick": st.integers(0, 2 ** 70),
+    "actor": st.text(max_size=5),
+    "event": st.sampled_from(sorted(EVENTS)),
+    "token_digest": st.text(max_size=4),
+    "oi_digest": st.text(max_size=4),
+    "details": st.dictionaries(st.text(max_size=3), json_value, max_size=3),
+})
+
+
+def _without(body, name):
+    del body[name]
+    return body
+
+
+def _spliced(raw, at, junk):
+    at = min(at, len(raw))
+    return raw[:at] + junk + raw[at:]
+
+
+def _spaced(body, before, after):
+    return (before + canonical(body).decode() + after).encode()
+
+
+# One strategy per kind of entry; each draws whole entries, as bodies for
+# ``rechain`` or as their bytes.
+RECORD_CASES = {
+    "valid": valid_body,
+    "not an object": (st.lists(json_leaf, max_size=2) | st.text(max_size=3)
+                      | st.integers() | st.floats(allow_nan=False)
+                      | st.none()),
+    "missing key": st.builds(_without, valid_body,
+                             st.sampled_from(ref.FIELDS)),
+    "extra key": st.builds(lambda body, key, value: {**body, key: value},
+                           valid_body,
+                           st.text(max_size=4).filter(
+                               lambda key: key not in ref.FIELDS),
+                           json_value),
+    "mistyped field": st.builds(lambda body, key, value: {**body, key: value},
+                                valid_body, st.sampled_from(ref.FIELDS),
+                                json_value),
+    "bool, float or negative tick": st.builds(
+        lambda body, tick: {**body, "tick": tick}, valid_body,
+        st.sampled_from([True, False, 1.5, 0.0, -1, -2 ** 70, 10 ** 30])),
+    "unknown event": st.builds(lambda body, event: {**body, "event": event},
+                               valid_body, st.text(max_size=9)),
+    "whitespace around": st.builds(_spaced, valid_body,
+                                   st.text(" \t\n\r", max_size=3),
+                                   st.text(" \t\n\r", max_size=3)),
+    # Spaces that str.strip removes and JSON does not allow.
+    "other spaces around": st.builds(_spaced, valid_body,
+                                     st.text("\x0b\x0c\xa0\u2028", max_size=2),
+                                     st.text("\x0b\x0c\xa0\u2028", min_size=1,
+                                             max_size=2)),
+    "trailing data": st.builds(
+        lambda body, junk: canonical(body) + junk, valid_body,
+        st.sampled_from([b"x", b"{}", b"1", b",", b"\x00", b" ]", b"\xff"])),
+    "BOM": st.builds(lambda body: b"\xef\xbb\xbf" + canonical(body),
+                     valid_body),
+    "invalid UTF-8": st.builds(
+        _spliced, st.builds(canonical, valid_body), st.integers(0, 200),
+        st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80",
+                         b"\xf4\x90\x80\x80"])),
+    "raw UTF-8 text": st.builds(
+        lambda body: json.dumps(body, sort_keys=True, ensure_ascii=False,
+                                separators=(",", ":")).encode(),
+        valid_body),
+    "duplicate key": st.builds(
+        lambda body, key, value: canonical(body)[:-1]
+        + f',"{key}":{value}}}'.encode(),
+        valid_body, st.sampled_from(ref.FIELDS),
+        st.sampled_from(["-1", "7", "true", '"Deposit"', "{}", '"C0-1"'])),
+    "nested details": st.builds(nested, valid_body,
+                                st.sampled_from([1, 40, 800, 5000])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_load_accepts_exactly_what_the_reference_accepts(case, data):
+    records = data.draw(st.lists(valid_body, max_size=3))
+    records.insert(data.draw(st.integers(0, len(records))),
+                   data.draw(RECORD_CASES[case]))
+    blob = rechain(records)
+    try:
+        raws, links, positions, rows = ref.reference_load(blob)
+    except ref.REJECTS:
+        with pytest.raises(LedgerIntegrityError):
+            Ledger.from_bytes(blob)
+        return
+    led = Ledger.from_bytes(blob)
+    assert (led._raw, led._hashes, led._positions) == (raws, links, positions)
+    assert [LedgerEntry(**row) for row in rows] == list(led.entries)
+    for txn in positions:
+        assert dispute_report(led, txn) == ref.reference_report(links, rows,
+                                                                txn)
