@@ -136,6 +136,14 @@ def test_run_invalid_scenario(tmp_path, capsys):
     assert "scenario.colour" in capsys.readouterr().err
 
 
+def test_run_scenario_not_yaml(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("customers: [unclosed\n")
+    code = main(["run", str(bad), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "scenario is not valid YAML" in capsys.readouterr().err
+
+
 def test_run_scenario_not_utf8(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_bytes(b"seed: 1\n\xff\n")

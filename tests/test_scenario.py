@@ -1,7 +1,17 @@
 """Scenario parsing: strict validation, defaults, and world wiring."""
 
-import pytest
+import copy
+import itertools
+import pathlib
+import random
+import re
 
+import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
+
+import reference_scenario
+import tset.scenario
 from tset.entities import AcceptancePolicy
 from tset.messages import MsgKind
 from tset.scenario import (
@@ -11,9 +21,12 @@ from tset.scenario import (
     load_scenario,
 )
 from tset.simnet import ActionKind
+from tset.tokens import AMOUNT_MAX
 from tset.trust import Grade
 
 from conftest import basic_scenario
+
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def parse(**overrides) -> ScenarioConfig:
@@ -220,12 +233,66 @@ def test_load_scenario_not_utf8(tmp_path):
 
 
 def test_bundled_scenarios_parse():
-    import pathlib
-    root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
-    names = sorted(p.name for p in root.glob("*.yaml"))
+    names = sorted(p.name for p in SCENARIOS.glob("*.yaml"))
     assert names == ["happy_path.yaml", "mixed.yaml", "tamper.yaml"]
-    for p in root.glob("*.yaml"):
+    for p in SCENARIOS.glob("*.yaml"):
         load_scenario(p)
+
+
+def _thousand_purchases() -> dict:
+    """A scenario of forty customers with twenty-five purchases each,
+    under rejections, mutations and drops, as the mixed load is shaped."""
+    rnd = random.Random(20260815)
+    merchants = [{"catalog": {"widget": 12000, "gadget": 7500}},
+                 {"catalog": {"doohickey": 9900, "sprocket": 4400},
+                  "history": {"total": 40, "rejected": 3}}]
+    products = [(0, "widget"), (0, "gadget"), (1, "doohickey"),
+                (1, "sprocket")]
+    customers = [{"balance": 2_000_000, "reject_probability": 0.15,
+                  "policy": {"min_grade": "B1", "accept_unrated": True},
+                  "purchases": [{"merchant": midx, "product": product,
+                                 "quantity": 1 + rnd.randrange(3),
+                                 "start": rnd.randrange(4000)}
+                                for midx, product in (
+                                    rnd.choice(products) for _ in range(25))]}
+                 for _ in range(40)]
+    adversary = ([{"action": "flip_bits", "bits": [rnd.randrange(2528)],
+                   "trigger": 1 + rnd.randrange(900),
+                   "target": {"kind": "EscrowDeposit"}} for _ in range(15)]
+                 + [{"action": "replace_amount", "amount": 1 + i,
+                     "target": {"kind": "TokenIssued", "txn": f"C{i}-1"}}
+                    for i in range(15)]
+                 + [{"action": "drop", "trigger": 2,
+                     "target": {"kind": "TrustReply",
+                                "edge": ["TTP0", f"C{i}"]}}
+                    for i in range(20)])
+    return {"seed": 20260815, "stagger": 4, "tick_limit": 50000,
+            "customers": customers, "merchants": merchants,
+            "adversary": adversary}
+
+
+@pytest.mark.parametrize("name", ["happy_path.yaml", "mixed.yaml",
+                                  "tamper.yaml", "1k purchases"])
+def test_load_scenario_parses_as_the_pure_python_loader(name, tmp_path):
+    """libyaml's parse, where PyYAML has it, builds the config that the
+    pure-Python SafeLoader's parse does."""
+    if name == "1k purchases":
+        path = tmp_path / "thousand.yaml"
+        path.write_text(yaml.safe_dump(_thousand_purchases()))
+    else:
+        path = SCENARIOS / name
+    with open(path, encoding="utf-8") as fh:
+        reference = yaml.load(fh, Loader=yaml.SafeLoader)
+    config = load_scenario(path)
+    assert config == ScenarioConfig.from_dict(reference)
+    if name == "1k purchases":
+        assert sum(len(c.purchases) for c in config.customers) == 1000
+
+
+def test_load_scenario_uses_libyaml_where_pyyaml_has_it():
+    expected = yaml.CSafeLoader if yaml.__with_libyaml__ \
+        else yaml.SafeLoader
+    assert tset.scenario._YAML_LOADER is expected
 
 
 # -- world construction --------------------------------------------------------
@@ -388,3 +455,299 @@ def test_absent_action_options_keep_the_action_defaults():
                               {"action": "replay_token"}]).adversary
     assert [(a.trigger, a.bit_offsets, a.delay) for a in parsed] \
         == [(1, (0,), 5)] * 3
+
+
+# -- the parser against the reference ------------------------------------------
+
+PRODUCTS = ("widget", "gadget", "sprocket")
+
+
+def valid_scenario(rnd: random.Random) -> dict:
+    """A scenario every check passes, with every optional field present
+    and one action of each kind: a mutation that removes a field makes the
+    scenario that lacks it."""
+    merchants = []
+    for _ in range(rnd.randint(1, 2)):
+        total = rnd.randint(0, 50)
+        merchants.append({
+            "catalog": {name: rnd.randint(1, 20000)
+                        for name in rnd.sample(PRODUCTS, rnd.randint(1, 2))},
+            "history": {"total": total, "rejected": rnd.randint(0, total)}})
+    customers = []
+    for _ in range(rnd.randint(1, 2)):
+        purchases = []
+        for _ in range(rnd.randint(1, 2)):
+            midx = rnd.randrange(len(merchants))
+            purchases.append({
+                "merchant": midx,
+                "product": rnd.choice(sorted(merchants[midx]["catalog"])),
+                "quantity": rnd.randint(1, 3), "start": rnd.randint(0, 500)})
+        customers.append({
+            "balance": rnd.randint(0, 10 ** 6), "purchases": purchases,
+            "policy": {"min_grade": rnd.choice([None, *Grade.__members__]),
+                       "accept_unrated": rnd.choice([None, True, False])},
+            "reject_script": [rnd.random() < 0.5
+                              for _ in range(rnd.randint(0, 2))],
+            "reject_probability": rnd.choice([0, 1, 0.0, 0.15, 1.0])})
+    names = ([f"C{i}" for i in range(len(customers))]
+             + [f"M{i}" for i in range(len(merchants))]
+             + ["CB0", "MB0", "TTP0"])
+    adversary = []
+    for kind in rnd.sample(list(ActionKind), len(ActionKind)):
+        action = {"action": kind.value,
+                  "target": {"kind": rnd.choice(list(MsgKind)).value,
+                             "edge": [rnd.choice(names), rnd.choice(names)],
+                             "txn": f"C{rnd.randrange(len(customers))}"
+                                    f"-{rnd.randint(1, 4)}"},
+                  "trigger": rnd.randint(1, 9)}
+        if kind is ActionKind.FLIP_BITS:
+            action["bits"] = [rnd.randint(0, 999)
+                              for _ in range(rnd.randint(1, 2))]
+        if kind is ActionKind.REPLACE_AMOUNT:
+            action["amount"] = rnd.randint(0, 10 ** 6)
+        if kind in (ActionKind.DELAY, ActionKind.REPLAY_TOKEN):
+            action["delay"] = rnd.randint(1, 9)
+        adversary.append(action)
+    data = {"customers": customers, "merchants": merchants,
+            "adversary": adversary}
+    for name, (_, least) in RUN_PARAMETERS.items():
+        data[name] = rnd.randint(least or 0, (least or 0) + 50)
+    return data
+
+
+# What a mutation puts in place of any field or list entry: None, a bool
+# for an int, a negative, the wrong type.
+ANY_FIELD = (None, True, -1, "x", [], {})
+# What it may also put in place of one field: a value of the right type
+# that some check refuses there.  A field is its path with the indexes
+# left out.
+ONE_FIELD = {
+    ".latency": (0,),
+    ".merchants[].catalog": ({"widget": 1, "": 2},),
+    ".merchants[].history.rejected": (10 ** 6,),
+    ".customers[].purchases[].merchant": (7,),
+    ".customers[].purchases[].product": ("", "anvil"),
+    ".customers[].purchases[].quantity": (0, AMOUNT_MAX),
+    ".customers[].policy.min_grade": ("Z9",),
+    ".customers[].policy.accept_unrated": ("yes",),
+    ".customers[].reject_script": ([True, 1],),
+    ".customers[].reject_probability": (1.5, float("nan")),
+    ".adversary[].action": ("steal",),
+    ".adversary[].target.kind": ("Gossip",),
+    ".adversary[].target.edge": (["C0", "X9"], ["C0"], [["C0"], "TTP0"]),
+    ".adversary[].target.txn": ("C9-1", "M0-1", "c0-1", "C0-01", "C0-0"),
+    ".adversary[].trigger": (0,),
+    ".adversary[].bits": ([0, True],),
+    ".adversary[].amount": (AMOUNT_MAX + 1,),
+    ".adversary[].delay": (0,),
+}
+# Keys a mutation adds to a mapping, and entries it adds to a list: fields
+# of the schema, in the wrong place or the right one, and names that are
+# fields nowhere.
+EXTRA_KEYS = ("colour", "amount", "delay", "bits", "history", "start",
+              "edge", "seed", "", 1)
+
+
+def _places(value, field: str = "", out: dict | None = None) -> dict:
+    """Field -> each place of it below ``value``, (container, key or
+    index)."""
+    out = {} if out is None else out
+    if isinstance(value, dict):
+        items = [(f"{field}.{key}", key) for key in value]
+    elif isinstance(value, list):
+        items = [(f"{field}[]", index) for index in range(len(value))]
+    else:
+        return out
+    for below, key in items:
+        out.setdefault(below, []).append((value, key))
+        _places(value[key], below, out)
+    return out
+
+
+def _changes(field: str) -> list:
+    """Each mutation of one place of ``field``: (how, value or key)."""
+    return ([("replace", v) for v in (*ANY_FIELD, *ONE_FIELD.get(field, ()))]
+            + [("remove", None)] + [("add", k) for k in EXTRA_KEYS])
+
+
+def _mutate(container, key, how: str, item) -> None:
+    """Replace ``container[key]`` by ``item``, remove it, or add ``item``
+    as a key or entry to it, or to ``container`` if it holds neither."""
+    if how == "replace":
+        container[key] = copy.deepcopy(item)
+    elif how == "remove":
+        del container[key]
+    else:
+        target = container[key]
+        if not isinstance(target, (dict, list)):
+            target = container
+        if isinstance(target, dict):
+            target[item] = 0
+        else:
+            target.insert(0, item)
+
+
+def one_mutation_away(data: dict):
+    """Every scenario that one mutation of one field makes from ``data``:
+    each field at its first place, with each of its changes."""
+    for field in sorted(_places(data)):
+        for how, item in _changes(field):
+            mutant = copy.deepcopy(data)
+            _mutate(*_places(mutant)[field][0], how, item)
+            yield mutant
+
+
+def _refused_changes(data: dict) -> list:
+    """(field, how, value or key) of the first replacement and the first
+    addition at each field that the reference refuses."""
+    refused = []
+    for field in sorted(_places(data)):
+        for kind in ("replace", "add"):
+            for how, item in _changes(field):
+                if how != kind:
+                    continue
+                mutant = copy.deepcopy(data)
+                _mutate(*_places(mutant)[field][0], how, item)
+                if isinstance(_outcome(reference_scenario.from_dict, mutant),
+                              tuple):
+                    refused.append((field, how, item))
+                    break
+    return refused
+
+
+def two_mutations_away(data: dict):
+    """Every scenario that two refused changes of two fields make from
+    ``data``, where the second field is still there after the first."""
+    for first, second in itertools.combinations(_refused_changes(data), 2):
+        mutant = copy.deepcopy(data)
+        _mutate(*_places(mutant)[first[0]][0], *first[1:])
+        places = _places(mutant).get(second[0])
+        if places:
+            _mutate(*places[0], *second[1:])
+            yield mutant
+
+
+def mutated_scenario(rnd: random.Random) -> dict:
+    """A valid scenario with two or three mutations, each of a field, a
+    place of it and a change chosen evenly."""
+    data = valid_scenario(rnd)
+    for _ in range(rnd.randint(2, 3)):
+        places = _places(data)
+        field = rnd.choice(sorted(places))
+        _mutate(*rnd.choice(places[field]), *rnd.choice(_changes(field)))
+    return data
+
+
+# Hypothesis draws the seed of each case; the choices within it are made
+# by that Random, evenly, so that every field and mutation is as likely.
+valid_scenarios = st.randoms(use_true_random=True).map(valid_scenario)
+mutated_scenarios = st.randoms(use_true_random=True).map(mutated_scenario)
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except Exception as exc:    # the error's type and text are the outcome
+        return (type(exc), str(exc))
+
+
+def _check_name(where: str, problem: str) -> tuple:
+    """A failure's field, without indexes, and the words of its message
+    before the first that holds a value.  The field of an unknown key or of
+    a price ends in ``*``."""
+    field = ".".join(part.split("[")[0] for part in where.split("."))
+    if problem == "unknown field" or field.startswith("merchants.catalog."):
+        field = field.rsplit(".", 1)[0] + ".*"
+    words = itertools.takewhile(re.compile("[a-z-]+").fullmatch,
+                                problem.split())
+    return (field, " ".join(words))
+
+
+_INT = ("required", "must be an integer")
+_LEAST = (*_INT, "must be at least")
+# The (field, message) of each check of the reference, bar the top level's
+# mapping check; see _check_name.
+REFERENCE_CHECKS = {(field, problem) for field, problems in {
+    "scenario.*": ("unknown field",),
+    "scenario.seed": _INT,
+    "scenario.latency": _LEAST,
+    "merchants": ("must be a non-empty list", "must be a mapping"),
+    "merchants.*": ("unknown field",),
+    "merchants.catalog": ("must be a non-empty mapping of product to price",
+                          "product names must be strings"),
+    "merchants.catalog.*": ("price must be a positive integer in minor "
+                            "units",),
+    "merchants.history": ("must be a mapping with total and rejected",),
+    "merchants.history.*": ("unknown field",),
+    "merchants.history.total": _LEAST,
+    "merchants.history.rejected": (*_LEAST, "cannot exceed total"),
+    "customers": ("must be a non-empty list", "must be a mapping"),
+    "customers.*": ("unknown field",),
+    "customers.balance": _LEAST,
+    "customers.purchases": ("must be a list", "must be a mapping"),
+    "customers.purchases.*": ("unknown field",),
+    "customers.purchases.merchant": (*_LEAST, "no merchant with index"),
+    "customers.purchases.product": ("must be a non-empty string",
+                                    "merchant"),
+    "customers.purchases.quantity": (*_LEAST, "total price"),
+    "customers.purchases.start": _LEAST,
+    "customers.reject_script": ("must be a list of booleans",),
+    "customers.reject_probability": ("must be in",),
+    "customers.policy": ("must be a mapping",),
+    "customers.policy.*": ("unknown field",),
+    "customers.policy.min_grade": ("must be one of",),
+    "customers.policy.accept_unrated": ("must be a boolean",),
+    "adversary": ("must be a list", "must be a mapping"),
+    "adversary.*": ("unknown field",),
+    "adversary.action": ("unknown action",),
+    "adversary.target": ("must be a mapping",),
+    "adversary.target.*": ("unknown field",),
+    "adversary.target.kind": ("unknown message kind",),
+    "adversary.target.edge": ("must be", "no such entity"),
+    "adversary.target.txn": ("must be a string like", "no such customer"),
+    "adversary.trigger": _LEAST,
+    "adversary.bits": ("must be a list of bit offsets",),
+    "adversary.amount": (*_LEAST, "must be at most"),
+    "adversary.delay": _LEAST,
+}.items() for problem in problems}
+
+
+def test_one_mutation_away_parses_as_the_reference_parses_it():
+    """Each scenario one mutation from a valid one gives the reference's
+    config or the reference's error text, and each check of the reference
+    but the top level's mapping check is the first to fail on some."""
+    seen = set()
+    for seed in range(3):
+        for data in one_mutation_away(valid_scenario(random.Random(seed))):
+            expected = _outcome(reference_scenario.from_dict,
+                                copy.deepcopy(data))
+            assert _outcome(ScenarioConfig.from_dict, data) == expected
+            if isinstance(expected, tuple):
+                assert expected[0] is ScenarioError
+                seen.add(_check_name(*expected[1].split(": ", 1)))
+    assert REFERENCE_CHECKS - seen == set()
+
+
+def test_two_mutations_away_parse_as_the_reference_parses_them():
+    """Where two checks fail, the first to fail is the reference's first:
+    the checks run in the reference's order."""
+    for data in two_mutations_away(valid_scenario(random.Random(0))):
+        expected = _outcome(reference_scenario.from_dict, copy.deepcopy(data))
+        assert _outcome(ScenarioConfig.from_dict, data) == expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(data=mutated_scenarios)
+def test_mutated_scenarios_parse_as_the_reference_parses_them(data):
+    """With two or three mutations, two checks can fail at once: the first
+    to fail must be the reference's first, with its wording."""
+    expected = _outcome(reference_scenario.from_dict, copy.deepcopy(data))
+    assert _outcome(ScenarioConfig.from_dict, data) == expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=valid_scenarios)
+def test_valid_scenarios_parse_as_the_reference_parses_them(data):
+    config = ScenarioConfig.from_dict(data)
+    assert type(config) is ScenarioConfig
+    assert config == reference_scenario.from_dict(data)
