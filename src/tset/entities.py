@@ -9,7 +9,8 @@ goes through one check against that table, ``Entity._advance``: a pair
 with no row is a protocol violation, logged and never applied; a row
 marked stale absorbs late or duplicate traffic: no handler runs and the
 entity emits nothing; any other row runs the handler and refuses a next
-phase or an emission the row does not list.
+phase or an emission the row does not list.  ``_advance`` is also the one
+writer of ``timers``, from the clocks of the phases with ``Timer`` rows.
 
 Money never leaves double-entry form.  The issuing bank moves a hold from
 the customer account into its escrow pool at token issuance, so settlement
@@ -89,7 +90,8 @@ class ArbiterPhase(str, Enum):
 # starts a purchase, or Timer when the entity's timer for the transaction
 # fires.  A pair absent from a table is a protocol violation in that phase.
 # A stale row absorbs late or duplicate traffic: the handler is not called
-# and the entity emits nothing.
+# and the entity emits nothing.  A row that restarts the clock re-arms the
+# timer of the phase it stays in.
 
 class Internal(str, Enum):
     """Table keys of the phase changes no message causes."""
@@ -103,12 +105,15 @@ class Rule:
     next: tuple
     emits: tuple = ()
     stale: bool = False
+    restarts: bool = False
 
 
-def _table(*rows, stale: dict) -> dict:
+def _table(*rows, stale: dict, restarts: tuple = ()) -> dict:
     """Rows are (phase, key, next phases, emissions); ``stale`` maps a phase
-    to the message kinds it absorbs."""
-    table = {(phase, kind): Rule(tuple(nxt), tuple(emits))
+    to the message kinds it absorbs; ``restarts`` lists the (phase, key)
+    rows that restart the clock."""
+    table = {(phase, kind): Rule(tuple(nxt), tuple(emits),
+                                 restarts=(phase, kind) in restarts)
              for phase, kind, nxt, emits in rows}
     table.update({(phase, kind): Rule((phase,), stale=True)
                   for phase, kinds in stale.items() for kind in kinds})
@@ -196,7 +201,14 @@ ACQUIRER_TABLE = _table(
         AP.SETTLED: [K.SETTLEMENT, K.TOKEN_RELEASE, K.COMPLETION_NOTICE],
         AP.ABORTED: [K.SETTLEMENT, K.TOKEN_RELEASE, K.COMPLETION_NOTICE],
     },
+    # A fresh release and each presentment start the retry clock anew.
+    restarts=((AP.AWAIT_PAYMENT, K.TOKEN_RELEASE),
+              (AP.AWAIT_PAYMENT, I.TIMER)),
 )
+
+# The arbiter's deadline runs in every phase that waits on another party.
+_ARBITER_WAITS = (TP.QUOTED, TP.HELD, TP.DISPATCHED, TP.REPLACING,
+                  TP.RELEASED)
 
 ARBITER_TABLE = _table(
     (TP.NEW, K.TRUST_LOOKUP, [TP.QUOTED], [K.TRUST_REPLY]),
@@ -220,10 +232,8 @@ ARBITER_TABLE = _table(
     # A capture raced past expiry; the handler logs it.
     (TP.EXPIRED, K.COMPLETION_NOTICE, [TP.EXPIRED], []),
     (TP.EXPIRED, K.TAMPER_REPORT, [TP.EXPIRED], []),
-    # The deadline runs in every phase that waits on another party.
     *[(phase, I.TIMER, [TP.EXPIRED], [K.ESCROW_CANCEL, K.COMPLETION_NOTICE])
-      for phase in (TP.QUOTED, TP.HELD, TP.DISPATCHED, TP.REPLACING,
-                    TP.RELEASED)],
+      for phase in _ARBITER_WAITS],
     stale={
         TP.NEW: [K.ESCROW_DEPOSIT],
         TP.HELD: [K.ESCROW_DEPOSIT],
@@ -259,6 +269,13 @@ TERMINAL = {
     m.Role.MERCHANT_BANK: {AP.SETTLED, AP.ABORTED},
     m.Role.TTP: {TP.SETTLED, TP.ABORTED, TP.EXPIRED},
 }
+
+# The clock of each phase with a Timer row: the setting by which the role's
+# ``_due`` hook puts a timer's due tick after the tick that arms it.
+CLOCKS = {role: {} for role in m.Role} | {
+    m.Role.MERCHANT_BANK: {
+        AP.AWAIT_PAYMENT: "retry_ticks while retries < retry_cap"},
+    m.Role.TTP: dict.fromkeys(_ARBITER_WAITS, "deadline_ticks")}
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +323,7 @@ class Entity:
         self.directory = directory
         self.certs = certs
         self.phases: dict[str, Enum] = {}
-        # Due tick of each armed timer, by transaction key.
+        # Due tick of each armed timer, by transaction key (see _advance).
         self.timers: dict[str, int] = {}
 
     def phase_of(self, txn) -> Enum:
@@ -330,7 +347,7 @@ class Entity:
                 f"BadSignature:{msg.kind.value}:{msg.sender}->{self.id}")
             return result
         return self._advance(
-            str(msg.txn), msg.kind, result,
+            str(msg.txn), msg.kind, now, result,
             lambda phase: self.handle(msg, phase, now, result))
 
     def fire_timer(self, key: str, now: int) -> StepResult:
@@ -340,16 +357,18 @@ class Entity:
         if due is None or due > now:
             return result
         return self._advance(
-            key, I.TIMER, result,
+            key, I.TIMER, now, result,
             lambda phase: self.on_timer(key, phase, now, result))
 
-    def _advance(self, key: str, kind: Enum, result: StepResult,
+    def _advance(self, key: str, kind: Enum, now: int, result: StepResult,
                  act) -> StepResult:
-        """The one writer of ``phases``.  Look up the row of the current
-        phase and ``kind``: no row is a protocol violation; a stale row keeps
-        the phase without calling ``act``; otherwise ``act(phase)`` fills
-        ``result`` and returns the next phase, which is kept only if the
-        row lists it and every emission."""
+        """The one writer of ``phases`` and ``timers``.  Look up the row of
+        the current phase and ``kind``: no row is a protocol violation; a
+        stale row keeps the phase without calling ``act``; otherwise
+        ``act(phase)`` fills ``result`` and returns the next phase, which is
+        kept only if the row lists it and every emission.  Then the timer is
+        cleared in a phase with no clock, and set to ``_due`` as a phase
+        with one is entered or a row restarts it."""
         phase = self.phases.get(key, START_PHASE[self.role])
         rule = TRANSITION_TABLES[self.role].get((phase, kind))
         if rule is None:
@@ -374,6 +393,14 @@ class Entity:
             result.messages.clear()
             return result
         self.phases[key] = new_phase
+        if new_phase not in CLOCKS[self.role]:
+            self.timers.pop(key, None)
+        elif new_phase is not phase or rule.restarts:
+            due = self._due(key, now)
+            if due is None:
+                self.timers.pop(key, None)
+            else:
+                self.timers[key] = due
         return result
 
     def handle(self, msg, phase, now, result):
@@ -383,7 +410,11 @@ class Entity:
         """Tick at which the timer for transaction ``key`` fires, if armed."""
         return self.timers.get(key)
 
-    # Timer hook; only entities that arm ``timers`` override it.
+    # Timer hooks, for roles whose table has a clock: the tick at which a
+    # timer armed at ``now`` falls due (None: no timer), and its firing.
+    def _due(self, key: str, now: int) -> int | None:
+        raise NotImplementedError
+
     def on_timer(self, key, phase, now, result):
         raise NotImplementedError
 
@@ -418,7 +449,7 @@ class Customer(Entity):
         self.txns: dict[str, _CustomerTxn] = {}
         self._serial = 0
 
-    def begin_purchase(self, intent: PurchaseIntent) -> StepResult:
+    def begin_purchase(self, intent: PurchaseIntent, now: int) -> StepResult:
         """Kick off the next transaction: browse the merchant's catalog."""
         self._serial += 1
         txn = TransactionId(self.id, self._serial)
@@ -429,7 +460,7 @@ class Customer(Entity):
             self._emit(result, intent.merchant, txn,
                        m.Browse(intent.product, intent.quantity))
             return CP.AWAIT_OFFER
-        return self._advance(str(txn), I.BEGIN, result, browse)
+        return self._advance(str(txn), I.BEGIN, now, result, browse)
 
     def _reject_verdict(self) -> bool:
         if self._reject_script:
@@ -752,14 +783,9 @@ class MerchantBank(Entity):
         self.retry_ticks = retry_ticks
         self.retry_cap = retry_cap
 
-    def _present(self, txn, now, result):
-        key = str(txn)
-        p = self.pending[key]
-        if p.retries < self.retry_cap:
-            self.timers[key] = now + self.retry_ticks
-        else:
-            self.timers.pop(key, None)
-        self._emit(result, CB0, txn, m.PaymentRequest(p.sealed, p.merchant))
+    def _due(self, key, now):
+        return (now + self.retry_ticks
+                if self.pending[key].retries < self.retry_cap else None)
 
     def handle(self, msg, phase, now, result):
         kind = msg.kind
@@ -768,14 +794,14 @@ class MerchantBank(Entity):
         if kind == K.TOKEN_RELEASE:
             self.pending[txn_key] = _Pending(msg.payload.sealed,
                                              msg.payload.merchant)
-            self._present(msg.txn, now, result)
+            self._emit(result, CB0, msg.txn, m.PaymentRequest(
+                msg.payload.sealed, msg.payload.merchant))
             return AP.AWAIT_PAYMENT
 
         if kind == K.SETTLEMENT:
             # The table admits a Settlement only in AwaitPayment, which only
             # a TokenRelease enters, and it fills ``pending``.
             p = self.pending.pop(txn_key)
-            self.timers.pop(txn_key, None)
             merchant = str(p.merchant)
             self.accounts[merchant] = (self.accounts.get(merchant, 0)
                                        + msg.payload.amount)
@@ -796,7 +822,8 @@ class MerchantBank(Entity):
         """Present the released token again."""
         p = self.pending[txn_key]
         p.retries += 1
-        self._present(TransactionId.parse(txn_key), now, result)
+        self._emit(result, CB0, TransactionId.parse(txn_key),
+                   m.PaymentRequest(p.sealed, p.merchant))
         return phase
 
 
@@ -836,9 +863,6 @@ class Ttp(Entity):
             token_digest=st.token_digest, oi_digest=st.oi_digest,
             details=details or {}))
 
-    def _arm(self, st: _ArbiterTxn, now: int) -> None:
-        self.timers[str(st.txn)] = now + self.deadline_ticks
-
     def _record(self, st: _ArbiterTxn, disposition: Disposition) -> None:
         record = self.trust.setdefault(str(st.merchant), TrustRecord())
         record_outcome(record, disposition, str(st.txn.customer), st.product)
@@ -861,7 +885,6 @@ class Ttp(Entity):
         st.oi_digest = m.order_digest(order)
         st.token_digest = m.sealed_digest(msg.payload.sealed)
         self._log(st, now, "Deposit", {"amount": st.amount})
-        self._arm(st, now)
         if st.pending_query is not None:
             self._log(st, now, "TempAck", {"amount": st.amount})
             self._ack(st, result)
@@ -876,13 +899,11 @@ class Ttp(Entity):
             self._record(st, Disposition.ACCEPTED)
             self._log(st, now, "Accept", {})
             self._log(st, now, "Release", {"amount": st.amount})
-            self._arm(st, now)
             self._emit(result, MB0, st.txn,
                        m.TokenRelease(st.sealed, st.merchant))
             return TP.RELEASED
         self._record(st, Disposition.REJECTED)
         self._log(st, now, "Reject", {"reason": msg.payload.reason})
-        self._arm(st, now)
         self._emit(result, st.merchant, st.txn,
                    m.RejectGoods(msg.payload.order_number, msg.payload.reason))
         return TP.REPLACING
@@ -899,14 +920,12 @@ class Ttp(Entity):
         st.regen_count += 1
         st.sealed = None
         self._log(st, now, "Regenerate", {"attempt": st.regen_count})
-        self._arm(st, now)
         self._emit(result, st.txn.customer, st.txn, m.RegenerateRequest())
         return TP.QUOTED
 
     def _abort(self, st: _ArbiterTxn, now: int, reason: str,
                result: StepResult):
         self._log(st, now, "Abort", {"reason": reason})
-        self.timers.pop(str(st.txn), None)
         self._emit(result, CB0, st.txn, m.EscrowCancel(reason))
         for target in (st.txn.customer, st.merchant):
             self._emit(result, target, st.txn,
@@ -923,7 +942,6 @@ class Ttp(Entity):
         if kind == K.TRUST_LOOKUP:
             st = _ArbiterTxn(msg.txn, msg.payload.merchant)
             self.txns[txn_key] = st
-            self._arm(st, now)
             record = self.trust.get(str(msg.payload.merchant))
             if record is None or record.total == 0:
                 # No verdicts yet: the merchant is unrated, not perfect.
@@ -948,7 +966,6 @@ class Ttp(Entity):
 
         if kind == K.ABORT_NOTICE:
             self._log(st, now, "Abort", {"reason": msg.payload.reason})
-            self.timers.pop(txn_key, None)
             self._emit(result, st.merchant, msg.txn,
                        m.CompletionNotice("aborted", msg.payload.reason))
             return TP.ABORTED
@@ -956,7 +973,6 @@ class Ttp(Entity):
         if kind == K.GOODS_DISPATCH:
             self._log(st, now, "Dispatch",
                       {"replacement": msg.payload.replacement})
-            self._arm(st, now)
             return TP.DISPATCHED
 
         if kind in (K.ACCEPT_GOODS, K.REJECT_GOODS):
@@ -979,19 +995,20 @@ class Ttp(Entity):
                                                "late": True})
                 return phase
             self._log(st, now, "Settled", {"amount": st.amount})
-            self.timers.pop(txn_key, None)
             return TP.SETTLED
 
         raise AssertionError(f"unhandled {kind} in {phase}")
 
     # -- deadlines -----------------------------------------------------------
 
+    def _due(self, key, now):
+        return now + self.deadline_ticks
+
     def on_timer(self, txn_key, phase, now, result):
         """Deadline expiry: refund via escrow cancellation, notify the
         parties, and count the failure against the merchant if goods money
         was ever on the table."""
         st = self.txns[txn_key]
-        self.timers.pop(txn_key, None)
         self._log(st, now, "DeadlineExpired", {"phase": phase.value})
         if st.amount is not None:
             self._record(st, Disposition.REJECTED)

@@ -239,23 +239,25 @@ class Ledger:
         return True
 
 
+# The fields a dispute report gives for each row, after its index.
+_ROW_FIELDS = tuple(FIELD_TYPES)[1:]
+
+
 def dispute_report(ledger: Ledger, txn: str) -> dict:
     """Everything the arbiter can attest about one transaction: its entries
     in order, their chain positions, and the chain head.  The chain was
     verified when its bytes entered ``ledger``, so only this transaction's
-    rows are decoded here."""
-    rows = [(i, LedgerEntry.from_bytes(ledger._raw[i]))
-            for i in ledger._positions.get(txn, ())]
-    if not rows:
+    rows are decoded here, each once by ``_entry_fields``."""
+    positions = ledger._positions.get(txn)
+    if not positions:
         raise UnknownTransaction(f"no ledger entries for {txn}")
     return {
         "txn": txn,
         "chain_head": ledger.head.hex(),
         "chain_length": len(ledger),
         "entries": [
-            {"index": i, "tick": e.tick, "actor": e.actor, "event": e.event,
-             "token_digest": e.token_digest, "oi_digest": e.oi_digest,
-             "details": e.details}
-            for i, e in rows
+            {"index": i,
+             **dict(zip(_ROW_FIELDS, _entry_fields(ledger._raw[i])[1:]))}
+            for i in positions
         ],
     }

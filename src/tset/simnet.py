@@ -8,15 +8,16 @@ one tick deliveries run first, in queue order, then timers in (entity name,
 key) order, and a run is deterministic for a given scenario and seed.
 
 An entity's ``timers`` table (transaction key to due tick, read through
-``timer_due``) is the only record of its timers: after a delivery or
+``timer_due`` and written only by ``Entity._advance``, from the legality
+tables' clocks) is the only record of its timers: after a delivery or
 firing touches key k at an entity, the simulator queues the tick that
 ``timer_due(k)`` names unless that tick is already queued or not later
 than now.  A popped timer entry whose tick no longer equals
 ``timer_due(k)`` is stale and dropped; it neither moves the clock nor
-counts against the tick limit.  A timer its entity refuses to fire (no
-``Timer`` row in its phase) stays due at the tick it was refused at, so it
-is not queued again: like a refused message, it is dropped.  A run is
-quiescent when no event is left at or before the tick limit.
+counts against the tick limit.  A timer its entity refuses to fire stays
+due at the tick it was refused at, so it is not queued again: like a
+refused message, it is dropped.  A run is quiescent when no event is
+left at or before the tick limit.
 
 Every delivery's hop signature is verified before its receiver acts on
 it (messages.verify_message).  A delivery queued while at least two other
@@ -421,7 +422,8 @@ class Simulation:
                     self._deliver(subject, detail, tick)
                 else:
                     customer = self.world.customers[subject]
-                    self._apply_result(customer.begin_purchase(detail), tick)
+                    self._apply_result(customer.begin_purchase(detail, tick),
+                                       tick)
         finally:
             # Checks whose deliveries the tick limit cut off, among others.
             if self._helper is not None:

@@ -270,6 +270,45 @@ def test_timer_moving_outside_its_row_is_refused(world, monkeypatch):
     assert world.ttp.phase_of(txn) is TP.QUOTED
 
 
+def test_refused_transition_leaves_the_timer_as_it_was(world, monkeypatch):
+    txn = txn_of(world)
+    sealed, _ = issue_token(world, txn)
+    quote(world, txn)
+    due = world.ttp.timer_due(str(txn))
+    assert due == 3 + world.ttp.deadline_ticks
+    hold_escrow = type(world.ttp).hold_escrow
+
+    def hold_then_dispatch(self, *args):
+        hold_escrow(self, *args)
+        return TP.DISPATCHED
+
+    monkeypatch.setattr(type(world.ttp), "hold_escrow", hold_then_dispatch)
+    result = deposit(world, txn, sealed, now=7)
+    assert result.violations == [
+        "IllegalTransition:TTP0:QuotedxEscrowDeposit->Dispatched"]
+    assert world.ttp.phase_of(txn) is TP.QUOTED
+    assert world.ttp.timer_due(str(txn)) == due
+
+
+def test_arbiter_self_loops_keep_the_deadline(world):
+    txn = txn_of(world)
+    sealed, _ = issue_token(world, txn)
+    quote(world, txn)
+    deposit(world, txn, sealed, now=7)
+    due = world.ttp.timer_due(str(txn))
+    assert due == 7 + world.ttp.deadline_ticks
+    query = world.ttp.step(
+        signed(world, "M0", K.TEMP_PAYMENT_QUERY, "TTP0", txn,
+               m.TempPaymentQuery("ORD-M0-1")), 9)
+    report = world.ttp.step(
+        signed(world, "CB0", K.TAMPER_REPORT, "TTP0", txn,
+               m.TamperReport("tamper", "DecryptionFailure")), 11)
+    assert [msg.kind for msg in query.messages] == [K.TEMP_PAYMENT_ACK]
+    assert report.violations == []
+    assert world.ttp.phase_of(txn) is TP.HELD
+    assert world.ttp.timer_due(str(txn)) == due
+
+
 # -- customer --------------------------------------------------------------------
 
 def offer_for(world, txn, product="widget", quantity=1):
@@ -284,7 +323,7 @@ def offer_for(world, txn, product="widget", quantity=1):
 def test_customer_flow_to_token_request(world):
     customer = world.customers["C0"]
     intent = PurchaseIntent(world.entities["M0"].id, "widget", 1)
-    out = customer.begin_purchase(intent)
+    out = customer.begin_purchase(intent, 1)
     assert [msg.kind for msg in out.messages] == [K.BROWSE]
     txn = txn_of(world)
     assert customer.phase_of(txn) is CP.AWAIT_OFFER
@@ -304,7 +343,7 @@ def test_customer_flow_to_token_request(world):
 def test_customer_rejects_mismatched_offer(world):
     customer = world.customers["C0"]
     customer.begin_purchase(PurchaseIntent(world.entities["M0"].id,
-                                           "widget", 1))
+                                           "widget", 1), 1)
     txn = txn_of(world)
     result = customer.step(offer_for(world, txn, quantity=3), 2)
     assert any("OfferMismatch" in v for v in result.violations)
@@ -313,7 +352,7 @@ def test_customer_rejects_mismatched_offer(world):
 
 def test_customer_rejects_forged_merchant_certificate(world):
     customer, merchant = world.customers["C0"], world.entities["M0"]
-    customer.begin_purchase(PurchaseIntent(merchant.id, "widget", 1))
+    customer.begin_purchase(PurchaseIntent(merchant.id, "widget", 1), 1)
     txn = txn_of(world)
     genuine = offer_for(world, txn)
     # M0's name and signature over C0's key: a forgery the memo never saw,
@@ -334,7 +373,7 @@ def test_customer_trust_gate_aborts(world):
     customer = world.customers["C0"]
     customer.policy = AcceptancePolicy(min_grade=Grade.B1)
     customer.begin_purchase(PurchaseIntent(world.entities["M0"].id,
-                                           "widget", 1))
+                                           "widget", 1), 1)
     txn = txn_of(world)
     customer.step(offer_for(world, txn), 2)
     reply = signed(world, "TTP0", K.TRUST_REPLY, "C0", txn,
@@ -347,7 +386,7 @@ def test_customer_trust_gate_aborts(world):
 def test_customer_refuses_completion_before_its_verdict(world):
     customer = world.customers["C0"]
     customer.begin_purchase(PurchaseIntent(world.entities["M0"].id,
-                                           "widget", 1))
+                                           "widget", 1), 1)
     txn = txn_of(world)
     customer.step(offer_for(world, txn), 2)
     customer.step(signed(world, "TTP0", K.TRUST_REPLY, "C0", txn,

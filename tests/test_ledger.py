@@ -214,7 +214,7 @@ def test_dispute_report_hashes_nothing_and_decodes_only_its_rows(
         monkeypatch):
     led = fixture_ledger()
     led.append(LedgerEntry("C1-1", 9, "TTP0", "Deposit"))
-    calls = {"sha256": 0, "from_bytes": 0}
+    calls = {"sha256": 0, "decodes": 0, "field_checks": 0}
 
     class CountingHashlib:
         @staticmethod
@@ -222,19 +222,23 @@ def test_dispute_report_hashes_nothing_and_decodes_only_its_rows(
             calls["sha256"] += 1
             return hashlib.sha256(*args)
 
-    decode = LedgerEntry.from_bytes
+    decode, check = tset.ledger._entry_fields, tset.ledger.check_entry_fields
 
-    def counting_decode(data):
-        calls["from_bytes"] += 1
-        return decode(data)
+    def counting_decode(raw):
+        calls["decodes"] += 1
+        return decode(raw)
+
+    def counting_check(*fields):
+        calls["field_checks"] += 1
+        return check(*fields)
 
     monkeypatch.setattr(tset.ledger, "hashlib", CountingHashlib)
-    monkeypatch.setattr(LedgerEntry, "from_bytes",
-                        staticmethod(counting_decode))
+    monkeypatch.setattr(tset.ledger, "_entry_fields", counting_decode)
+    monkeypatch.setattr(tset.ledger, "check_entry_fields", counting_check)
     for txn, rows in (("C0-1", 3), ("C1-1", 1)):
-        calls.update(sha256=0, from_bytes=0)
+        calls.update(sha256=0, decodes=0, field_checks=0)
         assert len(dispute_report(led, txn)["entries"]) == rows
-        assert calls == {"sha256": 0, "from_bytes": rows}
+        assert calls == {"sha256": 0, "decodes": rows, "field_checks": rows}
 
 
 def test_load_hashes_and_decodes_each_entry_once(monkeypatch):

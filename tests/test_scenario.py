@@ -1,6 +1,7 @@
 """Scenario parsing: strict validation, defaults, and world wiring."""
 
 import copy
+import gc
 import itertools
 import pathlib
 import random
@@ -230,6 +231,44 @@ def test_load_scenario_not_utf8(tmp_path):
     path.write_bytes(b"seed: 1\n\xff\n")
     with pytest.raises(ScenarioError, match="not valid UTF-8"):
         load_scenario(path)
+
+
+def test_load_scenario_not_utf8_names_the_offset_in_the_file(tmp_path):
+    # Far past the first read chunk of a text-mode file, whose decoder would
+    # count from the start of the chunk.
+    body = b"seed: 1\n" + b"# a comment line that pads the file\n" * 4000
+    path = tmp_path / "s.yaml"
+    path.write_bytes(body + b"\xff\n")
+    assert len(body) > 140_000
+    with pytest.raises(ScenarioError,
+                       match=f"byte 0xff in position {len(body)}:"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "not YAML"])
+def test_load_scenario_parses_with_the_collector_paused(
+        enabled, valid, tmp_path, monkeypatch):
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(basic_scenario()) if valid
+                    else "customers: [unclosed\n")
+    parse, collecting = yaml.load, []
+
+    def spy(*args, **kwargs):
+        collecting.append(gc.isenabled())
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if valid:
+            assert load_scenario(path).seed == basic_scenario()["seed"]
+        else:
+            with pytest.raises(ScenarioError, match="not valid YAML"):
+                load_scenario(path)
+        assert (collecting, gc.isenabled()) == ([False], enabled)
+    finally:
+        gc.enable()
 
 
 def test_bundled_scenarios_parse():

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from tset.entities import (
+    CLOCKS,
     START_PHASE,
     TERMINAL,
     TRANSITION_TABLES,
@@ -49,11 +50,34 @@ the same way as a peer: the phase stays and the emissions are dropped.
 The terminal phases, from `tset.entities.TERMINAL`, are those in which
 the role is done with a purchase; the run summary counts a purchase as
 unresolved while any party holds it in another phase.
+
+A phase with a `Timer` row is timed.  Its clock, from
+`tset.entities.CLOCKS` and listed under each role's heading, names the
+entity setting that gives the ticks from arming the timer to its falling
+due, and any condition on arming it.  The entity arms its timer for the
+purchase as it enters a timed phase, and arms it afresh on a row marked
+`restarts`, which stays in the phase.  Any other row of a timed phase
+leaves the timer as it is, and a phase that is not timed holds no timer.
+No handler arms or clears a timer, so these tables say when each party
+holds a running clock.
 """
 
 
 def _names(items) -> str:
     return ", ".join(item.value for item in items) or "-"
+
+
+def _clocks(role) -> str:
+    """The timed phases of ``role``, grouped by clock."""
+    phases = {}
+    for phase, clock in CLOCKS[role].items():
+        phases.setdefault(clock, []).append(f"`{phase.value}`")
+    return "; ".join(f"{', '.join(names)}: `{clock}`"
+                     for clock, names in phases.items()) or "none"
+
+
+def _note(rule) -> str:
+    return "stale" if rule.stale else "restarts" if rule.restarts else ""
 
 
 def render_tables() -> str:
@@ -66,13 +90,14 @@ def render_tables() -> str:
         out.append(f"\n## {TITLES[role]} `{role.value}`  "
                    f"(start phase: `{start.value}`; terminal: "
                    f"{', '.join(f'`{p.value}`' for p in terminal)})\n\n")
-        out.append("| phase | on | may move to | may emit | stale |\n")
+        out.append(f"Timed phases: {_clocks(role)}.\n\n")
+        out.append("| phase | on | may move to | may emit | note |\n")
         out.append("|---|---|---|---|---|\n")
         rows = sorted(table.items(), key=lambda row: order.index(row[0][0]))
         for (phase, kind), rule in rows:
             out.append(f"| {phase.value} | {kind.value} | "
                        f"{_names(rule.next)} | {_names(rule.emits)} | "
-                       f"{'stale' if rule.stale else ''} |\n")
+                       f"{_note(rule)} |\n")
     return "".join(out)
 
 
@@ -142,6 +167,20 @@ def test_timer_rows_only_for_roles_with_timers():
     for role, table in TRANSITION_TABLES.items():
         has_rows = any(kind is Internal.TIMER for _, kind in table)
         assert has_rows == ("on_timer" in vars(classes[role])), role
+        assert has_rows == ("_due" in vars(classes[role])), role
+
+
+def test_timed_phases_have_clocks_and_restarts_stay_in_them():
+    assert set(CLOCKS) == set(Role)
+    for role, table in TRANSITION_TABLES.items():
+        timed = {phase for phase, kind in table if kind is Internal.TIMER}
+        assert set(CLOCKS[role]) == timed, role
+        assert all(CLOCKS[role].values()), role
+        for (phase, kind), rule in table.items():
+            if rule.restarts:
+                assert phase in timed, (role, phase, kind)
+                assert rule.next == (phase,), (role, phase, kind)
+                assert not rule.stale, (role, phase, kind)
 
 
 if __name__ == "__main__":
