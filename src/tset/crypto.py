@@ -14,15 +14,25 @@ symmetric primitive are authenticated, so any bit flip in a sealed blob
 fails the tag check.
 
 An Ed25519 verification holds the GIL, so a second thread cannot overlap
-one; a second process can.  The simulator sends the hop signature of a
-delivery it queues behind others to ``helper()``, one process forked per
-process on first use, which verifies it while the simulator works through
-the deliveries ahead of it.  A ``SignatureCheck`` names the exact key,
-signature and signed bytes its verdict is about, and
-``CertificateChecks.signed`` uses that verdict only for those bytes; every
-other signature is verified in the calling process.  The helper is never
-asked for a verdict twice and keeps nothing between checks.  If it dies,
-the verdicts it owes raise ``HelperLost``: none is read as a bad signature.
+one; a second process can.  The simulator queues a check of the hop
+signature of each delivery it queues behind others with ``helper()``, one
+process forked per process on first use.  A check goes to the helper only
+when the helper can answer it before the simulator needs it: while the
+helper has at most one check left to verify, and only if the checks it
+has left, this one included, are fewer than the deliveries still ahead of
+this one.  The helper's progress is read from a counter it keeps in
+shared memory, so answers waiting unread in the pipe are not counted as
+its backlog.  A check not sent by the time its delivery is made is
+withdrawn and verified in the simulator's process, so that neither process
+waits on the other.  Which process verifies a given signature therefore
+depends on timing, and the split varies from run to run; each signature is
+still verified exactly once, and the verdicts, like every output, do not
+vary.  A ``SignatureCheck`` names the exact key, signature and signed
+bytes its verdict is about, and ``CertificateChecks.signed`` uses that
+verdict only for those bytes; every other signature is verified in the
+calling process.  The helper is never asked for a verdict twice and keeps
+nothing between checks.  If it dies, the verdicts it owes raise
+``HelperLost``: none is read as a bad signature.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from __future__ import annotations
 import atexit
 import collections
 import gc
+import mmap
 import os
 import signal
 import struct
@@ -273,18 +284,23 @@ def open_box(recipient: X25519PrivateKey, recipient_public: bytes,
 # ---------------------------------------------------------------------------
 # The helper process that verifies hop signatures
 #
-# One pipe carries length-framed batches of checks: [4B length] followed
-# by, per check, [32B public key][2B signature length][4B data length]
-# [signature][data].  The other carries one byte per verification the
-# helper made, in the order of the checks: 1 if the signature verifies,
-# 0 if it does not.
+# One pipe carries checks, each [32B public key][2B signature length]
+# [4B data length][signature][data], in the order they are sent.  The other
+# carries one byte per verification the helper made, in the same order: 1
+# if the signature verifies, 0 if it does not.  A counter in memory shared
+# with the helper holds the number of answers it has written.  It is read
+# without a system call, to judge the helper's backlog, and never for a
+# verdict.
 
-_LENGTH = struct.Struct(">I")
-_CHECK = struct.Struct(">HI")
+_CHECK = struct.Struct(">32sHI")
+_COUNT = struct.Struct("=Q")
 # The answers owed at any time fit in the smallest pipe buffer, one page:
 # the helper never waits to write an answer, so it always reads on, and a
 # batch being sent is always taken.
 _ANSWER_ROOM = 4096
+# The most the helper takes from the pipe of checks in one read: a Linux
+# pipe's default capacity.
+_READ_SIZE = 65536
 
 
 class HelperLost(RuntimeError):
@@ -293,17 +309,21 @@ class HelperLost(RuntimeError):
 
 
 class SignatureCheck:
-    """One signature sent to the helper: the raw public key, signature and
-    signed bytes its verdict is about, and that verdict once it is in."""
+    """One signature for the helper: the raw public key, signature and
+    signed bytes its verdict is about, the position in the caller's work by
+    which the verdict is needed, and that verdict once it is in."""
 
-    __slots__ = ("public_key", "signature", "data", "verdict", "_helper")
+    __slots__ = ("public_key", "signature", "data", "due", "sent",
+                 "verdict", "_helper")
 
     def __init__(self, helper: "Helper", public_key: bytes, signature: bytes,
-                 data: bytes):
+                 data: bytes, due: int):
         self._helper = helper
         self.public_key = public_key
         self.signature = signature
         self.data = data
+        self.due = due
+        self.sent = False
         self.verdict: bool | None = None
 
     def covers(self, public_key: bytes, signature: bytes,
@@ -316,48 +336,41 @@ class SignatureCheck:
         return self._helper.verdict(self)
 
 
-def _read(fd: int, size: int) -> bytes:
-    """``size`` bytes from ``fd``, fewer only at end of file."""
-    parts = []
-    while size:
-        part = os.read(fd, size)
-        if not part:
-            break
-        parts.append(part)
-        size -= len(part)
-    return b"".join(parts)
-
-
 def _write(fd: int, data: bytes) -> None:
     view = memoryview(data)
     while view:
         view = view[os.write(fd, view):]
 
 
-def _serve(checks: int, answers: int) -> None:
-    """The helper's loop: answer every batch, until the pipe of checks
-    closes."""
+def _serve(checks: int, answers: int, answered) -> None:
+    """The helper's loop, until the pipe of checks closes: verify each
+    complete check a read brings, write its answer at once, and then count
+    it in ``answered``."""
+    count = 0
+    data = b""
     while True:
-        head = _read(checks, _LENGTH.size)
-        if len(head) < _LENGTH.size:
+        chunk = os.read(checks, _READ_SIZE)
+        if not chunk:
             return
-        (size,) = _LENGTH.unpack(head)
-        batch = _read(checks, size)
-        verdicts = bytearray()
+        data += chunk
         at = 0
-        while at < len(batch):
-            key = batch[at:at + 32]
-            sig_len, data_len = _CHECK.unpack_from(batch, at + 32)
-            at += 32 + _CHECK.size
-            signature = batch[at:at + sig_len]
-            data = batch[at + sig_len:at + sig_len + data_len]
-            at += sig_len + data_len
+        while len(data) - at >= _CHECK.size:
+            key, sig_len, data_len = _CHECK.unpack_from(data, at)
+            start = at + _CHECK.size
+            end = start + sig_len + data_len
+            if end > len(data):
+                break           # the rest of this check is still on its way
             try:
-                load_public_key(key).verify(signature, data)
-                verdicts.append(1)
+                load_public_key(key).verify(data[start:start + sig_len],
+                                            data[start + sig_len:end])
+                answer = b"\x01"
             except InvalidSignature:
-                verdicts.append(0)
-        _write(answers, verdicts)
+                answer = b"\x00"
+            _write(answers, answer)
+            count += 1
+            _COUNT.pack_into(answered, 0, count)
+            at = end
+        data = data[at:]
 
 
 def _keep_only(*fds: int) -> None:
@@ -381,9 +394,12 @@ def _reap(pid: int):
 class Helper:
     """A forked process that verifies batches of Ed25519 signatures.
 
-    ``check`` queues one verification, ``flush`` sends the queued ones as a
-    batch, and a check's ``valid()`` reads answers, which come in the order
-    of the checks, until its own is in.  One thread uses it at a time.
+    ``check`` queues one verification.  ``top_up`` sends queued checks
+    while the helper is about to run out of work, and only those it can
+    answer before they are due; ``flush`` sends every queued check.  A
+    check never sent can be withdrawn and verified by the caller instead.
+    A sent check's ``valid()`` reads answers, which come in the order the
+    checks were sent, until its own is in.  One thread uses it at a time.
     The helper keeps only stderr and its ends of the two pipes, ignores
     SIGINT, and exits when the pipe of checks reaches end of file, so it
     cannot outlive this process."""
@@ -391,6 +407,8 @@ class Helper:
     def __init__(self):
         checks_in, self._checks = os.pipe()
         self._answers, answers_out = os.pipe()
+        # Shared with the helper, which counts its answers here.
+        self._answered = mmap.mmap(-1, _COUNT.size)
         try:
             pid = os.fork()
         except OSError:
@@ -403,7 +421,7 @@ class Helper:
                 gc.disable()    # its collections would copy the whole heap
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 _keep_only(2, checks_in, answers_out)
-                _serve(checks_in, answers_out)
+                _serve(checks_in, answers_out, self._answered)
                 status = 0
             finally:
                 os._exit(status)
@@ -412,50 +430,103 @@ class Helper:
         self.pid = pid
         # Verifications the helper reported making, summed over answers.
         self.verified = 0
+        # Reads of the answer pipe made before the helper had written the
+        # answer they waited for: each blocked this process.
+        self.waits = 0
         # Why this end no longer talks to the helper; None while it does.
         self.lost: str | None = None
-        self._unsent: list[SignatureCheck] = []
+        self._sent_count = 0    # checks written to the pipe, ever
+        self._unsent: list[SignatureCheck] = []     # in the order queued
         self._sent: collections.deque = collections.deque()  # unanswered
 
-    def check(self, public_key: bytes, signature: bytes,
-              data: bytes) -> SignatureCheck:
+    def check(self, public_key: bytes, signature: bytes, data: bytes,
+              due: int = 0) -> SignatureCheck:
         """Queue the verification of ``signature`` over ``data`` under the
-        raw Ed25519 ``public_key``."""
-        check = SignatureCheck(self, public_key, signature, data)
+        raw Ed25519 ``public_key``, needed once the caller's work reaches
+        position ``due`` (see ``top_up``)."""
+        check = SignatureCheck(self, public_key, signature, data, due)
         self._unsent.append(check)
         if len(self._unsent) == _ANSWER_ROOM:
             self.flush()
         return check
 
-    def flush(self) -> None:
-        """Send the queued checks as one batch."""
-        if not self._unsent:
+    def backlog(self) -> int:
+        """The checks sent that the helper has not answered yet.  An
+        answer written to the pipe but not read yet is not backlog."""
+        return self._sent_count - _COUNT.unpack_from(self._answered)[0]
+
+    def top_up(self, now: int) -> None:
+        """Send queued checks while the helper has at most one check left,
+        so that it does not run out of work, and the checks queued while it
+        was busy go in one batch.  The caller's work is at position
+        ``now``.  The latest-due checks go first, and each only while the
+        checks ahead of it in the helper, itself included, are fewer than
+        the positions left before it is due: the helper answers it before
+        the caller needs it.  The rest stay queued; the caller withdraws
+        each one it reaches and verifies it itself."""
+        unsent = self._unsent
+        if not unsent:
             return
-        self._talking()
+        backlog = self.backlog()
+        if backlog > 1:
+            return
+        batch = []
+        while unsent and backlog + len(batch) + 1 < unsent[-1].due - now:
+            batch.append(unsent.pop())
+        if batch:
+            self._send(batch)
+
+    def flush(self) -> None:
+        """Send every queued check."""
         batch, self._unsent = self._unsent, []
+        if batch:
+            self._send(batch)
+
+    def _send(self, batch: list) -> None:
+        """Write ``batch`` to the helper as one write."""
+        self._talking()
         while len(self._sent) + len(batch) > _ANSWER_ROOM:
             self._collect()
         parts = []
         for c in batch:
-            parts += (c.public_key, _CHECK.pack(len(c.signature), len(c.data)),
+            c.sent = True
+            parts += (_CHECK.pack(c.public_key, len(c.signature), len(c.data)),
                       c.signature, c.data)
-        body = b"".join(parts)
         self._sent += batch
+        self._sent_count += len(batch)
         try:
-            _write(self._checks, _LENGTH.pack(len(body)) + body)
+            _write(self._checks, b"".join(parts))
         except OSError as exc:
             self._fail(f"took no checks ({exc})")
 
+    def withdraw(self, check: SignatureCheck) -> bool:
+        """Take ``check`` out of the queue (if ``drain`` has not dropped it
+        already), unless it was sent; say whether it was not.  A withdrawn
+        check is the caller's to verify: the helper never sees it."""
+        if check.sent:
+            return False
+        try:
+            self._unsent.remove(check)
+        except ValueError:
+            pass
+        return True
+
     def verdict(self, check: SignatureCheck) -> bool:
-        self.flush()
+        """The helper's verdict on ``check``, read from the pipe, and
+        waited for if the helper has not answered it yet."""
+        if self.withdraw(check):
+            self._send([check])     # wanted now, so sent on its own
         while check.verdict is None:
+            if _COUNT.unpack_from(self._answered)[0] == self.verified:
+                self.waits += 1
             self._collect()
         return check.verdict
 
     def drain(self) -> None:
-        """Wait for the verdict of every check queued so far."""
+        """Drop the checks never sent, and wait for the verdict of every
+        check sent."""
+        self._unsent = []
         if self.lost is None:
-            self.flush()
             while self._sent:
                 self._collect()
 

@@ -340,14 +340,14 @@ class Entity:
     def step(self, msg: ProtocolMessage, now: int) -> StepResult:
         """Deliver one message: refuse a bad signature, then advance."""
         result = StepResult()
-        sender_cert = self.directory.get(str(msg.sender))
+        sender_cert = self.directory.get(msg.sender.name)
         if sender_cert is None or not m.verify_message(
                 msg, sender_cert, self.certs):
             result.violations.append(
                 f"BadSignature:{msg.kind.value}:{msg.sender}->{self.id}")
             return result
         return self._advance(
-            str(msg.txn), msg.kind, now, result,
+            msg.txn.name, msg.kind, now, result,
             lambda phase: self.handle(msg, phase, now, result))
 
     def fire_timer(self, key: str, now: int) -> StepResult:
@@ -453,14 +453,14 @@ class Customer(Entity):
         """Kick off the next transaction: browse the merchant's catalog."""
         self._serial += 1
         txn = TransactionId(self.id, self._serial)
-        self.txns[str(txn)] = _CustomerTxn(intent)
+        self.txns[txn.name] = _CustomerTxn(intent)
         result = StepResult()
 
         def browse(phase):
             self._emit(result, intent.merchant, txn,
                        m.Browse(intent.product, intent.quantity))
             return CP.AWAIT_OFFER
-        return self._advance(str(txn), I.BEGIN, now, result, browse)
+        return self._advance(txn.name, I.BEGIN, now, result, browse)
 
     def _reject_verdict(self) -> bool:
         if self._reject_script:
@@ -476,13 +476,13 @@ class Customer(Entity):
         return CP.AWAIT_TOKEN
 
     def handle(self, msg, phase, now, result):
-        st = self.txns.get(str(msg.txn))
+        st = self.txns.get(msg.txn.name)
         kind = msg.kind
 
         if kind == K.OFFER:
             order = msg.payload.order
             cert = msg.payload.merchant_cert
-            if not self.certs.valid(cert) or cert.subject != str(msg.sender):
+            if not self.certs.valid(cert) or cert.subject != msg.sender.name:
                 result.violations.append(f"AuthFailure:Offer:{msg.sender}")
                 return phase
             if (order.product != st.intent.product
@@ -566,18 +566,18 @@ class Merchant(Entity):
                 unit_price=price,
                 total_price=price * msg.payload.quantity,
                 merchant=self.id)
-            self.orders[str(msg.txn)] = order
+            self.orders[msg.txn.name] = order
             self._emit(result, msg.sender, msg.txn,
                        m.Offer(order, self.certificate))
             return MP.AWAIT_CONFIRM
 
         if kind == K.PURCHASE_CONFIRM:
             cert = msg.payload.customer_cert
-            if not self.certs.valid(cert) or cert.subject != str(msg.sender):
+            if not self.certs.valid(cert) or cert.subject != msg.sender.name:
                 result.violations.append(
                     f"AuthFailure:PurchaseConfirm:{msg.sender}")
                 return phase
-            order = self.orders.get(str(msg.txn))
+            order = self.orders.get(msg.txn.name)
             if order is None or msg.payload.order != order:
                 result.violations.append(f"OrderMismatch:{msg.txn}")
                 return phase
@@ -586,7 +586,7 @@ class Merchant(Entity):
             return MP.AWAIT_ACK
 
         if kind == K.TEMP_PAYMENT_ACK:
-            order = self.orders[str(msg.txn)]
+            order = self.orders[msg.txn.name]
             if msg.payload.amount != order.total_price:
                 result.violations.append(
                     f"AckAmountMismatch:{msg.txn}:{msg.payload.amount}")
@@ -595,7 +595,7 @@ class Merchant(Entity):
             return MP.AWAIT_CAPTURE
 
         if kind == K.REJECT_GOODS:
-            self._dispatch(self.orders[str(msg.txn)], msg.txn, True, result)
+            self._dispatch(self.orders[msg.txn.name], msg.txn, True, result)
             return MP.AWAIT_CAPTURE
 
         if kind == K.SETTLEMENT:
@@ -654,12 +654,12 @@ class CustomerBank(Entity):
 
     def _issue(self, msg, now, result):
         req = msg.payload
-        txn_key = str(msg.txn)
-        if req.customer_cert.subject != str(msg.sender):
+        txn_key = msg.txn.name
+        if req.customer_cert.subject != msg.sender.name:
             result.violations.append(f"AuthFailure:TokenRequest:{msg.sender}")
             return self.phase_of(msg.txn)
         if txn_key not in self.holds:
-            customer = str(msg.sender)
+            customer = msg.sender.name
             if self.accounts.get(customer, 0) < req.amount:
                 self._emit(result, msg.sender, msg.txn,
                            m.CompletionNotice("aborted", "insufficient funds"))
@@ -684,7 +684,7 @@ class CustomerBank(Entity):
         """Open the presented token, compare it against the stored duplicate,
         and either move the held funds toward the acquirer or revoke the
         token id and report tampering to the arbiter."""
-        txn_key = str(txn)
+        txn_key = txn.name
         try:
             opened = tokens.open_token(sealed, self.keys)
         except tokens.TokenIdDecryptionFailure:
@@ -720,7 +720,7 @@ class CustomerBank(Entity):
         return IP.SETTLED
 
     def _tamper(self, txn, reason: str, result):
-        txn_key = str(txn)
+        txn_key = txn.name
         current = self.txn_token.get(txn_key)
         if current is not None:
             self.mint.revoke(current)
@@ -733,7 +733,7 @@ class CustomerBank(Entity):
         self.replay_refusals += 1
         self._emit(result, TTP0, txn,
                    m.TamperReport("replay", "AlreadySettled"))
-        amount = self.settled_amounts.get(str(txn))
+        amount = self.settled_amounts.get(txn.name)
         if amount is not None:
             # Idempotent copy so a lost original cannot strand the payout.
             self._emit(result, MB0, txn, m.Settlement(amount, duplicate=True))
@@ -753,10 +753,10 @@ class CustomerBank(Entity):
             return self.settle(msg.txn, msg.payload.sealed, now, result)
 
         if kind == K.ESCROW_CANCEL:
-            token_id = self.txn_token.get(str(msg.txn))
+            token_id = self.txn_token.get(msg.txn.name)
             if token_id is not None:
                 self.mint.revoke(token_id)
-            self._release_hold(str(msg.txn))
+            self._release_hold(msg.txn.name)
             return IP.CANCELLED
 
         raise AssertionError(f"unhandled {kind} in {phase}")
@@ -789,7 +789,7 @@ class MerchantBank(Entity):
 
     def handle(self, msg, phase, now, result):
         kind = msg.kind
-        txn_key = str(msg.txn)
+        txn_key = msg.txn.name
 
         if kind == K.TOKEN_RELEASE:
             self.pending[txn_key] = _Pending(msg.payload.sealed,
@@ -802,7 +802,7 @@ class MerchantBank(Entity):
             # The table admits a Settlement only in AwaitPayment, which only
             # a TokenRelease enters, and it fills ``pending``.
             p = self.pending.pop(txn_key)
-            merchant = str(p.merchant)
+            merchant = p.merchant.name
             self.accounts[merchant] = (self.accounts.get(merchant, 0)
                                        + msg.payload.amount)
             self.credited_in_total += msg.payload.amount
@@ -859,13 +859,13 @@ class Ttp(Entity):
     def _log(self, st: _ArbiterTxn, tick: int, event: str,
              details: dict | None = None) -> None:
         self.ledger.append(LedgerEntry(
-            txn=str(st.txn), tick=tick, actor=str(self.id), event=event,
+            txn=st.txn.name, tick=tick, actor=self.id.name, event=event,
             token_digest=st.token_digest, oi_digest=st.oi_digest,
             details=details or {}))
 
     def _record(self, st: _ArbiterTxn, disposition: Disposition) -> None:
-        record = self.trust.setdefault(str(st.merchant), TrustRecord())
-        record_outcome(record, disposition, str(st.txn.customer), st.product)
+        record = self.trust.setdefault(st.merchant.name, TrustRecord())
+        record_outcome(record, disposition, st.txn.customer.name, st.product)
 
     def _ack(self, st: _ArbiterTxn, result) -> None:
         self._emit(result, st.merchant, st.txn,
@@ -936,13 +936,13 @@ class Ttp(Entity):
 
     def handle(self, msg, phase, now, result):
         kind = msg.kind
-        txn_key = str(msg.txn)
+        txn_key = msg.txn.name
         st = self.txns.get(txn_key)
 
         if kind == K.TRUST_LOOKUP:
             st = _ArbiterTxn(msg.txn, msg.payload.merchant)
             self.txns[txn_key] = st
-            record = self.trust.get(str(msg.payload.merchant))
+            record = self.trust.get(msg.payload.merchant.name)
             if record is None or record.total == 0:
                 # No verdicts yet: the merchant is unrated, not perfect.
                 reply = m.TrustReply(False)

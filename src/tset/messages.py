@@ -14,8 +14,8 @@ sender's certificate is checked against the root key once per world
 could only repeat the first.  That check keeps the certificate's loaded
 public key, and the hop signature is verified against it: the key is parsed
 once per world, the signature every time.  The Ed25519 verification itself
-runs in one of two places.  For a delivery the simulator queued behind
-others, it ran in the helper process (crypto.helper) while the deliveries
+runs in one of two places.  For a delivery whose check the simulator sent
+to the helper process (crypto.helper), it ran there while the deliveries
 ahead were made, and verify_message takes that verdict, which answers for
 the exact key, signature and signed part it was computed on and nothing
 else.  Every other signature is verified inline.  The subject match, the
@@ -62,10 +62,10 @@ class EntityId:
     def __post_init__(self):
         # The name is built once.  It is not a field, so equality, hashing
         # and repr are those of (role, index).
-        object.__setattr__(self, "_name", f"{self.role.value}{self.index}")
+        object.__setattr__(self, "name", f"{self.role.value}{self.index}")
 
     def __str__(self) -> str:
-        return self._name
+        return self.name
 
     @staticmethod
     def parse(text: str) -> "EntityId":
@@ -89,10 +89,10 @@ class TransactionId:
     serial: int
 
     def __post_init__(self):
-        object.__setattr__(self, "_name", f"{self.customer}-{self.serial}")
+        object.__setattr__(self, "name", f"{self.customer}-{self.serial}")
 
     def __str__(self) -> str:
-        return self._name
+        return self.name
 
     @staticmethod
     def parse(text: str) -> "TransactionId":
@@ -350,13 +350,14 @@ def _object_encoder(cls):
 
 
 _FIELD_ENCODERS = {
-    EntityId: lambda eid: _string(str(eid)),
+    EntityId: lambda eid: _string(eid.name),
     Certificate: lambda cert: cert.canonical_json,
 }
 _FIELD_ENCODERS[OrderInfo] = _object_encoder(OrderInfo)
 _PAYLOAD_ENCODERS = {cls: _object_encoder(cls)
                      for cls in PAYLOAD_TYPES.values()}
 _SIGNED_PART = '{"kind":%s,"payload":%s,"receiver":%s,"sender":%s,"txn":%s}'
+_KIND_JSON = {kind: _string(kind.value) for kind in MsgKind}
 
 
 def _json_keys(cls) -> frozenset:
@@ -430,10 +431,10 @@ class ProtocolMessage:
         type's encoder."""
         payload = self.payload
         return (_SIGNED_PART % (
-            _string(self.kind.value),
+            _KIND_JSON[self.kind],
             _PAYLOAD_ENCODERS[type(payload)](payload),
-            _string(str(self.receiver)), _string(str(self.sender)),
-            _string(str(self.txn)))).encode()
+            _string(self.receiver.name), _string(self.sender.name),
+            _string(self.txn.name))).encode()
 
     def canonical_bytes(self) -> bytes:
         """Encodes the whole message, signature and sealed bytes included."""
@@ -443,7 +444,7 @@ class ProtocolMessage:
         return hashlib.sha256(self.wire).hexdigest()
 
     def edge(self) -> tuple[str, str]:
-        return (str(self.sender), str(self.receiver))
+        return (self.sender.name, self.receiver.name)
 
     def sealed_token(self) -> SealedToken | None:
         return getattr(self.payload, _SIGN_EXEMPT, None)
@@ -462,10 +463,15 @@ class ProtocolMessage:
 
 def sign_message(msg: ProtocolMessage, key) -> ProtocolMessage:
     """The signed copy of ``msg``.  It keeps the signed part of ``msg``,
-    which the signature does not enter."""
-    signed = ProtocolMessage(msg.kind, msg.sender, msg.receiver, msg.txn,
-                             msg.payload, crypto.sign(key, msg.signed_part))
-    signed.__dict__["signed_part"] = msg.signed_part
+    which the signature does not enter.  The copy takes the fields of
+    ``msg`` as they are, without running the checks ``msg`` passed when it
+    was built."""
+    signed_part = msg.signed_part
+    signed = object.__new__(ProtocolMessage)
+    signed.__dict__.update(
+        kind=msg.kind, sender=msg.sender, receiver=msg.receiver, txn=msg.txn,
+        payload=msg.payload, signature=crypto.sign(key, signed_part),
+        signed_part=signed_part)
     return signed
 
 
@@ -475,6 +481,6 @@ def verify_message(msg: ProtocolMessage, sender_cert: Certificate,
     world, which keeps its loaded key), and the hop signature verifies
     against that key (checked on every call: here, or by the helper process
     when the simulator sent it these very bytes)."""
-    if str(msg.sender) != sender_cert.subject:
+    if msg.sender.name != sender_cert.subject:
         return False
     return certs.signed(sender_cert, msg.signature, msg.signed_part)

@@ -20,18 +20,26 @@ refused message, it is dropped.  A run is quiescent when no event is
 left at or before the tick limit.
 
 Every delivery's hop signature is verified before its receiver acts on
-it (messages.verify_message).  A delivery queued while at least two other
-deliveries are queued sends its Ed25519 check, the key its receiver knows
-the sender by, the signature and the signed part, to the process's helper
-(crypto.helper) as it is queued.  The checks an event queued go out as one
-batch before the next event, so the helper verifies them while the
-deliveries ahead are made; at delivery the receiver uses that verdict if it
-covers the very bytes delivered, and verifies inline otherwise, as it does
-every delivery that was queued behind fewer.  Each queued delivery gets its own
-check, a replay's included, and the checks of deliveries the tick limit
-cuts off are waited for when the run ends.  The verdicts, like every
-verification, are deterministic, so where a signature is verified never
-changes a run's outputs.
+it (messages.verify_message), exactly once, in one of two processes.  A
+delivery queued while at least two other deliveries are queued also
+queues its Ed25519 check, the key its receiver knows the sender by, the
+signature and the signed part, with the process's helper (crypto.helper),
+due when the deliveries ahead of it are made.  Before each event the
+simulator tops the helper up: while the helper has at most one check left
+to verify, it sends the latest-due queued checks, each only if the
+helper's backlog ahead of it, itself included, is smaller than the number
+of deliveries still ahead of it, so that the verdict is in before the
+delivery is made.  At delivery, a check still queued is withdrawn and the
+receiver verifies inline, as it does every delivery that was queued
+behind fewer; a sent check's verdict is used if it covers the very bytes
+delivered.  Each queued delivery gets its own check, a replay's included;
+the checks of deliveries the tick limit cuts off are dropped if unsent,
+and waited for if sent, when the run ends.  The helper's progress decides
+which process verifies a signature, so the split between the two varies
+from run to run, but the number of verifications does not: it is the
+number of deliveries.  The verdicts, like every verification, are
+deterministic, so where a signature is verified never changes a run's
+outputs.
 
 The adversary script is immutable input, shared by every world built
 from one scenario.  A run keeps, for each message kind, the match counts
@@ -92,12 +100,13 @@ class ActionKind(str, Enum):
 _TOKEN_ACTIONS = (ActionKind.FLIP_BITS, ActionKind.REPLACE_AMOUNT,
                   ActionKind.REPLAY_TOKEN)
 
-# A delivery's check goes to the helper process when at least this many
-# deliveries are queued as it is.  The work of one delivery ahead does not
-# cover the helper's verification and the two processes' wake-ups: the
-# one-purchase worlds of a tamper sweep ran slower with checks sent behind
-# a single delivery than with none sent.  They never queue a delivery
-# behind two, so they verify every signature inline and start no helper.
+# A delivery's check is queued for the helper process when at least this
+# many deliveries are queued as it is.  With fewer, the helper could not
+# answer in time: a check is sent only while the helper's backlog ahead of
+# it, itself included, is smaller than the deliveries ahead of it, and that
+# backlog is at least one.  The one-purchase worlds of a tamper sweep never
+# queue a delivery behind two, so they verify every signature inline and
+# start no helper.
 _HELPER_AFTER = 2
 
 
@@ -129,7 +138,7 @@ class AdversaryAction:
             return False
         if self.target_edge is not None and msg.edge() != tuple(self.target_edge):
             return False
-        if self.target_txn is not None and str(msg.txn) != self.target_txn:
+        if self.target_txn is not None and msg.txn.name != self.target_txn:
             return False
         return True
 
@@ -231,7 +240,7 @@ class InvariantMonitor:
         if (msg.kind is MsgKind.SETTLEMENT
                 and msg.sender.role is m.Role.CUSTOMER_BANK
                 and not msg.payload.duplicate):
-            key = str(msg.txn)
+            key = msg.txn.name
             if key in self._settled_for_value:
                 self.failures.append(f"DoubleSettlement:{key}:tick={now}")
             self._settled_for_value.add(key)
@@ -251,13 +260,14 @@ class InvariantMonitor:
                 self.failures.append(
                     f"OrderLeak:{msg.kind.value}->{msg.receiver}:"
                     f"{','.join(sorted(bad))}")
-        if role is not m.Role.CUSTOMER_BANK:
-            wire = msg.wire
-            if (any(secret in wire for secret in self._secrets)
-                    or (self._account_prefix in wire
-                        and any(a in wire for a in self._accounts))):
-                self.failures.append(
-                    f"SecretLeak:{msg.kind.value}->{msg.receiver}")
+            return
+        wire = msg.wire
+        symmetric_key, box_secret = self._secrets
+        if (symmetric_key in wire or box_secret in wire
+                or (self._account_prefix in wire
+                    and any(a in wire for a in self._accounts))):
+            self.failures.append(
+                f"SecretLeak:{msg.kind.value}->{msg.receiver}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +303,7 @@ class Simulation:
         self._seq = 0
         self._now = 0
         self._deliveries = 0        # deliveries in the heap
+        self._delivered = 0         # deliveries made
         self._helper: crypto.Helper | None = None
         self._in_hand: crypto.SignatureCheck | None = None
 
@@ -303,7 +314,7 @@ class Simulation:
         self._seq += 1
 
     def _arm(self, entity: Entity, key: str) -> None:
-        timer = (entity.timer_due(key), 1, str(entity.id), key)
+        timer = (entity.timer_due(key), 1, entity.id.name, key)
         if (timer[0] is not None and timer[0] > self._now
                 and timer not in self._queued_timers):
             self._queued_timers.add(timer)
@@ -311,8 +322,7 @@ class Simulation:
 
     def _queue(self, tick: int, msg: ProtocolMessage, flag: str) -> None:
         """Queue a delivery.  Behind enough queued deliveries, its hop
-        signature goes to the helper process, which verifies it while the
-        deliveries ahead of it are made."""
+        signature is queued for the helper process too (see run)."""
         check = (self._check_later(msg)
                  if self._deliveries >= _HELPER_AFTER else None)
         self._deliveries += 1
@@ -321,21 +331,23 @@ class Simulation:
     def _check_later(self,
                      msg: ProtocolMessage) -> crypto.SignatureCheck | None:
         """The helper's check of ``msg``'s signature under the key its
-        receiver knows the sender by; None if there is no such key."""
-        receiver = self.world.entities.get(str(msg.receiver))
+        receiver knows the sender by, due when the deliveries queued now
+        are made; None if there is no such key."""
+        receiver = self.world.entities.get(msg.receiver.name)
         cert = (None if receiver is None
-                else receiver.directory.get(str(msg.sender)))
+                else receiver.directory.get(msg.sender.name))
         if cert is None:
             return None
         if self._helper is None:
             self._helper = crypto.helper()
         return self._helper.check(cert.public_key, msg.signature,
-                                  msg.signed_part)
+                                  msg.signed_part,
+                                  self._delivered + self._deliveries)
 
     def _record(self, tick: int, msg: ProtocolMessage, flag: str) -> None:
-        self.trace.append(TraceRecord(tick, str(msg.sender),
-                                      str(msg.receiver), msg.kind.value,
-                                      str(msg.txn), flag, msg.digest()))
+        self.trace.append(TraceRecord(tick, msg.sender.name,
+                                      msg.receiver.name, msg.kind.value,
+                                      msg.txn.name, flag, msg.digest()))
 
     def send(self, msg: ProtocolMessage, now: int) -> None:
         deliver_at = now + self.world.latency
@@ -382,14 +394,14 @@ class Simulation:
     def _deliver(self, msg: ProtocolMessage, flag: str, now: int) -> None:
         self._record(now, msg, flag)
         self.monitor.check_privacy(msg, now)
-        receiver = self.world.entities.get(str(msg.receiver))
+        receiver = self.world.entities.get(msg.receiver.name)
         if receiver is None:
             self.violations.append(f"NoSuchEntity:{msg.receiver}")
             return
         receiver.certs.offered = self._in_hand
         result = receiver.step(msg, now)
         self._apply_result(result, now)
-        self._arm(receiver, str(msg.txn))
+        self._arm(receiver, msg.txn.name)
         self.monitor.after_delivery(msg, now)
 
     # -- main loop -------------------------------------------------------
@@ -401,7 +413,7 @@ class Simulation:
         try:
             while self._heap:
                 if self._helper is not None:
-                    self._helper.flush()    # the checks the last event sent
+                    self._helper.top_up(self._delivered)
                 entry = heapq.heappop(self._heap)
                 tick, is_timer = entry[0], entry[1]
                 if is_timer:
@@ -416,9 +428,15 @@ class Simulation:
                     self._apply_result(entity.fire_timer(key, tick), tick)
                     self._arm(entity, key)
                     continue
-                what, subject, detail, self._in_hand = entry[3]
+                what, subject, detail, check = entry[3]
                 if what == "deliver":
                     self._deliveries -= 1
+                    self._delivered += 1
+                    # A check the helper was not sent in time is verified
+                    # here instead.
+                    self._in_hand = (None if check is None
+                                     or self._helper.withdraw(check)
+                                     else check)
                     self._deliver(subject, detail, tick)
                 else:
                     customer = self.world.customers[subject]

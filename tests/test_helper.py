@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -77,6 +78,57 @@ def test_a_check_of_other_bytes_is_verified_inline(keyset, monkeypatch):
     assert inline.count(bad) == 1 and inline.count(good) == 1
 
 
+def test_top_up_sends_only_checks_the_helper_can_answer_in_time(
+        keyset, monkeypatch):
+    data = b"signed part"
+    good = crypto.sign(keyset.customer_key, data)
+    key = keyset.cert_customer.public_key
+    helper = crypto.helper()
+    before = helper.verified
+    # One check is left in the helper: a check due two positions on would
+    # be its second, so it could not be answered in time; one due three
+    # positions on could.
+    monkeypatch.setattr(crypto.Helper, "backlog", lambda self: 1)
+    soon = helper.check(key, good, data, due=12)
+    later = helper.check(key, good, data, due=13)
+    helper.top_up(10)
+    assert later.sent and not soon.sent
+    assert helper.withdraw(soon) and not helper.withdraw(later)
+    assert later.valid()
+    assert helper.verified - before == 1
+    # With two checks left the helper is sent nothing.
+    monkeypatch.setattr(crypto.Helper, "backlog", lambda self: 2)
+    far = helper.check(key, good, data, due=100)
+    helper.top_up(10)
+    assert not far.sent
+    helper.drain()
+    assert helper.verified - before == 1
+
+
+def test_a_read_for_an_answer_not_yet_written_counts_as_a_wait(keyset):
+    data = b"signed part"
+    good = crypto.sign(keyset.customer_key, data)
+    key = keyset.cert_customer.public_key
+    helper = crypto.helper()
+    ready = helper.check(key, good, data)
+    helper.flush()
+    while helper.backlog():
+        time.sleep(0.001)
+    waits = helper.waits
+    assert ready.valid() and helper.waits == waits
+    # A stopped helper answers nothing until it is continued, so the read
+    # for this answer blocks.
+    os.kill(helper.pid, signal.SIGSTOP)
+    try:
+        pending = helper.check(key, good, data)
+        helper.flush()
+        threading.Timer(0.05, os.kill, (helper.pid, signal.SIGCONT)).start()
+        assert pending.valid()
+    finally:
+        os.kill(helper.pid, signal.SIGCONT)
+    assert helper.waits == waits + 1
+
+
 class _Forging(Simulation):
     """Flips one bit of the signature of the ``nth`` message sent, and
     notes each refusal with the trace position of its delivery."""
@@ -96,6 +148,14 @@ class _Forging(Simulation):
             msg = self.forged = dataclasses.replace(
                 msg, signature=bytes(flipped))
         super().send(msg, now)
+
+    def _queue(self, tick, msg, flag):
+        super()._queue(tick, msg, flag)
+        if msg is self.forged and self._helper is not None:
+            # Its check goes to the helper at once, whatever the helper's
+            # backlog, so that no host's timing can leave it to be
+            # verified inline.
+            self._helper.flush()
 
     def _deliver(self, msg, flag, now):
         before = len(self.violations)

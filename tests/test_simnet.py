@@ -171,6 +171,62 @@ def test_every_delivery_verifies_its_signature_a_replayed_one_too(
     assert inline + by_helper == deliveries
 
 
+def _verifications(monkeypatch, sim):
+    """Runs ``sim``, and returns the result, the deliveries made, the hop
+    signatures verified inline and those the helper verified."""
+    verified, checked = [], []
+    _counting(monkeypatch, crypto, "verify", verified)
+    _counting(monkeypatch, crypto, "verify_certificate", checked)
+    helper = crypto.helper()
+    before = helper.verified
+    result = sim.run()
+    flags = [record.flag for record in result.trace]
+    return (result, len(flags) - flags.count("dropped"),
+            len(verified) - len(checked), helper.verified - before)
+
+
+def mixed_simulation():
+    return Simulation(build_world(load_scenario(SCENARIOS / "mixed.yaml")))
+
+
+def test_a_check_the_helper_cannot_answer_in_time_is_verified_inline(
+        monkeypatch):
+    sim = mixed_simulation()
+    # No check has more deliveries ahead of it than are queued.
+    monkeypatch.setattr(crypto.Helper, "backlog",
+                        lambda self: sim._deliveries)
+    result, deliveries, inline, by_helper = _verifications(monkeypatch, sim)
+    assert result.summary["txns_completed"] == 4
+    assert inline == deliveries and by_helper == 0
+
+
+def _old_rule(monkeypatch):
+    """Every check goes to the helper before the next event."""
+    monkeypatch.setattr(crypto.Helper, "top_up",
+                        lambda self, now: self.flush())
+
+
+def _all_inline(monkeypatch):
+    monkeypatch.setattr(Simulation, "_check_later", lambda self, msg: None)
+
+
+@pytest.mark.parametrize("rule", [None, _all_inline, _old_rule])
+def test_where_a_signature_is_verified_changes_no_output(monkeypatch, rule):
+    reference = mixed_simulation().run()
+    if rule is not None:
+        rule(monkeypatch)
+    result, deliveries, inline, by_helper = _verifications(
+        monkeypatch, mixed_simulation())
+    assert inline + by_helper == deliveries
+    if rule is _all_inline:
+        assert by_helper == 0
+    else:
+        assert by_helper > 0
+    assert export_trace(result.trace) == export_trace(reference.trace)
+    assert result.ledger.to_bytes() == reference.ledger.to_bytes()
+    assert result.summary == reference.summary
+
+
 def test_a_flipped_signature_is_refused_after_the_key_is_loaded(
         monkeypatch):
     world = build_world(ScenarioConfig.from_dict(basic_scenario()))
