@@ -1,38 +1,45 @@
 """Signatures, certificates, the two encryption primitives, and the helper
-process that verifies hop signatures.
+process that verifies signatures.
 
 Certificates are a minimal in-model PKI: one root signing key per run signs
 (subject, public key) pairs, and every entity checks certificates against
 the root public key through the run's shared CertificateChecks.  That
-checks each certificate once and keeps the loaded public key of each one
-that checks out, so a hop signature is verified against a key parsed once
-per world; every signature is still verified on every call.  A
-certificate builds its canonical JSON once, when it is built.
+checks each certificate once, by the helper process when it was sent the
+check (``CertificateChecks.send``) and inline otherwise, and keeps the
+loaded public key of each one that checks out, so a hop signature is
+verified against a key parsed once per world; every signature is still
+verified on every call.  A certificate builds its canonical JSON once,
+when it is built.
 Asymmetric sealing is hybrid: an ephemeral X25519 exchange feeds HKDF-SHA256,
 and the derived key runs AES-256-GCM.  Both the hybrid and the plain
 symmetric primitive are authenticated, so any bit flip in a sealed blob
 fails the tag check.
 
 An Ed25519 verification holds the GIL, so a second thread cannot overlap
-one; a second process can.  The simulator queues a check of the hop
-signature of each delivery it queues behind others with ``helper()``, one
-process forked per process on first use.  A check goes to the helper only
-when the helper can answer it before the simulator needs it: while the
-helper has at most one check left to verify, and only if the checks it
-has left, this one included, are fewer than the deliveries still ahead of
-this one.  The helper's progress is read from a counter it keeps in
-shared memory, so answers waiting unread in the pipe are not counted as
-its backlog.  A check not sent by the time its delivery is made is
-withdrawn and verified in the simulator's process, so that neither process
-waits on the other.  Which process verifies a given signature therefore
-depends on timing, and the split varies from run to run; each signature is
-still verified exactly once, and the verdicts, like every output, do not
-vary.  A ``SignatureCheck`` names the exact key, signature and signed
-bytes its verdict is about, and ``CertificateChecks.signed`` uses that
-verdict only for those bytes; every other signature is verified in the
-calling process.  The helper is never asked for a verdict twice and keeps
-nothing between checks.  If it dies, the verdicts it owes raise
-``HelperLost``: none is read as a bad signature.
+one; a second process can: ``helper()``, one process forked per process
+on first use.  The simulator sends it the checks of a world's
+certificates at the start of a run, and the hop check of each delivery
+queued behind exactly one other, at once (``Helper.send_now``).  It
+queues the hop check of each delivery queued behind two or more
+(``Helper.check``).  A queued check goes to the helper only when the
+helper can answer it before the simulator needs it: while the helper has
+at most one check left to verify, and only if the checks it has left,
+this one included, are fewer than the deliveries still ahead of this one.
+The helper's progress is read from a counter it keeps in shared memory,
+so answers waiting unread in the pipe are not counted as its backlog.  A
+queued check not sent by the time its delivery is made is withdrawn and
+verified in the simulator's process, so that neither process waits on
+the other.  Which process verifies a queued check's signature therefore
+depends on timing, and the split varies from run to run; a check sent at
+once is always the helper's, so a world that queues nothing behind two
+deliveries splits the same way on every run.  Each signature is still
+verified exactly once, and the verdicts, like every output, do not vary.
+A ``SignatureCheck`` names the exact key, signature and signed bytes its
+verdict is about, and ``CertificateChecks`` uses that verdict only for
+those bytes; every other signature is verified in the calling process.
+The helper is never asked for a verdict twice and keeps nothing between
+checks.  If it dies, the verdicts it owes raise ``HelperLost``: none is
+read as a bad signature.
 """
 
 from __future__ import annotations
@@ -148,31 +155,57 @@ class CertificateChecks:
 
     Kept per certificate value: the loaded public key of a certificate that
     verifies against the root, None for one that does not.  Every distinct
-    certificate is verified the first time it is presented; a forged or
-    altered one is a different value and is verified (and refused) in turn.
-    Only the certificate check and the parsing of its key are kept: a
-    signature made with the key is verified on every call, inline or, when
-    the simulator offered the helper's check of those very bytes, by the
-    helper.  One instance serves one world: what it keeps is bounded by
-    the certificates that world sees.
+    certificate is verified once, by the time it is first presented: by the
+    helper if ``send`` sent it the check of those very bytes, else inline.
+    A forged or altered certificate is a different value and is verified
+    (and refused) in turn.  Only the certificate check and the parsing of
+    its key are kept: a signature made with the key is verified on every
+    call, inline or, when the simulator offered the helper's check of those
+    very bytes, by the helper.  One instance serves one world: what it
+    keeps is bounded by the certificates that world sees.
     """
 
     def __init__(self, root_public: bytes):
         self.root_public = root_public
         self._keys: dict[Certificate, Ed25519PublicKey | None] = {}
+        # The helper's check of each certificate sent to it and not yet
+        # presented.
+        self._sent: dict[Certificate, SignatureCheck] = {}
         # The helper's check of the delivery in hand, if it was sent one;
         # the simulator sets it, and ``signed`` takes it.
         self.offered: SignatureCheck | None = None
 
+    def send(self, certs, helper: "Helper") -> None:
+        """Send ``helper`` the check of each of ``certs`` not checked or sent
+        yet, all at once, so that their verdicts come in while the caller
+        works on."""
+        fresh = [cert for cert in dict.fromkeys(certs)
+                 if cert not in self._keys and cert not in self._sent]
+        checks = helper.send_now([
+            (self.root_public, cert.signature,
+             _cert_signing_bytes(cert.subject, cert.public_key))
+            for cert in fresh])
+        self._sent.update(zip(fresh, checks))
+
     def key(self, cert: Certificate) -> Ed25519PublicKey | None:
-        """The subject's loaded key if ``cert`` is root-signed, else None."""
+        """The subject's loaded key if ``cert`` is root-signed, else None.
+        The first time ``cert`` is presented, the helper's check of it
+        answers if it was sent one for these very bytes, waited for if it is
+        not in yet; otherwise it is verified here."""
         try:
             return self._keys[cert]
         except KeyError:
-            key = (load_public_key(cert.public_key)
-                   if verify_certificate(cert, self.root_public) else None)
-            self._keys[cert] = key
-            return key
+            pass
+        check = self._sent.pop(cert, None)
+        if check is not None and check.covers(
+                self.root_public, cert.signature,
+                _cert_signing_bytes(cert.subject, cert.public_key)):
+            valid = check.valid()
+        else:
+            valid = verify_certificate(cert, self.root_public)
+        key = load_public_key(cert.public_key) if valid else None
+        self._keys[cert] = key
+        return key
 
     def valid(self, cert: Certificate) -> bool:
         return self.key(cert) is not None
@@ -282,7 +315,7 @@ def open_box(recipient: X25519PrivateKey, recipient_public: bytes,
 
 
 # ---------------------------------------------------------------------------
-# The helper process that verifies hop signatures
+# The helper process that verifies signatures
 #
 # One pipe carries checks, each [32B public key][2B signature length]
 # [4B data length][signature][data], in the order they are sent.  The other
@@ -394,12 +427,13 @@ def _reap(pid: int):
 class Helper:
     """A forked process that verifies batches of Ed25519 signatures.
 
-    ``check`` queues one verification.  ``top_up`` sends queued checks
-    while the helper is about to run out of work, and only those it can
-    answer before they are due; ``flush`` sends every queued check.  A
-    check never sent can be withdrawn and verified by the caller instead.
-    A sent check's ``valid()`` reads answers, which come in the order the
-    checks were sent, until its own is in.  One thread uses it at a time.
+    ``send_now`` sends verifications at once.  ``check`` queues one
+    verification.  ``top_up`` sends queued checks while the helper is about
+    to run out of work, and only those it can answer before they are due;
+    ``flush`` sends every queued check.  A check never sent can be
+    withdrawn and verified by the caller instead.  A sent check's
+    ``valid()`` reads answers, which come in the order the checks were
+    sent, until its own is in.  One thread uses it at a time.
     The helper keeps only stderr and its ends of the two pipes, ignores
     SIGINT, and exits when the pipe of checks reaches end of file, so it
     cannot outlive this process."""
@@ -449,6 +483,16 @@ class Helper:
         if len(self._unsent) == _ANSWER_ROOM:
             self.flush()
         return check
+
+    def send_now(self, items) -> list[SignatureCheck]:
+        """Send the verification of each (raw public key, signature, signed
+        bytes) of ``items`` at once, ahead of every check still queued, and
+        return their checks in the same order."""
+        batch = [SignatureCheck(self, public_key, signature, data, 0)
+                 for public_key, signature, data in items]
+        for start in range(0, len(batch), _ANSWER_ROOM):
+            self._send(batch[start:start + _ANSWER_ROOM])
+        return batch
 
     def backlog(self) -> int:
         """The checks sent that the helper has not answered yet.  An

@@ -13,14 +13,14 @@ sender's certificate is checked against the root key once per world
 (crypto.CertificateChecks): a certificate never changes, so a second check
 could only repeat the first.  That check keeps the certificate's loaded
 public key, and the hop signature is verified against it: the key is parsed
-once per world, the signature every time.  The Ed25519 verification itself
-runs in one of two places.  For a delivery whose check the simulator sent
-to the helper process (crypto.helper), it ran there while the deliveries
-ahead were made, and verify_message takes that verdict, which answers for
-the exact key, signature and signed part it was computed on and nothing
-else.  Every other signature is verified inline.  The subject match, the
-certificate check and the BadSignature refusal stay in the simulator's
-process either way.
+once per world, the signature every time.  Each Ed25519 verification, the
+certificate's and the hop's, runs in one of two places.  For a check the
+simulator sent to the helper process (crypto.helper), it ran there while
+the simulator worked on, and verify_message takes that verdict, which
+answers for the exact key, signature and signed bytes it was computed on
+and nothing else.  Every other signature is verified inline.  The subject
+match and the BadSignature refusal stay in the simulator's process either
+way.
 
 A message is frozen, so its encodings are built once and kept for the
 signature check, the trace digest and the privacy monitor.  Both are

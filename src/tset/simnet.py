@@ -21,25 +21,31 @@ left at or before the tick limit.
 
 Every delivery's hop signature is verified before its receiver acts on
 it (messages.verify_message), exactly once, in one of two processes.  A
-delivery queued while at least two other deliveries are queued also
-queues its Ed25519 check, the key its receiver knows the sender by, the
-signature and the signed part, with the process's helper (crypto.helper),
-due when the deliveries ahead of it are made.  Before each event the
-simulator tops the helper up: while the helper has at most one check left
-to verify, it sends the latest-due queued checks, each only if the
-helper's backlog ahead of it, itself included, is smaller than the number
-of deliveries still ahead of it, so that the verdict is in before the
-delivery is made.  At delivery, a check still queued is withdrawn and the
-receiver verifies inline, as it does every delivery that was queued
-behind fewer; a sent check's verdict is used if it covers the very bytes
-delivered.  Each queued delivery gets its own check, a replay's included;
-the checks of deliveries the tick limit cuts off are dropped if unsent,
-and waited for if sent, when the run ends.  The helper's progress decides
-which process verifies a signature, so the split between the two varies
-from run to run, but the number of verifications does not: it is the
-number of deliveries.  The verdicts, like every verification, are
-deterministic, so where a signature is verified never changes a run's
-outputs.
+run with a purchase in its plan starts by sending the process's helper
+(crypto.helper) the check of every certificate in the world's directory,
+so that each receiver finds its sender's certificate checked, or waits
+for that verdict, the first time it is presented.  A delivery queued
+while exactly one other delivery is queued sends its Ed25519 check (the
+key its receiver knows the sender by, the signature and the signed part)
+to the helper at once.  A delivery queued while two or more are queued
+queues its check with the helper, due when the deliveries ahead of it are
+made.  Before each event the simulator tops the helper up: while the
+helper has at most one check left to verify, it sends the latest-due
+queued checks, each only if the helper's backlog ahead of it, itself
+included, is smaller than the number of deliveries still ahead of it, so
+that the verdict is in before the delivery is made.  At delivery, a check
+still queued is withdrawn and the receiver verifies inline, as it does
+every delivery that was queued alone; a sent check's verdict is used if
+it covers the very bytes delivered.  Each queued delivery gets its own
+check, a replay's included; the checks of deliveries the tick limit cuts
+off are dropped if unsent, and waited for if sent, when the run ends.
+The helper's progress decides which process verifies a queued check, so
+in a world that queues deliveries behind two others the split between
+the two varies from run to run; in one that never does, such as a
+one-purchase world, it depends on the queue alone and repeats.  The
+number of hop verifications never varies: it is the number of
+deliveries.  The verdicts, like every verification, are deterministic,
+so where a signature is verified never changes a run's outputs.
 
 The adversary script is immutable input, shared by every world built
 from one scenario.  A run keeps, for each message kind, the match counts
@@ -100,14 +106,14 @@ class ActionKind(str, Enum):
 _TOKEN_ACTIONS = (ActionKind.FLIP_BITS, ActionKind.REPLACE_AMOUNT,
                   ActionKind.REPLAY_TOKEN)
 
-# A delivery's check is queued for the helper process when at least this
-# many deliveries are queued as it is.  With fewer, the helper could not
-# answer in time: a check is sent only while the helper's backlog ahead of
-# it, itself included, is smaller than the deliveries ahead of it, and that
-# backlog is at least one.  The one-purchase worlds of a tamper sweep never
-# queue a delivery behind two, so they verify every signature inline and
-# start no helper.
-_HELPER_AFTER = 2
+# A delivery's check goes to the helper process when at least this many
+# deliveries are queued as it is.  With exactly this many it is sent at
+# once: which process verifies it then depends on the queue alone, never
+# on timing, so a world that never queues a delivery behind two others
+# splits its verifications the same way on every run.  With more it waits
+# for ``top_up``'s timing rule.  A delivery queued alone is verified
+# inline: no delivery ahead of it gives the helper time to answer.
+_HELPER_AFTER = 1
 
 
 @dataclass(frozen=True)
@@ -321,8 +327,8 @@ class Simulation:
             heapq.heappush(self._heap, timer)
 
     def _queue(self, tick: int, msg: ProtocolMessage, flag: str) -> None:
-        """Queue a delivery.  Behind enough queued deliveries, its hop
-        signature is queued for the helper process too (see run)."""
+        """Queue a delivery.  Behind another queued delivery, its hop
+        signature goes to the helper process too (see run)."""
         check = (self._check_later(msg)
                  if self._deliveries >= _HELPER_AFTER else None)
         self._deliveries += 1
@@ -331,15 +337,18 @@ class Simulation:
     def _check_later(self,
                      msg: ProtocolMessage) -> crypto.SignatureCheck | None:
         """The helper's check of ``msg``'s signature under the key its
-        receiver knows the sender by, due when the deliveries queued now
-        are made; None if there is no such key."""
+        receiver knows the sender by; None if there is no such key.  Behind
+        exactly one queued delivery it is sent at once.  Behind more it is
+        queued for ``top_up``, due when the deliveries queued now are
+        made."""
         receiver = self.world.entities.get(msg.receiver.name)
         cert = (None if receiver is None
                 else receiver.directory.get(msg.sender.name))
         if cert is None:
             return None
-        if self._helper is None:
-            self._helper = crypto.helper()
+        if self._deliveries == _HELPER_AFTER:
+            return self._helper.send_now(
+                [(cert.public_key, msg.signature, msg.signed_part)])[0]
         return self._helper.check(cert.public_key, msg.signature,
                                   msg.signed_part,
                                   self._delivered + self._deliveries)
@@ -409,6 +418,11 @@ class Simulation:
     def run(self) -> RunResult:
         for tick, customer_id, intent in self.world.plan:
             self._push(tick, ("begin", customer_id, intent, None))
+        if self.world.plan:
+            self._helper = crypto.helper()
+            # Every entity shares the one directory and its checks.
+            cb = self.world.cb
+            cb.certs.send(cb.directory.values(), self._helper)
 
         try:
             while self._heap:

@@ -19,6 +19,8 @@ from tset.simnet import Simulation, export_trace
 ROOT = Path(__file__).resolve().parents[1]
 # Overlapping purchases: most deliveries are queued behind others.
 MIXED = ROOT / "scenarios" / "mixed.yaml"
+# One purchase: its certificates go to the helper.
+HAPPY = ROOT / "scenarios" / "happy_path.yaml"
 
 
 def mixed_world():
@@ -76,6 +78,24 @@ def test_a_check_of_other_bytes_is_verified_inline(keyset, monkeypatch):
     assert not certs.signed(cert, bad, data)
     assert certs.signed(cert, good, data)
     assert inline.count(bad) == 1 and inline.count(good) == 1
+
+
+def test_send_now_sends_more_checks_than_the_answers_owed_can_hold(
+        keyset, monkeypatch):
+    data = b"signed part"
+    good = crypto.sign(keyset.customer_key, data)
+    bad = bytes([good[0] ^ 1]) + good[1:]
+    key = keyset.cert_customer.public_key
+    monkeypatch.setattr(crypto, "_ANSWER_ROOM", 3)
+    helper = crypto.helper()
+    before = helper.verified
+    checks = helper.send_now([(key, sig, data)
+                              for sig in (good, bad, good, good, bad, good,
+                                          bad)])
+    assert all(c.sent for c in checks)
+    assert [c.valid() for c in checks] \
+        == [True, False, True, True, False, True, False]
+    assert helper.verified - before == 7
 
 
 def test_top_up_sends_only_checks_the_helper_can_answer_in_time(
@@ -234,30 +254,34 @@ def _session(sid: int) -> list[int]:
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
                     reason="reads the process table from /proc")
 def test_a_cli_run_leaves_no_helper_behind(tmp_path):
-    # The scenario's run sends checks to a helper.
-    before = crypto.helper().verified
-    Simulation(mixed_world()).run()
-    assert crypto.helper().verified > before
+    # Each scenario's run sends checks to a helper: the mixed one for its
+    # overlapping purchases, the one-purchase one for its certificates.
+    for scenario in (MIXED, HAPPY):
+        before = crypto.helper().verified
+        Simulation(build_world(load_scenario(scenario))).run()
+        assert crypto.helper().verified > before
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
-    # Its own session: the helper it forks is in it too.  No pipe to it:
-    # reading one to its end would wait for the helper as well.
-    with open(tmp_path / "stderr", "wb") as stderr:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "tset.cli", "run", str(MIXED), "--out",
-             str(tmp_path / "out")],
-            env=env, stdout=subprocess.DEVNULL, stderr=stderr,
-            start_new_session=True)
-        assert proc.wait(timeout=120) == 0, \
-            (tmp_path / "stderr").read_text()
-    summary = (tmp_path / "out" / "summary.txt").read_text()
-    assert "txns_attempted: 4\n" in summary
-    deadline = time.monotonic() + 5
-    while _session(proc.pid) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert _session(proc.pid) == []
+    for scenario, purchases in ((MIXED, 4), (HAPPY, 1)):
+        out = tmp_path / scenario.stem
+        # Its own session: the helper it forks is in it too.  No pipe to
+        # it: reading one to its end would wait for the helper as well.
+        with open(tmp_path / "stderr", "wb") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "tset.cli", "run", str(scenario),
+                 "--out", str(out)],
+                env=env, stdout=subprocess.DEVNULL, stderr=stderr,
+                start_new_session=True)
+            assert proc.wait(timeout=120) == 0, \
+                (tmp_path / "stderr").read_text()
+        summary = (out / "summary.txt").read_text()
+        assert f"txns_attempted: {purchases}\n" in summary
+        deadline = time.monotonic() + 5
+        while _session(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _session(proc.pid) == [], scenario.name
 
 
 def test_a_forked_child_starts_its_own_helper():

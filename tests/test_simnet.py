@@ -18,6 +18,7 @@ from tset.entities import (
     MerchantPhase as MP,
     StepResult,
 )
+from tset.cli import run_scenario as run_scenario_file
 from tset.ledger import Ledger, LedgerEntry
 from tset.messages import EntityId, MsgKind as K, ProtocolMessage, TransactionId
 from tset.scenario import ScenarioConfig, build_world, load_scenario
@@ -136,57 +137,89 @@ def test_every_delivered_message_has_the_reference_bytes():
         assert msg.wire == ref.whole(msg), (flag, msg.kind)
 
 
+def _sent_at_once(monkeypatch) -> tuple[list, list]:
+    """The certificate checks and the hop checks that Helper.send_now sends
+    from now on, as (public key, signature, signed bytes).  A certificate's
+    signed bytes start with its domain tag; a hop's signed part is a JSON
+    object."""
+    certs, hops = [], []
+    real = crypto.Helper.send_now
+
+    def recorded(self, items):
+        items = list(items)
+        for item in items:
+            (certs if item[2].startswith(b"tset/cert") else hops).append(item)
+        return real(self, items)
+
+    monkeypatch.setattr(crypto.Helper, "send_now", recorded)
+    return certs, hops
+
+
+def _subjects(cert_checks: list, world) -> list:
+    """The subjects of the directory certificates whose checks are
+    ``cert_checks``."""
+    subject = {cert.signature: cert.subject
+               for cert in world.cb.directory.values()}
+    return [subject[signature] for _, signature, _ in cert_checks]
+
+
 def test_each_certificate_is_checked_once_per_world(monkeypatch):
     checked = []
     _counting(monkeypatch, crypto, "verify_certificate", checked)
+    by_helper, _ = _sent_at_once(monkeypatch)
     for _ in range(2):
         result = run_scenario()
         assert result.summary["txns_completed"] == 1
     senders = {record.sender for record in result.trace}
     assert len(senders) == 5
-    assert sorted(cert.subject for cert in checked) \
+    # Checked inline or by the helper, never both, and once per world.
+    assert sorted([cert.subject for cert in checked]
+                  + _subjects(by_helper, result.world)) \
         == sorted(2 * list(senders))
 
 
-def test_every_delivery_verifies_its_signature_a_replayed_one_too(
-        monkeypatch):
-    verified, checked = [], []
-    _counting(monkeypatch, crypto, "verify", verified)
-    _counting(monkeypatch, crypto, "verify_certificate", checked)
-    helper = crypto.helper()
-    before = helper.verified
-    # Overlapping purchases: most deliveries are queued behind others, so
-    # their signatures go to the helper process.
-    result = Simulation(build_world(load_scenario(
-        SCENARIOS / "mixed.yaml"))).run()
-    flags = [record.flag for record in result.trace]
-    assert "replayed" in flags
-    deliveries = len(flags) - flags.count("dropped")
-    # Each certificate check verifies the root's signature once; every other
-    # call here, and every verification the helper reports it made, is one
-    # delivery's hop signature, the replay's included.
-    inline = len(verified) - len(checked)
-    by_helper = helper.verified - before
-    assert inline > 0 and by_helper > 0
-    assert inline + by_helper == deliveries
-
-
 def _verifications(monkeypatch, sim):
-    """Runs ``sim``, and returns the result, the deliveries made, the hop
-    signatures verified inline and those the helper verified."""
+    """Runs ``sim``; returns the result, the deliveries made, the hop
+    signatures verified inline, those the helper verified, and those sent
+    to it at once.  Each certificate check, inline or by the helper, is
+    counted apart, and the test fails unless every certificate in the
+    world's directory was checked exactly once."""
     verified, checked = [], []
     _counting(monkeypatch, crypto, "verify", verified)
     _counting(monkeypatch, crypto, "verify_certificate", checked)
+    certs, hops = _sent_at_once(monkeypatch)
     helper = crypto.helper()
     before = helper.verified
     result = sim.run()
     flags = [record.flag for record in result.trace]
+    assert sorted([cert.subject for cert in checked]
+                  + _subjects(certs, sim.world)) \
+        == sorted(sim.world.cb.directory)
+    # Each inline certificate check is one crypto.verify call; every other
+    # call is one delivery's hop signature.
     return (result, len(flags) - flags.count("dropped"),
-            len(verified) - len(checked), helper.verified - before)
+            len(verified) - len(checked),
+            helper.verified - before - len(certs), len(hops))
 
 
 def mixed_simulation():
     return Simulation(build_world(load_scenario(SCENARIOS / "mixed.yaml")))
+
+
+def tamper_simulation():
+    return Simulation(build_world(load_scenario(SCENARIOS / "tamper.yaml")))
+
+
+def test_every_delivery_verifies_its_signature_a_replayed_one_too(
+        monkeypatch):
+    # Overlapping purchases: most deliveries are queued behind others, so
+    # many of their signatures go to the helper process.
+    result, deliveries, inline, by_helper, _ = _verifications(
+        monkeypatch, mixed_simulation())
+    assert "replayed" in [record.flag for record in result.trace]
+    # The replay's signature is verified too.
+    assert inline > 0 and by_helper > 0
+    assert inline + by_helper == deliveries
 
 
 def test_a_check_the_helper_cannot_answer_in_time_is_verified_inline(
@@ -195,9 +228,14 @@ def test_a_check_the_helper_cannot_answer_in_time_is_verified_inline(
     # No check has more deliveries ahead of it than are queued.
     monkeypatch.setattr(crypto.Helper, "backlog",
                         lambda self: sim._deliveries)
-    result, deliveries, inline, by_helper = _verifications(monkeypatch, sim)
+    result, deliveries, inline, by_helper, at_once = _verifications(
+        monkeypatch, sim)
     assert result.summary["txns_completed"] == 4
-    assert inline == deliveries and by_helper == 0
+    # The helper verified only the checks sent at once, behind exactly one
+    # delivery; every check left to the timing rule was verified inline.
+    assert at_once > 0
+    assert by_helper == at_once
+    assert inline == deliveries - at_once
 
 
 def _old_rule(monkeypatch):
@@ -208,6 +246,8 @@ def _old_rule(monkeypatch):
 
 def _all_inline(monkeypatch):
     monkeypatch.setattr(Simulation, "_check_later", lambda self, msg: None)
+    monkeypatch.setattr(crypto.CertificateChecks, "send",
+                        lambda self, certs, helper: None)
 
 
 @pytest.mark.parametrize("rule", [None, _all_inline, _old_rule])
@@ -215,16 +255,112 @@ def test_where_a_signature_is_verified_changes_no_output(monkeypatch, rule):
     reference = mixed_simulation().run()
     if rule is not None:
         rule(monkeypatch)
-    result, deliveries, inline, by_helper = _verifications(
+    helper = crypto.helper()
+    before = helper.verified
+    result, deliveries, inline, by_helper, _ = _verifications(
         monkeypatch, mixed_simulation())
     assert inline + by_helper == deliveries
     if rule is _all_inline:
-        assert by_helper == 0
+        assert helper.verified == before
     else:
         assert by_helper > 0
     assert export_trace(result.trace) == export_trace(reference.trace)
     assert result.ledger.to_bytes() == reference.ledger.to_bytes()
     assert result.summary == reference.summary
+
+
+# -- a one-purchase world ---------------------------------------------------
+#
+# It never queues a delivery behind two others, so which process verifies
+# each signature depends on the queue alone: the certificates and every hop
+# queued behind exactly one delivery go to the helper, the rest are
+# verified inline.
+
+def test_a_one_purchase_world_verifies_every_hop_once_some_by_the_helper(
+        monkeypatch):
+    result, deliveries, inline, by_helper, at_once = _verifications(
+        monkeypatch, tamper_simulation())
+    assert result.summary["tamper_reports"] == 1
+    assert by_helper == at_once > 0
+    assert inline + by_helper == deliveries
+
+
+def test_a_one_purchase_world_splits_its_verifications_the_same_each_run(
+        monkeypatch):
+    counts = []
+    for _ in range(2):
+        verified = []
+        with monkeypatch.context() as patch:
+            _counting(patch, crypto, "verify", verified)
+            helper = crypto.helper()
+            before = helper.verified
+            tamper_simulation().run()
+        counts.append((len(verified), helper.verified - before))
+    assert counts[0] == counts[1]
+    assert counts[0][0] > 0 and counts[0][1] > 0
+
+
+def test_an_empty_plan_starts_no_helper(monkeypatch):
+    started = []
+    monkeypatch.setattr(crypto, "helper", lambda: started.append(1))
+    data = basic_scenario()
+    data["customers"][0]["purchases"] = []
+    result = run_dict(data)
+    assert result.summary["txns_attempted"] == 0 and result.trace == []
+    assert started == []
+
+
+class _FlippedCertificate(Simulation):
+    """Runs with one bit of the signature of ``subject``'s directory
+    certificate flipped."""
+
+    def __init__(self, world, subject: str):
+        cert = world.cb.directory[subject]
+        flipped = bytearray(cert.signature)
+        flipped[0] ^= 0x01
+        world.cb.directory[subject] = dataclasses.replace(
+            cert, signature=bytes(flipped))
+        self.flipped = world.cb.directory[subject]
+        super().__init__(world)
+
+
+@pytest.mark.parametrize("subject", ["C0", "M0", "CB0", "MB0", "TTP0"])
+def test_a_flipped_directory_certificate_is_refused_as_inline(
+        monkeypatch, subject):
+    checked = []
+    _counting(monkeypatch, crypto, "verify_certificate", checked)
+    certs, _ = _sent_at_once(monkeypatch)
+    offloaded = _FlippedCertificate(
+        build_world(load_scenario(SCENARIOS / "tamper.yaml")), subject)
+    result = offloaded.run()
+    # Its check went to the helper and was never made here.
+    assert offloaded.flipped.signature in [sig for _, sig, _ in certs]
+    assert checked == []
+    assert any(v.startswith("BadSignature:") and f":{subject}->" in v
+               for v in result.violations)
+
+    _all_inline(monkeypatch)
+    reference = _FlippedCertificate(
+        build_world(load_scenario(SCENARIOS / "tamper.yaml")), subject)
+    expected = reference.run()
+    assert reference.flipped in checked
+    assert export_trace(result.trace) == export_trace(expected.trace)
+    assert result.violations == expected.violations
+    assert result.summary == expected.summary
+
+
+def test_a_one_purchase_world_writes_the_same_artifacts_all_inline(
+        monkeypatch, tmp_path):
+    run_scenario_file(SCENARIOS / "tamper.yaml", out_dir=tmp_path / "split")
+    _all_inline(monkeypatch)
+    helper = crypto.helper()
+    before = helper.verified
+    run_scenario_file(SCENARIOS / "tamper.yaml", out_dir=tmp_path / "inline")
+    assert helper.verified == before
+    for name in ("trace.log", "summary.txt", "trust_table.txt",
+                 "ledger.bin", "state.json"):
+        assert (tmp_path / "split" / name).read_bytes() \
+            == (tmp_path / "inline" / name).read_bytes(), name
 
 
 def test_a_flipped_signature_is_refused_after_the_key_is_loaded(
