@@ -426,8 +426,9 @@ class Simulation:
 
         try:
             while self._heap:
-                if self._helper is not None:
-                    self._helper.top_up(self._delivered)
+                # Only a plan puts events in the heap, so the helper is
+                # started.
+                self._helper.top_up(self._delivered)
                 entry = heapq.heappop(self._heap)
                 tick, is_timer = entry[0], entry[1]
                 if is_timer:
