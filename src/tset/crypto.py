@@ -179,7 +179,7 @@ class CertificateChecks:
         """Send ``helper`` the check of each of ``certs`` not checked or sent
         yet, all at once, so that their verdicts come in while the caller
         works on."""
-        fresh = [cert for cert in dict.fromkeys(certs)
+        fresh = [cert for cert in certs
                  if cert not in self._keys and cert not in self._sent]
         checks = helper.send_now([
             (self.root_public, cert.signature,
