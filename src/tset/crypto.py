@@ -17,25 +17,30 @@ fails the tag check.
 
 An Ed25519 verification holds the GIL, so a second thread cannot overlap
 one; a second process can: ``helper()``, one process forked per process
-on first use.  The simulator sends it the checks of a world's
-certificates at the start of a run, and the hop check of each delivery
-queued behind exactly one other, at once (``Helper.send_now``).  It
-queues the hop check of each delivery queued behind two or more
-(``Helper.check``).  A queued check goes to the helper only when the
-helper can answer it before the simulator needs it: while the helper has
-at most one check left to verify, and only if the checks it has left,
-this one included, are fewer than the deliveries still ahead of this one.
-The helper's progress is read from a counter it keeps in shared memory,
-so answers waiting unread in the pipe are not counted as its backlog.  A
-queued check not sent by the time its delivery is made is withdrawn and
-verified in the simulator's process, so that neither process waits on
-the other.  Which process verifies a queued check's signature therefore
-depends on timing, and the split varies from run to run; a check sent at
-once is always the helper's, so a world that queues nothing behind two
-deliveries splits the same way on every run.  Each signature is still
-verified exactly once, and the verdicts, like every output, do not vary.
-A ``SignatureCheck`` names the exact key, signature and signed bytes its
-verdict is about, and ``CertificateChecks`` uses that verdict only for
+on first use.  Where a signature is verified is decided by this rule:
+- a run with a purchase in its plan sends the helper the checks of its
+  world's certificates at once (``CertificateChecks.send``); a
+  certificate it was not sent is checked inline;
+- ``Helper.check`` alone places a delivery's hop check, by the number of
+  deliveries queued ahead of it.  With none it is verified inline:
+  nothing ahead gives the helper time to answer.  With exactly one it is
+  sent at once.  With two or more it is queued, and ``top_up`` sends it
+  only when the helper can answer it before the simulator needs it: while
+  the helper has at most one check left to verify, and only if the checks
+  it has left, this one included, are fewer than the deliveries still
+  ahead of this one.  The helper's progress is read from a counter it
+  keeps in shared memory, so answers waiting unread in the pipe are not
+  counted as its backlog.  A queued check not sent by the time its
+  delivery is made is withdrawn (``Helper.withdraw``) and verified in the
+  simulator's process, so that neither process waits on the other.
+Which process verifies a queued check therefore depends on timing, and
+the split varies from run to run; a check sent at once is always the
+helper's, so a world that queues nothing behind two deliveries splits the
+same way on every run.  Each signature is still verified exactly once,
+and the verdicts, like every output, do not vary.
+A sent ``SignatureCheck`` travels with its delivery to the receiver's
+``CertificateChecks.signed``.  It names the exact key, signature and
+signed bytes its verdict is about, and that verdict is used only for
 those bytes; every other signature is verified in the calling process.
 The helper is never asked for a verdict twice and keeps nothing between
 checks.  If it dies, the verdicts it owes raise ``HelperLost``: none is
@@ -160,7 +165,7 @@ class CertificateChecks:
     A forged or altered certificate is a different value and is verified
     (and refused) in turn.  Only the certificate check and the parsing of
     its key are kept: a signature made with the key is verified on every
-    call, inline or, when the simulator offered the helper's check of those
+    call, inline or, when the caller brings the helper's check of those
     very bytes, by the helper.  One instance serves one world: what it
     keeps is bounded by the certificates that world sees.
     """
@@ -171,9 +176,6 @@ class CertificateChecks:
         # The helper's check of each certificate sent to it and not yet
         # presented.
         self._sent: dict[Certificate, SignatureCheck] = {}
-        # The helper's check of the delivery in hand, if it was sent one;
-        # the simulator sets it, and ``signed`` takes it.
-        self.offered: SignatureCheck | None = None
 
     def send(self, certs, helper: "Helper") -> None:
         """Send ``helper`` the check of each of ``certs`` not checked or sent
@@ -210,13 +212,12 @@ class CertificateChecks:
     def valid(self, cert: Certificate) -> bool:
         return self.key(cert) is not None
 
-    def signed(self, cert: Certificate, signature: bytes,
-               data: bytes) -> bool:
+    def signed(self, cert: Certificate, signature: bytes, data: bytes,
+               check: SignatureCheck | None = None) -> bool:
         """Whether ``cert`` is root-signed and ``signature`` over ``data``
-        verifies under its key.  The offered check's verdict answers only
-        for the very key, signature and bytes it was sent; anything else
-        is verified here."""
-        check, self.offered = self.offered, None
+        verifies under its key.  The verdict of ``check``, a check sent to
+        the helper, answers only for the very key, signature and bytes it
+        was sent; anything else is verified here."""
         key = self.key(cert)
         if key is None:
             return False
@@ -327,9 +328,9 @@ def open_box(recipient: X25519PrivateKey, recipient_public: bytes,
 
 _CHECK = struct.Struct(">32sHI")
 _COUNT = struct.Struct("=Q")
-# The answers owed at any time fit in the smallest pipe buffer, one page:
-# the helper never waits to write an answer, so it always reads on, and a
-# batch being sent is always taken.
+# The answers owed at any time fit in the smallest pipe buffer, one page
+# (``Helper._send`` keeps them within it): the helper never waits to write
+# an answer, so it always reads on, and a batch being sent is always taken.
 _ANSWER_ROOM = 4096
 # The most the helper takes from the pipe of checks in one read: a Linux
 # pipe's default capacity.
@@ -427,13 +428,13 @@ def _reap(pid: int):
 class Helper:
     """A forked process that verifies batches of Ed25519 signatures.
 
-    ``send_now`` sends verifications at once.  ``check`` queues one
-    verification.  ``top_up`` sends queued checks while the helper is about
-    to run out of work, and only those it can answer before they are due;
-    ``flush`` sends every queued check.  A check never sent can be
-    withdrawn and verified by the caller instead.  A sent check's
-    ``valid()`` reads answers, which come in the order the checks were
-    sent, until its own is in.  One thread uses it at a time.
+    ``check`` decides where a delivery's hop signature is verified (see the
+    module docstring).  ``send_now`` sends verifications at once, and
+    ``top_up`` sends the queued checks the helper can answer before they
+    are due.  ``withdraw`` hands the caller each queued check it reaches,
+    to verify itself unless it was sent.  A sent check's ``valid()`` reads
+    answers, which come in the order the checks were sent, until its own
+    is in.  One thread uses it at a time.
     The helper keeps only stderr and its ends of the two pipes, ignores
     SIGINT, and exits when the pipe of checks reaches end of file, so it
     cannot outlive this process."""
@@ -474,14 +475,19 @@ class Helper:
         self._sent: collections.deque = collections.deque()  # unanswered
 
     def check(self, public_key: bytes, signature: bytes, data: bytes,
-              due: int = 0) -> SignatureCheck:
-        """Queue the verification of ``signature`` over ``data`` under the
-        raw Ed25519 ``public_key``, needed once the caller's work reaches
-        position ``due`` (see ``top_up``)."""
-        check = SignatureCheck(self, public_key, signature, data, due)
+              ahead: int, now: int) -> SignatureCheck | None:
+        """The check of ``signature`` over ``data`` under the raw Ed25519
+        ``public_key``, for a delivery made once the ``ahead`` deliveries
+        queued before it are, the caller's work being at position ``now``.
+        None with nothing ahead: the caller verifies it.  With one ahead it
+        is sent at once; with more it is queued for ``top_up``, due at
+        position ``now + ahead``."""
+        if not ahead:
+            return None
+        if ahead == 1:
+            return self.send_now([(public_key, signature, data)])[0]
+        check = SignatureCheck(self, public_key, signature, data, now + ahead)
         self._unsent.append(check)
-        if len(self._unsent) == _ANSWER_ROOM:
-            self.flush()
         return check
 
     def send_now(self, items) -> list[SignatureCheck]:
@@ -490,8 +496,7 @@ class Helper:
         return their checks in the same order."""
         batch = [SignatureCheck(self, public_key, signature, data, 0)
                  for public_key, signature, data in items]
-        for start in range(0, len(batch), _ANSWER_ROOM):
-            self._send(batch[start:start + _ANSWER_ROOM])
+        self._send(batch)
         return batch
 
     def backlog(self) -> int:
@@ -507,7 +512,12 @@ class Helper:
         checks ahead of it in the helper, itself included, are fewer than
         the positions left before it is due: the helper answers it before
         the caller needs it.  The rest stay queued; the caller withdraws
-        each one it reaches and verifies it itself."""
+        each one it reaches and verifies it itself.
+        The rule reads the helper's progress, so it is applied here, before
+        each of the caller's steps, and not when a check is queued: four
+        rules that decided at queue time each ran the mixed load about 3%
+        slower on a 2-core host (medians of 262-266 purchases a second,
+        against 273)."""
         unsent = self._unsent
         if not unsent:
             return
@@ -520,46 +530,47 @@ class Helper:
         if batch:
             self._send(batch)
 
-    def flush(self) -> None:
-        """Send every queued check."""
-        batch, self._unsent = self._unsent, []
-        if batch:
-            self._send(batch)
-
     def _send(self, batch: list) -> None:
-        """Write ``batch`` to the helper as one write."""
+        """Write ``batch`` to the helper: as one write if the answers owed
+        leave room for all of it, else in chunks, with answers read between
+        them, so that no more than ``_ANSWER_ROOM`` are ever owed."""
         self._talking()
-        while len(self._sent) + len(batch) > _ANSWER_ROOM:
-            self._collect()
-        parts = []
-        for c in batch:
-            c.sent = True
-            parts += (_CHECK.pack(c.public_key, len(c.signature), len(c.data)),
-                      c.signature, c.data)
-        self._sent += batch
-        self._sent_count += len(batch)
-        try:
-            _write(self._checks, b"".join(parts))
-        except OSError as exc:
-            self._fail(f"took no checks ({exc})")
+        while batch:
+            while len(self._sent) >= _ANSWER_ROOM:
+                self._collect()
+            room = _ANSWER_ROOM - len(self._sent)
+            chunk, batch = batch[:room], batch[room:]
+            parts = []
+            for c in chunk:
+                c.sent = True
+                parts += (_CHECK.pack(c.public_key, len(c.signature),
+                                      len(c.data)),
+                          c.signature, c.data)
+            self._sent += chunk
+            self._sent_count += len(chunk)
+            try:
+                _write(self._checks, b"".join(parts))
+            except OSError as exc:
+                self._fail(f"took no checks ({exc})")
 
-    def withdraw(self, check: SignatureCheck) -> bool:
-        """Take ``check`` out of the queue (if ``drain`` has not dropped it
-        already), unless it was sent; say whether it was not.  A withdrawn
-        check is the caller's to verify: the helper never sees it."""
+    def withdraw(self, check: SignatureCheck) -> SignatureCheck | None:
+        """``check`` if it was sent, for the helper's verdict; else None,
+        and it leaves the queue (if ``drain`` has not dropped it already):
+        the caller verifies it, and the helper never sees it."""
         if check.sent:
-            return False
+            return check
         try:
             self._unsent.remove(check)
         except ValueError:
             pass
-        return True
+        return None
 
     def verdict(self, check: SignatureCheck) -> bool:
         """The helper's verdict on ``check``, read from the pipe, and
-        waited for if the helper has not answered it yet."""
-        if self.withdraw(check):
-            self._send([check])     # wanted now, so sent on its own
+        waited for if the helper has not answered it yet.  A check never
+        sent has no answer coming: ValueError."""
+        if not check.sent:
+            raise ValueError("the helper was never sent this check")
         while check.verdict is None:
             if _COUNT.unpack_from(self._answered)[0] == self.verified:
                 self.waits += 1

@@ -337,12 +337,15 @@ class Entity:
                               txn, payload)
         result.messages.append(m.sign_message(msg, self._key))
 
-    def step(self, msg: ProtocolMessage, now: int) -> StepResult:
-        """Deliver one message: refuse a bad signature, then advance."""
+    def step(self, msg: ProtocolMessage, now: int,
+             check: crypto.SignatureCheck | None = None) -> StepResult:
+        """Deliver one message: refuse a bad signature, then advance.
+        ``check`` is the helper's check of the hop signature, if it was
+        sent one (see messages.verify_message)."""
         result = StepResult()
         sender_cert = self.directory.get(msg.sender.name)
         if sender_cert is None or not m.verify_message(
-                msg, sender_cert, self.certs):
+                msg, sender_cert, self.certs, check):
             result.violations.append(
                 f"BadSignature:{msg.kind.value}:{msg.sender}->{self.id}")
             return result

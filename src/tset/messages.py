@@ -8,19 +8,17 @@ not turn intermediaries into tamper oracles.  A mutated envelope therefore
 travels to the bank, where detection (and the tamper report) belongs.
 
 The hop signature is checked on every delivery, by the receiver's
-Entity.step through verify_message, in the simulator's process.  The
-sender's certificate is checked against the root key once per world
-(crypto.CertificateChecks): a certificate never changes, so a second check
-could only repeat the first.  That check keeps the certificate's loaded
-public key, and the hop signature is verified against it: the key is parsed
-once per world, the signature every time.  Each Ed25519 verification, the
-certificate's and the hop's, runs in one of two places.  For a check the
-simulator sent to the helper process (crypto.helper), it ran there while
-the simulator worked on, and verify_message takes that verdict, which
-answers for the exact key, signature and signed bytes it was computed on
-and nothing else.  Every other signature is verified inline.  The subject
-match and the BadSignature refusal stay in the simulator's process either
-way.
+Entity.step through verify_message.  The sender's certificate is checked
+against the root key once per world (crypto.CertificateChecks): a
+certificate never changes, so a second check could only repeat the first.
+That check keeps the certificate's loaded public key, and the hop
+signature is verified against it: the key is parsed once per world, the
+signature every time.  Each Ed25519 verification, the certificate's and
+the hop's, runs inline or in the helper process, as crypto's module
+docstring sets out.  A delivery the helper verified brings its check to
+verify_message, whose verdict answers for the exact key, signature and
+signed bytes it was computed on and nothing else.  The subject match and
+the BadSignature refusal stay in the simulator's process either way.
 
 A message is frozen, so its encodings are built once and kept for the
 signature check, the trace digest and the privacy monitor.  Both are
@@ -476,11 +474,12 @@ def sign_message(msg: ProtocolMessage, key) -> ProtocolMessage:
 
 
 def verify_message(msg: ProtocolMessage, sender_cert: Certificate,
-                   certs: crypto.CertificateChecks) -> bool:
+                   certs: crypto.CertificateChecks,
+                   check: crypto.SignatureCheck | None = None) -> bool:
     """The certificate names the sender and is root-signed (checked once per
     world, which keeps its loaded key), and the hop signature verifies
     against that key (checked on every call: here, or by the helper process
-    when the simulator sent it these very bytes)."""
+    when ``check`` is its check of these very bytes)."""
     if msg.sender.name != sender_cert.subject:
         return False
-    return certs.signed(sender_cert, msg.signature, msg.signed_part)
+    return certs.signed(sender_cert, msg.signature, msg.signed_part, check)

@@ -22,28 +22,18 @@ left at or before the tick limit.
 Every delivery's hop signature is verified before its receiver acts on
 it (messages.verify_message), exactly once, in one of two processes.  A
 run with a purchase in its plan starts by sending the process's helper
-(crypto.helper) the check of every certificate in the world's directory,
-so that each receiver finds its sender's certificate checked, or waits
-for that verdict, the first time it is presented.  A delivery queued
-while exactly one other delivery is queued sends its Ed25519 check (the
-key its receiver knows the sender by, the signature and the signed part)
-to the helper at once.  A delivery queued while two or more are queued
-queues its check with the helper, due when the deliveries ahead of it are
-made.  Before each event the simulator tops the helper up: while the
-helper has at most one check left to verify, it sends the latest-due
-queued checks, each only if the helper's backlog ahead of it, itself
-included, is smaller than the number of deliveries still ahead of it, so
-that the verdict is in before the delivery is made.  At delivery, a check
-still queued is withdrawn and the receiver verifies inline, as it does
-every delivery that was queued alone; a sent check's verdict is used if
-it covers the very bytes delivered.  Each queued delivery gets its own
-check, a replay's included; the checks of deliveries the tick limit cuts
+(crypto.helper) the check of every certificate in the world's directory.
+Each queued delivery asks the helper for the check of its Ed25519
+signature (the key its receiver knows the sender by, the signature and
+the signed part), giving the number of deliveries queued ahead of it;
+the helper decides whether that check is verified inline, sent at once
+or queued (the rule is in crypto's module docstring).  The check rides
+in the delivery's heap entry, a replay's included, and before each event
+the simulator tops the helper up.  At delivery the helper hands back the
+check if it was sent, and the receiver uses its verdict; otherwise the
+receiver verifies inline.  The checks of deliveries the tick limit cuts
 off are dropped if unsent, and waited for if sent, when the run ends.
-The helper's progress decides which process verifies a queued check, so
-in a world that queues deliveries behind two others the split between
-the two varies from run to run; in one that never does, such as a
-one-purchase world, it depends on the queue alone and repeats.  The
-number of hop verifications never varies: it is the number of
+The number of hop verifications never varies: it is the number of
 deliveries.  The verdicts, like every verification, are deterministic,
 so where a signature is verified never changes a run's outputs.
 
@@ -105,15 +95,6 @@ class ActionKind(str, Enum):
 
 _TOKEN_ACTIONS = (ActionKind.FLIP_BITS, ActionKind.REPLACE_AMOUNT,
                   ActionKind.REPLAY_TOKEN)
-
-# A delivery's check goes to the helper process when at least this many
-# deliveries are queued as it is.  With exactly this many it is sent at
-# once: which process verifies it then depends on the queue alone, never
-# on timing, so a world that never queues a delivery behind two others
-# splits its verifications the same way on every run.  With more it waits
-# for ``top_up``'s timing rule.  A delivery queued alone is verified
-# inline: no delivery ahead of it gives the helper time to answer.
-_HELPER_AFTER = 1
 
 
 @dataclass(frozen=True)
@@ -311,7 +292,6 @@ class Simulation:
         self._deliveries = 0        # deliveries in the heap
         self._delivered = 0         # deliveries made
         self._helper: crypto.Helper | None = None
-        self._in_hand: crypto.SignatureCheck | None = None
 
     # -- scheduling ----------------------------------------------------------
 
@@ -327,31 +307,17 @@ class Simulation:
             heapq.heappush(self._heap, timer)
 
     def _queue(self, tick: int, msg: ProtocolMessage, flag: str) -> None:
-        """Queue a delivery.  Behind another queued delivery, its hop
-        signature goes to the helper process too (see run)."""
-        check = (self._check_later(msg)
-                 if self._deliveries >= _HELPER_AFTER else None)
-        self._deliveries += 1
-        self._push(tick, ("deliver", msg, flag, check))
-
-    def _check_later(self,
-                     msg: ProtocolMessage) -> crypto.SignatureCheck | None:
-        """The helper's check of ``msg``'s signature under the key its
-        receiver knows the sender by; None if there is no such key.  Behind
-        exactly one queued delivery it is sent at once.  Behind more it is
-        queued for ``top_up``, due when the deliveries queued now are
-        made."""
+        """Queue a delivery with the helper's check of its hop signature
+        under the key its receiver knows the sender by (see run)."""
         receiver = self.world.entities.get(msg.receiver.name)
         cert = (None if receiver is None
                 else receiver.directory.get(msg.sender.name))
-        if cert is None:
-            return None
-        if self._deliveries == _HELPER_AFTER:
-            return self._helper.send_now(
-                [(cert.public_key, msg.signature, msg.signed_part)])[0]
-        return self._helper.check(cert.public_key, msg.signature,
-                                  msg.signed_part,
-                                  self._delivered + self._deliveries)
+        check = (None if cert is None
+                 else self._helper.check(cert.public_key, msg.signature,
+                                         msg.signed_part, self._deliveries,
+                                         self._delivered))
+        self._deliveries += 1
+        self._push(tick, ("deliver", msg, flag, check))
 
     def _record(self, tick: int, msg: ProtocolMessage, flag: str) -> None:
         self.trace.append(TraceRecord(tick, msg.sender.name,
@@ -400,15 +366,15 @@ class Simulation:
         for out in result.messages:
             self.send(out, now)
 
-    def _deliver(self, msg: ProtocolMessage, flag: str, now: int) -> None:
+    def _deliver(self, msg: ProtocolMessage, flag: str, now: int,
+                 check: crypto.SignatureCheck | None) -> None:
         self._record(now, msg, flag)
         self.monitor.check_privacy(msg, now)
         receiver = self.world.entities.get(msg.receiver.name)
         if receiver is None:
             self.violations.append(f"NoSuchEntity:{msg.receiver}")
             return
-        receiver.certs.offered = self._in_hand
-        result = receiver.step(msg, now)
+        result = receiver.step(msg, now, check)
         self._apply_result(result, now)
         self._arm(receiver, msg.txn.name)
         self.monitor.after_delivery(msg, now)
@@ -448,11 +414,10 @@ class Simulation:
                     self._deliveries -= 1
                     self._delivered += 1
                     # A check the helper was not sent in time is verified
-                    # here instead.
-                    self._in_hand = (None if check is None
-                                     or self._helper.withdraw(check)
-                                     else check)
-                    self._deliver(subject, detail, tick)
+                    # inline instead.
+                    if check is not None:
+                        check = self._helper.withdraw(check)
+                    self._deliver(subject, detail, tick, check)
                 else:
                     customer = self.world.customers[subject]
                     self._apply_result(customer.begin_purchase(detail, tick),

@@ -71,6 +71,12 @@ def sample_payloads(keys: KeyFixture) -> dict:
     }
 
 
+def send_queued(helper: crypto.Helper) -> None:
+    """Send ``helper`` every check it has queued, whatever its backlog."""
+    batch, helper._unsent = helper._unsent, []
+    helper._send(batch)
+
+
 def run_dict(data: dict):
     """Build and run a scenario given as a plain dict; returns the RunResult."""
     config = ScenarioConfig.from_dict(data)

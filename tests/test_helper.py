@@ -16,6 +16,8 @@ from tset import crypto
 from tset.scenario import build_world, load_scenario
 from tset.simnet import Simulation, export_trace
 
+from conftest import send_queued
+
 ROOT = Path(__file__).resolve().parents[1]
 # Overlapping purchases: most deliveries are queued behind others.
 MIXED = ROOT / "scenarios" / "mixed.yaml"
@@ -49,10 +51,10 @@ def test_the_helper_answers_each_check_for_its_own_bytes(keyset):
     helper = crypto.helper()
     before = helper.verified
     key = keyset.cert_customer.public_key
-    checks = [helper.check(key, good, data), helper.check(key, bad, data),
-              helper.check(key, good, data + b"!"),
-              helper.check(keyset.cert_merchant.public_key, good, data),
-              helper.check(key, b"", data)]
+    checks = helper.send_now([(key, good, data), (key, bad, data),
+                              (key, good, data + b"!"),
+                              (keyset.cert_merchant.public_key, good, data),
+                              (key, b"", data)])
     assert [c.valid() for c in checks] == [True, False, False, False, False]
     assert helper.verified - before == len(checks)
     assert checks[0].covers(key, good, data)
@@ -68,16 +70,17 @@ def test_a_check_of_other_bytes_is_verified_inline(keyset, monkeypatch):
     certs = crypto.CertificateChecks(keyset.root_public)
     cert = keyset.cert_customer
     inline = _inline_signatures(monkeypatch)
-    # The offered verdict is for the good signature; the bad one is
-    # verified here, and refused.
-    certs.offered = crypto.helper().check(cert.public_key, good, data)
-    assert not certs.signed(cert, bad, data)
-    assert certs.offered is None
-    # The offered verdict for the bad signature answers for it alone.
-    certs.offered = crypto.helper().check(cert.public_key, bad, data)
-    assert not certs.signed(cert, bad, data)
-    assert certs.signed(cert, good, data)
+    helper = crypto.helper()
+    for_good, for_bad = helper.send_now([(cert.public_key, good, data),
+                                         (cert.public_key, bad, data)])
+    # The check brought is for the good signature; the bad one is verified
+    # here, and refused.
+    assert not certs.signed(cert, bad, data, for_good)
+    # The check of the bad signature answers for it alone.
+    assert not certs.signed(cert, bad, data, for_bad)
+    assert certs.signed(cert, good, data, for_bad)
     assert inline.count(bad) == 1 and inline.count(good) == 1
+    helper.drain()      # the unused verdict, so no later count takes it
 
 
 def test_send_now_sends_more_checks_than_the_answers_owed_can_hold(
@@ -109,20 +112,52 @@ def test_top_up_sends_only_checks_the_helper_can_answer_in_time(
     # be its second, so it could not be answered in time; one due three
     # positions on could.
     monkeypatch.setattr(crypto.Helper, "backlog", lambda self: 1)
-    soon = helper.check(key, good, data, due=12)
-    later = helper.check(key, good, data, due=13)
+    soon = helper.check(key, good, data, ahead=2, now=10)
+    later = helper.check(key, good, data, ahead=3, now=10)
     helper.top_up(10)
     assert later.sent and not soon.sent
-    assert helper.withdraw(soon) and not helper.withdraw(later)
+    assert helper.withdraw(soon) is None and helper.withdraw(later) is later
     assert later.valid()
     assert helper.verified - before == 1
     # With two checks left the helper is sent nothing.
     monkeypatch.setattr(crypto.Helper, "backlog", lambda self: 2)
-    far = helper.check(key, good, data, due=100)
+    far = helper.check(key, good, data, ahead=90, now=10)
     helper.top_up(10)
     assert not far.sent
     helper.drain()
     assert helper.verified - before == 1
+
+
+def test_a_check_goes_by_the_deliveries_queued_ahead_of_it(keyset):
+    data = b"signed part"
+    good = crypto.sign(keyset.customer_key, data)
+    key = keyset.cert_customer.public_key
+    helper = crypto.helper()
+    # Nothing ahead: the caller verifies it.
+    assert helper.check(key, good, data, ahead=0, now=4) is None
+    # One ahead: sent at once.
+    at_once = helper.check(key, good, data, ahead=1, now=4)
+    assert at_once.sent and helper.withdraw(at_once) is at_once
+    assert at_once.valid()
+    # More: queued, due once the deliveries ahead of it are made.
+    queued = helper.check(key, good, data, ahead=2, now=4)
+    assert not queued.sent and queued.due == 6
+    assert helper.withdraw(queued) is None
+
+
+def test_the_verdict_of_a_check_never_sent_is_refused(keyset):
+    data = b"signed part"
+    good = crypto.sign(keyset.customer_key, data)
+    helper = crypto.helper()
+    before = helper.verified
+    queued = helper.check(keyset.cert_customer.public_key, good, data,
+                          ahead=2, now=0)
+    with pytest.raises(ValueError):
+        queued.valid()
+    assert not queued.sent and queued.verdict is None
+    assert helper.withdraw(queued) is None
+    helper.drain()
+    assert helper.verified == before
 
 
 def test_a_read_for_an_answer_not_yet_written_counts_as_a_wait(keyset):
@@ -130,8 +165,7 @@ def test_a_read_for_an_answer_not_yet_written_counts_as_a_wait(keyset):
     good = crypto.sign(keyset.customer_key, data)
     key = keyset.cert_customer.public_key
     helper = crypto.helper()
-    ready = helper.check(key, good, data)
-    helper.flush()
+    [ready] = helper.send_now([(key, good, data)])
     while helper.backlog():
         time.sleep(0.001)
     waits = helper.waits
@@ -140,8 +174,7 @@ def test_a_read_for_an_answer_not_yet_written_counts_as_a_wait(keyset):
     # for this answer blocks.
     os.kill(helper.pid, signal.SIGSTOP)
     try:
-        pending = helper.check(key, good, data)
-        helper.flush()
+        [pending] = helper.send_now([(key, good, data)])
         threading.Timer(0.05, os.kill, (helper.pid, signal.SIGCONT)).start()
         assert pending.valid()
     finally:
@@ -175,11 +208,11 @@ class _Forging(Simulation):
             # Its check goes to the helper at once, whatever the helper's
             # backlog, so that no host's timing can leave it to be
             # verified inline.
-            self._helper.flush()
+            send_queued(self._helper)
 
-    def _deliver(self, msg, flag, now):
+    def _deliver(self, msg, flag, now, check):
         before = len(self.violations)
-        super()._deliver(msg, flag, now)
+        super()._deliver(msg, flag, now, check)
         self.refused += [(len(self.trace) - 1, violation)
                          for violation in self.violations[before:]]
 
@@ -198,7 +231,7 @@ def test_a_forged_signature_on_the_helper_path_is_refused_as_inline(
                f"->{forged.receiver}")
     assert refusal in [violation for _, violation in offloaded.refused]
 
-    monkeypatch.setattr(Simulation, "_check_later", lambda self, msg: None)
+    monkeypatch.setattr(crypto.Helper, "check", lambda self, *check: None)
     reference = _Forging(mixed_world(), nth)
     expected = reference.run()
     assert reference.forged.signature in inline
@@ -216,10 +249,10 @@ class _KillingHelper(Simulation):
         super().__init__(world)
         self.at = at
 
-    def _deliver(self, msg, flag, now):
+    def _deliver(self, msg, flag, now, check):
         if len(self.trace) == self.at:
             os.kill(crypto.helper().pid, signal.SIGKILL)
-        super()._deliver(msg, flag, now)
+        super()._deliver(msg, flag, now, check)
 
 
 def test_a_dead_helper_fails_the_run_and_refuses_no_signature():

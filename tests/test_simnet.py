@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import functools
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ from tset.simnet import (
 )
 
 import reference_encoding as ref
-from conftest import basic_scenario, run_dict, stranded
+from conftest import basic_scenario, run_dict, send_queued, stranded
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -114,9 +115,9 @@ class _Recording(Simulation):
         super().__init__(world)
         self.delivered = []
 
-    def _deliver(self, msg, flag, now):
+    def _deliver(self, msg, flag, now, check):
         self.delivered.append((flag, msg))
-        super()._deliver(msg, flag, now)
+        super()._deliver(msg, flag, now, check)
 
 
 def test_every_delivered_message_has_the_reference_bytes():
@@ -241,11 +242,11 @@ def test_a_check_the_helper_cannot_answer_in_time_is_verified_inline(
 def _old_rule(monkeypatch):
     """Every check goes to the helper before the next event."""
     monkeypatch.setattr(crypto.Helper, "top_up",
-                        lambda self, now: self.flush())
+                        lambda self, now: send_queued(self))
 
 
 def _all_inline(monkeypatch):
-    monkeypatch.setattr(Simulation, "_check_later", lambda self, msg: None)
+    monkeypatch.setattr(crypto.Helper, "check", lambda self, *check: None)
     monkeypatch.setattr(crypto.CertificateChecks, "send",
                         lambda self, certs, helper: None)
 
@@ -264,6 +265,45 @@ def test_where_a_signature_is_verified_changes_no_output(monkeypatch, rule):
         assert helper.verified == before
     else:
         assert by_helper > 0
+    assert export_trace(result.trace) == export_trace(reference.trace)
+    assert result.ledger.to_bytes() == reference.ledger.to_bytes()
+    assert result.summary == reference.summary
+
+
+def _idle_helper(monkeypatch):
+    """The helper always looks idle to ``top_up``, which then sends it
+    every queued check with time to spare."""
+    monkeypatch.setattr(crypto.Helper, "backlog", lambda self: 0)
+
+
+@pytest.mark.parametrize("rule", [None, _idle_helper])
+def test_answers_owed_beyond_the_room_are_sent_in_chunks(monkeypatch, rule):
+    reference = mixed_simulation().run()
+    if rule is not None:
+        rule(monkeypatch)
+    monkeypatch.setattr(crypto, "_ANSWER_ROOM", 3)
+    # Per batch: its sender, the answers owed if it went in one write, and
+    # those owed once it is sent.
+    owed = []
+    real = crypto.Helper._send
+
+    def recorded(self, batch):
+        asked = len(self._sent) + len(batch)
+        real(self, batch)
+        owed.append((sys._getframe(1).f_code.co_name, asked, len(self._sent)))
+
+    monkeypatch.setattr(crypto.Helper, "_send", recorded)
+    sim = mixed_simulation()
+    result, deliveries, inline, by_helper, _ = _verifications(monkeypatch, sim)
+    assert inline + by_helper == deliveries
+    # The certificate checks are more than the helper may owe; with an
+    # idle helper, so are some of top_up's batches with the answers owed
+    # before them.  Yet no batch leaves more than that owed.
+    assert owed[0][:2] == ("send_now", len(sim.world.cb.directory))
+    assert owed[0][1] > 3
+    if rule is _idle_helper:
+        assert any(asked > 3 for who, asked, _ in owed if who == "top_up")
+    assert max(after for _, _, after in owed) <= 3
     assert export_trace(result.trace) == export_trace(reference.trace)
     assert result.ledger.to_bytes() == reference.ledger.to_bytes()
     assert result.summary == reference.summary
@@ -752,8 +792,8 @@ def test_refused_timer_is_dropped_not_queued_again(monkeypatch):
     step, fire_timer = ttp.step, ttp.fire_timer
     fired = []
 
-    def rearm_after_settling(msg, now):
-        result = step(msg, now)
+    def rearm_after_settling(msg, now, check):
+        result = step(msg, now, check)
         if ttp.phase_of(msg.txn) is TP.SETTLED:
             ttp.timers[str(msg.txn)] = now + 5
         return result
