@@ -242,10 +242,17 @@ def test_dispute_report_hashes_nothing_and_decodes_only_its_rows(
 
 
 def test_load_hashes_and_decodes_each_entry_once(monkeypatch):
+    # Each entry is hashed once and checked once by the canonical pattern;
+    # only the one entry the pattern misses is decoded, and no entry
+    # object is built.
     bodies = [dict(json.loads(entry.to_bytes()), txn=f"C{n % 7}-1")
               for n in range(20) for entry in fixture_entries()]
-    blob = rechain(bodies)
-    calls = {"sha256": 0, "field_checks": 0, "entries_built": 0}
+    spaced = json.dumps(bodies[30], sort_keys=True).encode()
+    records = bodies[:30] + [spaced] + bodies[30:]
+    blob = rechain(records)
+    positions = ref.reference_load(blob)[2]
+    calls = {"sha256": 0, "pattern": 0, "field_checks": 0,
+             "entries_built": 0}
     decoded = []
 
     class CountingHashlib:
@@ -254,8 +261,12 @@ def test_load_hashes_and_decodes_each_entry_once(monkeypatch):
             calls["sha256"] += 1
             return hashlib.sha256(*args)
 
+    pattern, check = tset.ledger._CANONICAL, tset.ledger.check_entry_fields
     value, decode = tset.ledger._json_value, json.JSONDecoder.decode
-    check = tset.ledger.check_entry_fields
+
+    def counting_pattern(raw):
+        calls["pattern"] += 1
+        return pattern(raw)
 
     def counting_value(text):
         decoded.append(text)
@@ -273,14 +284,17 @@ def test_load_hashes_and_decodes_each_entry_once(monkeypatch):
         calls["entries_built"] += 1
 
     monkeypatch.setattr(tset.ledger, "hashlib", CountingHashlib)
+    monkeypatch.setattr(tset.ledger, "_CANONICAL", counting_pattern)
     monkeypatch.setattr(tset.ledger, "_json_value", counting_value)
     monkeypatch.setattr(json.JSONDecoder, "decode", counting_decode)
     monkeypatch.setattr(tset.ledger, "check_entry_fields", counting_check)
     monkeypatch.setattr(LedgerEntry, "__post_init__", counting_build)
     led = Ledger.from_bytes(blob)
-    assert len(led) == len(bodies) == 60
-    assert calls == {"sha256": 60, "field_checks": 60, "entries_built": 0}
-    assert decoded == [canonical(body).decode() for body in bodies]
+    assert len(led) == len(records) == 61
+    assert calls == {"sha256": 61, "pattern": 61, "field_checks": 1,
+                     "entries_built": 0}
+    assert decoded == [spaced.decode()]
+    assert led._positions == positions
 
 
 def test_dispute_report_unknown_txn():
@@ -329,15 +343,27 @@ json_value = st.recursive(
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
     max_leaves=8)
-valid_body = st.fixed_dictionaries({
-    "txn": st.sampled_from(["C0-1", "C1-2", "Mé-1"]),
-    "tick": st.integers(0, 2 ** 70),
-    "actor": st.text(max_size=5),
-    "event": st.sampled_from(sorted(EVENTS)),
-    "token_digest": st.text(max_size=4),
-    "oi_digest": st.text(max_size=4),
-    "details": st.dictionaries(st.text(max_size=3), json_value, max_size=3),
-})
+# Strings that ``LedgerEntry.to_bytes`` writes as they are: printable ASCII
+# with no quote or backslash.
+plain_text = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                                   exclude_characters='"\\'), max_size=6)
+plain_details = st.dictionaries(plain_text, st.none() | st.booleans()
+                                | st.integers() | plain_text, max_size=3)
+
+
+def _bodies(txn, text, details):
+    return st.fixed_dictionaries({
+        "txn": st.sampled_from(txn), "tick": st.integers(0, 2 ** 70),
+        "actor": text, "event": st.sampled_from(sorted(EVENTS)),
+        "token_digest": text, "oi_digest": text, "details": details})
+
+
+# About half in the form the arbiter writes, so that each case below also
+# reaches the load's pattern.
+valid_body = (_bodies(["C0-1", "C1-2"], plain_text, plain_details)
+              | _bodies(["C0-1", "C1-2", "Mé-1"], st.text(max_size=5),
+                        st.dictionaries(st.text(max_size=3), json_value,
+                                        max_size=3)))
 
 
 def _without(body, name):
@@ -352,6 +378,40 @@ def _spliced(raw, at, junk):
 
 def _spaced(body, before, after):
     return (before + canonical(body).decode() + after).encode()
+
+
+def _escaped(body, where, text):
+    """``body`` with ``text`` as the string field ``where``, or as a
+    details key or value."""
+    if where == "details key":
+        return {**body, "details": {text: 1}}
+    if where == "details value":
+        return {**body, "details": {"note": text}}
+    return {**body, where: text}
+
+
+def _duplicated(body, key, first, second):
+    """``body``'s entry bytes with ``key`` twice in its details."""
+    pair = json.dumps(key) + ":"
+    return canonical(dict(body, details={})).decode().replace(
+        '"details":{}', '"details":{' + pair + first + "," + pair + second
+        + "}", 1).encode()
+
+
+def _long_integer(body, where, digits):
+    """``body``'s entry bytes with an integer of ``digits`` digits as its
+    tick or a details value."""
+    text = canonical(dict(body, tick=0, details={"n": 0})).decode()
+    old = '"tick":0' if where == "tick" else '"n":0'
+    return text.replace(old, old[:-1] + "9" * digits, 1).encode()
+
+
+# Text that JSON writes escaped, or that ensure_ascii does: a quote, a
+# backslash, control characters, DEL and non-ASCII text.
+escaped_text = st.tuples(
+    st.text(max_size=2),
+    st.sampled_from(list('"\\\x00\n\x1f\x7f\xe9\u2028\U0001f600')),
+    st.text(max_size=2)).map("".join)
 
 
 # One strategy per kind of entry; each draws whole entries, as bodies for
@@ -404,6 +464,31 @@ RECORD_CASES = {
         st.sampled_from(["-1", "7", "true", '"Deposit"', "{}", '"C0-1"'])),
     "nested details": st.builds(nested, valid_body,
                                 st.sampled_from([1, 40, 800, 5000])),
+    "keys out of order": st.builds(
+        lambda body, order: json.dumps({key: body[key] for key in order},
+                                       separators=(",", ":")).encode(),
+        valid_body, st.permutations(ref.FIELDS).filter(
+            lambda order: list(order) != sorted(order))),
+    # Escapes json.dumps writes, and escapes it never writes.
+    "escaped strings": (
+        st.builds(_escaped, valid_body,
+                  st.sampled_from(["txn", "actor", "token_digest",
+                                   "oi_digest", "details key",
+                                   "details value"]),
+                  escaped_text)
+        | st.builds(lambda body, escape: canonical(body).replace(
+            b'"actor":"', b'"actor":"' + escape, 1), valid_body,
+            st.sampled_from([b"\\/", b"\\u0041", b"\\ud83d\\ude00", b"\\b",
+                             b"\\ud800", b"\\x41", b"\\u00"]))),
+    "duplicate details key": st.builds(
+        _duplicated, valid_body, st.text(max_size=3),
+        st.sampled_from(["1", "-7", '"a"', "true", "null", "1.5", "[1]"]),
+        st.sampled_from(["2", '"b"', "false", "null", "{}", "01"])),
+    # At most 640 digits convert under any int() digit limit; the default
+    # limit is 4300.
+    "long integers": st.builds(_long_integer, valid_body,
+                               st.sampled_from(["tick", "details"]),
+                               st.sampled_from([639, 640, 641, 4300, 4301])),
 }
 
 
@@ -427,3 +512,76 @@ def test_load_accepts_exactly_what_the_reference_accepts(case, data):
     for txn in positions:
         assert dispute_report(led, txn) == ref.reference_report(links, rows,
                                                                 txn)
+
+
+plain_entry = st.builds(
+    LedgerEntry, txn=plain_text, tick=st.integers(0, 2 ** 70),
+    actor=plain_text, event=st.sampled_from(sorted(EVENTS)),
+    token_digest=plain_text, oi_digest=plain_text, details=plain_details)
+# Entries that are written some other way: escaped or non-ASCII text, a
+# float, or a list or object in details.
+other_entry = (
+    st.builds(lambda entry, where, text: LedgerEntry(
+        **_escaped(vars(entry), where, text)), plain_entry,
+        st.sampled_from(["txn", "actor", "token_digest", "oi_digest",
+                         "details key", "details value"]), escaped_text)
+    | st.builds(lambda entry, value: LedgerEntry(
+        **{**vars(entry), "details": {**entry.details, "x": value}}),
+        plain_entry, st.floats(allow_nan=False)
+        | st.lists(json_leaf, max_size=2)
+        | st.dictionaries(plain_text, json_leaf, max_size=2)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(st.lists(st.tuples(plain_entry, st.just(True))
+                | st.tuples(other_entry, st.just(False)), max_size=6))
+def test_written_entries_are_decoded_only_off_the_canonical_form(tagged):
+    """Every entry the arbiter writes with plain strings and scalar details
+    loads with no decode, so the pattern cannot stop matching unnoticed;
+    every other entry is decoded, and the load is the reference's."""
+    raws = [entry.to_bytes() for entry, _ in tagged]
+    blob = rechain(raws)
+    decoded, decode = [], tset.ledger._entry_fields
+
+    def counting_decode(raw):
+        decoded.append(raw)
+        return decode(raw)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tset.ledger, "_entry_fields", counting_decode)
+        led = Ledger.from_bytes(blob)
+    assert decoded == [raw for raw, (_, plain) in zip(raws, tagged)
+                       if not plain]
+    raws, links, positions, rows = ref.reference_load(blob)
+    assert (led._raw, led._hashes, led._positions) == (raws, links, positions)
+    assert list(led.entries) == [entry for entry, _ in tagged]
+    for txn in positions:
+        assert dispute_report(led, txn) == ref.reference_report(links, rows,
+                                                                txn)
+
+
+def _with_bad_link(records, index) -> bytes:
+    """``rechain(records)`` with one bit of entry ``index``'s link flipped."""
+    blob = bytearray(rechain(records))
+    pos = 0
+    for _ in range(index):
+        pos += 36 + struct.unpack_from(">I", blob, pos)[0]
+    blob[pos + 4 + struct.unpack_from(">I", blob, pos)[0]] ^= 0x01
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("bad_entry,bad_link,message", [
+    (1, 2, "entry does not parse: Extra data"),
+    (2, 1, "chain hash mismatch at entry 1"),
+])
+def test_the_first_of_two_faults_is_the_one_named(bad_entry, bad_link,
+                                                  message):
+    records = [json.loads(entry.to_bytes()) for entry in fixture_entries()]
+    records.insert(bad_entry, fixture_entries()[0].to_bytes() + b"x")
+    blob = _with_bad_link(records, bad_link)
+    with pytest.raises(ref.REJECTS) as expected:
+        ref.reference_load(blob)
+    with pytest.raises(LedgerIntegrityError) as refused:
+        Ledger.from_bytes(blob)
+    assert str(refused.value).startswith(message)
+    assert str(refused.value).endswith(str(expected.value))
