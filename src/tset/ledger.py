@@ -183,7 +183,10 @@ class LedgerEntry:
 
     @staticmethod
     def from_bytes(data: bytes) -> "LedgerEntry":
-        return LedgerEntry(*_entry_fields(data))
+        """Built without ``__post_init__``: ``_entry_fields`` checks it."""
+        entry = object.__new__(LedgerEntry)
+        entry.__dict__.update(zip(FIELD_TYPES, _entry_fields(data)))
+        return entry
 
 
 class Ledger:

@@ -241,6 +241,23 @@ def test_dispute_report_hashes_nothing_and_decodes_only_its_rows(
         assert calls == {"sha256": 0, "decodes": rows, "field_checks": rows}
 
 
+def test_entries_check_each_entry_once(monkeypatch):
+    # Decoding checks an entry's fields, and building it does not again.
+    expected = (*fixture_entries(), LedgerEntry("C1-1", 9, "TTP0", "Deposit"))
+    led = fixture_ledger()
+    led.append(expected[-1])
+    calls = {"field_checks": 0}
+    check = tset.ledger.check_entry_fields
+
+    def counting_check(*fields):
+        calls["field_checks"] += 1
+        return check(*fields)
+
+    monkeypatch.setattr(tset.ledger, "check_entry_fields", counting_check)
+    assert led.entries == expected
+    assert calls == {"field_checks": len(led)}
+
+
 def test_load_hashes_and_decodes_each_entry_once(monkeypatch):
     # Each entry is hashed once and checked once by the canonical pattern;
     # only the one entry the pattern misses is decoded, and no entry
