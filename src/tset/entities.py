@@ -1,15 +1,17 @@
 """The five protocol roles as deterministic per-transaction state machines.
 
 Customer, Merchant, CustomerBank (token issuer), MerchantBank (acquirer),
-and Ttp (escrow arbiter) each hold a phase per transaction.  One legality
-table per role maps (phase, key) to the permitted next phases and
-emissions; the key is a message kind, ``Begin`` for the customer starting
-a purchase, or ``Timer`` for an entity's timer firing.  Every phase change
-goes through one check against that table, ``Entity._advance``: a pair
-with no row is a protocol violation, logged and never applied; a row
-marked stale absorbs late or duplicate traffic: no handler runs and the
-entity emits nothing; any other row runs the handler and refuses a next
-phase or an emission the row does not list.  ``_advance`` is also the one
+and Ttp (escrow arbiter) each hold a phase per transaction.  Each role's
+legality table is its protocol.  A row is keyed by a phase and a message
+kind, ``Begin`` for the customer starting a purchase, or ``Timer`` for an
+entity's timer firing.  It names the entity method that acts on it, and
+maps each next phase that method may return to the (message kind,
+receiver role) pairs it may emit on the way.  ``Entity._advance`` runs
+every delivery, purchase start and timer through the table: a pair with
+no row is a protocol violation, logged and never applied; a stale row
+names no method and absorbs late or duplicate traffic; any other row
+calls its method and refuses a next phase it has no branch to, or an
+emission the branch taken does not allow.  ``_advance`` is also the one
 writer of ``timers``, from the clocks of the phases with ``Timer`` rows.
 
 Money never leaves double-entry form.  The issuing bank moves a hold from
@@ -85,13 +87,9 @@ class ArbiterPhase(str, Enum):
 
 
 # ---------------------------------------------------------------------------
-# Legality table: (phase, key) -> permitted next phases and emissions, where
-# the key is the kind of the message delivered, or Begin when the customer
-# starts a purchase, or Timer when the entity's timer for the transaction
-# fires.  A pair absent from a table is a protocol violation in that phase.
-# A stale row absorbs late or duplicate traffic: the handler is not called
-# and the entity emits nothing.  A row that restarts the clock re-arms the
-# timer of the phase it stays in.
+# Legality tables, one row per (phase, key) as the module docstring says.
+# A stale row keeps the phase and emits nothing.  A row that restarts the
+# clock re-arms the timer of the phase it stays in.
 
 class Internal(str, Enum):
     """Table keys of the phase changes no message causes."""
@@ -102,20 +100,21 @@ class Internal(str, Enum):
 
 @dataclass(frozen=True)
 class Rule:
-    next: tuple
-    emits: tuple = ()
-    stale: bool = False
+    act: str | None     # the method's name; None on a stale row
+    branches: dict      # next phase -> frozenset of (kind, receiver role)
     restarts: bool = False
 
 
 def _table(*rows, stale: dict, restarts: tuple = ()) -> dict:
-    """Rows are (phase, key, next phases, emissions); ``stale`` maps a phase
-    to the message kinds it absorbs; ``restarts`` lists the (phase, key)
-    rows that restart the clock."""
-    table = {(phase, kind): Rule(tuple(nxt), tuple(emits),
-                                 restarts=(phase, kind) in restarts)
-             for phase, kind, nxt, emits in rows}
-    table.update({(phase, kind): Rule((phase,), stale=True)
+    """Rows are (phase, key, method name, {next phase: emissions}), each
+    emission a (kind, receiver role) pair; ``stale`` maps a phase to the
+    message kinds it absorbs; ``restarts`` lists the (phase, key) rows that
+    restart the clock."""
+    table = {(phase, key): Rule(act, {nxt: frozenset(emits)
+                                      for nxt, emits in branches.items()},
+                                (phase, key) in restarts)
+             for phase, key, act, branches in rows}
+    table.update({(phase, kind): Rule(None, {phase: frozenset()})
                   for phase, kinds in stale.items() for kind in kinds})
     return table
 
@@ -123,23 +122,29 @@ def _table(*rows, stale: dict, restarts: tuple = ()) -> dict:
 K, I = MsgKind, Internal
 CP, MP, IP, AP, TP = (CustomerPhase, MerchantPhase, IssuerPhase,
                       AcquirerPhase, ArbiterPhase)
+C, M, CB, MB, TTP = m.Role     # receiver roles, in their enum's order
 
 CUSTOMER_TABLE = _table(
-    (CP.START, I.BEGIN, [CP.AWAIT_OFFER], [K.BROWSE]),
-    (CP.AWAIT_OFFER, K.OFFER, [CP.AWAIT_TRUST], [K.TRUST_LOOKUP]),
-    (CP.AWAIT_TRUST, K.TRUST_REPLY, [CP.AWAIT_TOKEN, CP.ABORTED],
-     [K.TOKEN_REQUEST, K.ABORT_NOTICE]),
+    (CP.START, I.BEGIN, "_browse", {CP.AWAIT_OFFER: [(K.BROWSE, M)]}),
+    (CP.AWAIT_OFFER, K.OFFER, "_take_offer",
+     {CP.AWAIT_TRUST: [(K.TRUST_LOOKUP, TTP)]}),
+    (CP.AWAIT_TRUST, K.TRUST_REPLY, "_gate",
+     {CP.AWAIT_TOKEN: [(K.TOKEN_REQUEST, CB)],
+      CP.ABORTED: [(K.ABORT_NOTICE, TTP)]}),
     # Arbiter may expire the txn while the trust reply is lost in transit.
-    (CP.AWAIT_TRUST, K.COMPLETION_NOTICE, [CP.ABORTED], []),
-    (CP.AWAIT_TOKEN, K.TOKEN_ISSUED, [CP.AWAIT_GOODS],
-     [K.PURCHASE_CONFIRM, K.ESCROW_DEPOSIT]),
-    (CP.AWAIT_TOKEN, K.COMPLETION_NOTICE, [CP.ABORTED], [K.ABORT_NOTICE]),
-    (CP.AWAIT_GOODS, K.GOODS_DISPATCH, [CP.AWAIT_COMPLETION, CP.AWAIT_GOODS],
-     [K.ACCEPT_GOODS, K.REJECT_GOODS]),
-    (CP.AWAIT_GOODS, K.COMPLETION_NOTICE, [CP.ABORTED], []),
-    (CP.AWAIT_COMPLETION, K.COMPLETION_NOTICE, [CP.DONE, CP.ABORTED], []),
-    (CP.AWAIT_COMPLETION, K.REGENERATE_REQUEST, [CP.AWAIT_TOKEN],
-     [K.TOKEN_REQUEST]),
+    (CP.AWAIT_TRUST, K.COMPLETION_NOTICE, "_abandon", {CP.ABORTED: []}),
+    (CP.AWAIT_TOKEN, K.TOKEN_ISSUED, "_confirm",
+     {CP.AWAIT_GOODS: [(K.PURCHASE_CONFIRM, M), (K.ESCROW_DEPOSIT, TTP)]}),
+    (CP.AWAIT_TOKEN, K.COMPLETION_NOTICE, "_abandon",
+     {CP.ABORTED: [(K.ABORT_NOTICE, TTP)]}),
+    (CP.AWAIT_GOODS, K.GOODS_DISPATCH, "_inspect_goods",
+     {CP.AWAIT_COMPLETION: [(K.ACCEPT_GOODS, TTP)],
+      CP.AWAIT_GOODS: [(K.REJECT_GOODS, TTP)]}),
+    (CP.AWAIT_GOODS, K.COMPLETION_NOTICE, "_abandon", {CP.ABORTED: []}),
+    (CP.AWAIT_COMPLETION, K.COMPLETION_NOTICE, "_close",
+     {CP.DONE: [], CP.ABORTED: []}),
+    (CP.AWAIT_COMPLETION, K.REGENERATE_REQUEST, "_request_token",
+     {CP.AWAIT_TOKEN: [(K.TOKEN_REQUEST, CB)]}),
     stale={
         CP.AWAIT_TOKEN: [K.GOODS_DISPATCH],
         CP.DONE: [K.COMPLETION_NOTICE, K.GOODS_DISPATCH],
@@ -148,40 +153,50 @@ CUSTOMER_TABLE = _table(
     },
 )
 
+_DISPATCH = [(K.GOODS_DISPATCH, C), (K.GOODS_DISPATCH, TTP)]
+
 MERCHANT_TABLE = _table(
-    (MP.NEW, K.BROWSE, [MP.AWAIT_CONFIRM], [K.OFFER]),
-    (MP.AWAIT_CONFIRM, K.PURCHASE_CONFIRM, [MP.AWAIT_ACK],
-     [K.TEMP_PAYMENT_QUERY]),
-    (MP.AWAIT_CONFIRM, K.COMPLETION_NOTICE, [MP.ABORTED], []),
-    (MP.AWAIT_ACK, K.TEMP_PAYMENT_ACK, [MP.AWAIT_CAPTURE],
-     [K.GOODS_DISPATCH]),
-    (MP.AWAIT_ACK, K.COMPLETION_NOTICE, [MP.ABORTED], []),
-    (MP.AWAIT_CAPTURE, K.REJECT_GOODS, [MP.AWAIT_CAPTURE],
-     [K.GOODS_DISPATCH]),
-    (MP.AWAIT_CAPTURE, K.SETTLEMENT, [MP.DONE], [K.COMPLETION_NOTICE]),
-    (MP.AWAIT_CAPTURE, K.PURCHASE_CONFIRM, [MP.AWAIT_ACK],
-     [K.TEMP_PAYMENT_QUERY]),
-    (MP.AWAIT_CAPTURE, K.COMPLETION_NOTICE, [MP.ABORTED], []),
-    (MP.ABORTED, K.SETTLEMENT, [MP.DONE], [K.COMPLETION_NOTICE]),
+    (MP.NEW, K.BROWSE, "_quote", {MP.AWAIT_CONFIRM: [(K.OFFER, C)]}),
+    (MP.AWAIT_CONFIRM, K.PURCHASE_CONFIRM, "_query",
+     {MP.AWAIT_ACK: [(K.TEMP_PAYMENT_QUERY, TTP)]}),
+    (MP.AWAIT_CONFIRM, K.COMPLETION_NOTICE, "_abandon", {MP.ABORTED: []}),
+    (MP.AWAIT_ACK, K.TEMP_PAYMENT_ACK, "_ship",
+     {MP.AWAIT_CAPTURE: _DISPATCH}),
+    (MP.AWAIT_ACK, K.COMPLETION_NOTICE, "_abandon", {MP.ABORTED: []}),
+    (MP.AWAIT_CAPTURE, K.REJECT_GOODS, "_replace",
+     {MP.AWAIT_CAPTURE: _DISPATCH}),
+    (MP.AWAIT_CAPTURE, K.SETTLEMENT, "_paid",
+     {MP.DONE: [(K.COMPLETION_NOTICE, TTP)]}),
+    (MP.AWAIT_CAPTURE, K.PURCHASE_CONFIRM, "_query",
+     {MP.AWAIT_ACK: [(K.TEMP_PAYMENT_QUERY, TTP)]}),
+    (MP.AWAIT_CAPTURE, K.COMPLETION_NOTICE, "_abandon", {MP.ABORTED: []}),
+    (MP.ABORTED, K.SETTLEMENT, "_paid",
+     {MP.DONE: [(K.COMPLETION_NOTICE, TTP)]}),
     stale={
         MP.ABORTED: [K.REJECT_GOODS, K.COMPLETION_NOTICE],
         MP.DONE: [K.SETTLEMENT, K.COMPLETION_NOTICE],
     },
 )
 
+_TAMPER = [(K.TAMPER_REPORT, TTP)]
+
 ISSUER_TABLE = _table(
-    (IP.NEW, K.TOKEN_REQUEST, [IP.ISSUED, IP.CANCELLED],
-     [K.TOKEN_ISSUED, K.COMPLETION_NOTICE]),
-    (IP.NEW, K.ESCROW_CANCEL, [IP.CANCELLED], []),
-    (IP.ISSUED, K.PAYMENT_REQUEST, [IP.SETTLED, IP.TAMPER_WAIT],
-     [K.SETTLEMENT, K.COMPLETION_NOTICE, K.TAMPER_REPORT]),
-    (IP.ISSUED, K.ESCROW_CANCEL, [IP.CANCELLED], []),
-    (IP.TAMPER_WAIT, K.TOKEN_REQUEST, [IP.ISSUED], [K.TOKEN_ISSUED]),
-    (IP.TAMPER_WAIT, K.PAYMENT_REQUEST, [IP.TAMPER_WAIT], [K.TAMPER_REPORT]),
-    (IP.TAMPER_WAIT, K.ESCROW_CANCEL, [IP.CANCELLED], []),
-    (IP.SETTLED, K.PAYMENT_REQUEST, [IP.SETTLED],
-     [K.TAMPER_REPORT, K.SETTLEMENT]),
-    (IP.CANCELLED, K.PAYMENT_REQUEST, [IP.CANCELLED], [K.TAMPER_REPORT]),
+    (IP.NEW, K.TOKEN_REQUEST, "_issue",
+     {IP.ISSUED: [(K.TOKEN_ISSUED, C)],
+      IP.CANCELLED: [(K.COMPLETION_NOTICE, C)]}),
+    (IP.NEW, K.ESCROW_CANCEL, "_cancel", {IP.CANCELLED: []}),
+    (IP.ISSUED, K.PAYMENT_REQUEST, "settle",
+     {IP.SETTLED: [(K.SETTLEMENT, MB), (K.COMPLETION_NOTICE, C)],
+      IP.TAMPER_WAIT: _TAMPER}),
+    (IP.ISSUED, K.ESCROW_CANCEL, "_cancel", {IP.CANCELLED: []}),
+    (IP.TAMPER_WAIT, K.TOKEN_REQUEST, "_issue",
+     {IP.ISSUED: [(K.TOKEN_ISSUED, C)]}),
+    (IP.TAMPER_WAIT, K.PAYMENT_REQUEST, "settle", {IP.TAMPER_WAIT: _TAMPER}),
+    (IP.TAMPER_WAIT, K.ESCROW_CANCEL, "_cancel", {IP.CANCELLED: []}),
+    (IP.SETTLED, K.PAYMENT_REQUEST, "_refuse_replay",
+     {IP.SETTLED: [*_TAMPER, (K.SETTLEMENT, MB)]}),
+    (IP.CANCELLED, K.PAYMENT_REQUEST, "_refuse_cancelled",
+     {IP.CANCELLED: _TAMPER}),
     stale={
         IP.SETTLED: [K.ESCROW_CANCEL],
         IP.CANCELLED: [K.ESCROW_CANCEL, K.TOKEN_REQUEST],
@@ -189,14 +204,18 @@ ISSUER_TABLE = _table(
 )
 
 ACQUIRER_TABLE = _table(
-    (AP.NEW, K.TOKEN_RELEASE, [AP.AWAIT_PAYMENT], [K.PAYMENT_REQUEST]),
-    (AP.NEW, K.COMPLETION_NOTICE, [AP.ABORTED], []),
-    (AP.AWAIT_PAYMENT, K.TOKEN_RELEASE, [AP.AWAIT_PAYMENT],
-     [K.PAYMENT_REQUEST]),
-    (AP.AWAIT_PAYMENT, K.SETTLEMENT, [AP.SETTLED], [K.SETTLEMENT]),
+    (AP.NEW, K.TOKEN_RELEASE, "_present",
+     {AP.AWAIT_PAYMENT: [(K.PAYMENT_REQUEST, CB)]}),
+    (AP.NEW, K.COMPLETION_NOTICE, "_abandon", {AP.ABORTED: []}),
+    (AP.AWAIT_PAYMENT, K.TOKEN_RELEASE, "_present",
+     {AP.AWAIT_PAYMENT: [(K.PAYMENT_REQUEST, CB)]}),
+    (AP.AWAIT_PAYMENT, K.SETTLEMENT, "_credit",
+     {AP.SETTLED: [(K.SETTLEMENT, M)]}),
     # Funds may already be moving; keep presenting until settled or capped.
-    (AP.AWAIT_PAYMENT, K.COMPLETION_NOTICE, [AP.AWAIT_PAYMENT], []),
-    (AP.AWAIT_PAYMENT, I.TIMER, [AP.AWAIT_PAYMENT], [K.PAYMENT_REQUEST]),
+    (AP.AWAIT_PAYMENT, K.COMPLETION_NOTICE, "_keep_presenting",
+     {AP.AWAIT_PAYMENT: []}),
+    (AP.AWAIT_PAYMENT, I.TIMER, "on_timer",
+     {AP.AWAIT_PAYMENT: [(K.PAYMENT_REQUEST, CB)]}),
     stale={
         AP.SETTLED: [K.SETTLEMENT, K.TOKEN_RELEASE, K.COMPLETION_NOTICE],
         AP.ABORTED: [K.SETTLEMENT, K.TOKEN_RELEASE, K.COMPLETION_NOTICE],
@@ -209,31 +228,44 @@ ACQUIRER_TABLE = _table(
 # The arbiter's deadline runs in every phase that waits on another party.
 _ARBITER_WAITS = (TP.QUOTED, TP.HELD, TP.DISPATCHED, TP.REPLACING,
                   TP.RELEASED)
+# What an arbiter that ends a purchase tells the issuer and the two parties.
+_ENDED = [(K.ESCROW_CANCEL, CB), (K.COMPLETION_NOTICE, C),
+          (K.COMPLETION_NOTICE, M)]
 
 ARBITER_TABLE = _table(
-    (TP.NEW, K.TRUST_LOOKUP, [TP.QUOTED], [K.TRUST_REPLY]),
-    (TP.QUOTED, K.ESCROW_DEPOSIT, [TP.HELD], [K.TEMP_PAYMENT_ACK]),
-    (TP.QUOTED, K.TEMP_PAYMENT_QUERY, [TP.QUOTED], []),
-    (TP.QUOTED, K.ABORT_NOTICE, [TP.ABORTED], [K.COMPLETION_NOTICE]),
-    (TP.QUOTED, K.TAMPER_REPORT, [TP.QUOTED], []),
-    (TP.HELD, K.TEMP_PAYMENT_QUERY, [TP.HELD], [K.TEMP_PAYMENT_ACK]),
-    (TP.HELD, K.GOODS_DISPATCH, [TP.DISPATCHED], []),
-    (TP.HELD, K.TAMPER_REPORT, [TP.HELD], []),
-    (TP.DISPATCHED, K.ACCEPT_GOODS, [TP.RELEASED], [K.TOKEN_RELEASE]),
-    (TP.DISPATCHED, K.REJECT_GOODS, [TP.REPLACING], [K.REJECT_GOODS]),
-    (TP.DISPATCHED, K.TAMPER_REPORT, [TP.DISPATCHED], []),
-    (TP.REPLACING, K.GOODS_DISPATCH, [TP.DISPATCHED], []),
-    (TP.REPLACING, K.TAMPER_REPORT, [TP.REPLACING], []),
-    (TP.RELEASED, K.COMPLETION_NOTICE, [TP.SETTLED], []),
-    (TP.RELEASED, K.TAMPER_REPORT, [TP.QUOTED, TP.ABORTED],
-     [K.REGENERATE_REQUEST, K.ESCROW_CANCEL, K.COMPLETION_NOTICE]),
-    (TP.SETTLED, K.TAMPER_REPORT, [TP.SETTLED], []),
-    (TP.ABORTED, K.TAMPER_REPORT, [TP.ABORTED], []),
-    # A capture raced past expiry; the handler logs it.
-    (TP.EXPIRED, K.COMPLETION_NOTICE, [TP.EXPIRED], []),
-    (TP.EXPIRED, K.TAMPER_REPORT, [TP.EXPIRED], []),
-    *[(phase, I.TIMER, [TP.EXPIRED], [K.ESCROW_CANCEL, K.COMPLETION_NOTICE])
-      for phase in _ARBITER_WAITS],
+    (TP.NEW, K.TRUST_LOOKUP, "_answer_lookup",
+     {TP.QUOTED: [(K.TRUST_REPLY, C)]}),
+    (TP.QUOTED, K.ESCROW_DEPOSIT, "hold_escrow",
+     {TP.HELD: [(K.TEMP_PAYMENT_ACK, M)]}),
+    (TP.QUOTED, K.TEMP_PAYMENT_QUERY, "_hold_query", {TP.QUOTED: []}),
+    (TP.QUOTED, K.ABORT_NOTICE, "_customer_abort",
+     {TP.ABORTED: [(K.COMPLETION_NOTICE, M)]}),
+    (TP.QUOTED, K.TAMPER_REPORT, "_note_tamper", {TP.QUOTED: []}),
+    (TP.HELD, K.TEMP_PAYMENT_QUERY, "_ack_query",
+     {TP.HELD: [(K.TEMP_PAYMENT_ACK, M)]}),
+    (TP.HELD, K.GOODS_DISPATCH, "_note_dispatch", {TP.DISPATCHED: []}),
+    (TP.HELD, K.TAMPER_REPORT, "_note_tamper", {TP.HELD: []}),
+    (TP.DISPATCHED, K.ACCEPT_GOODS, "disposition",
+     {TP.RELEASED: [(K.TOKEN_RELEASE, MB)]}),
+    (TP.DISPATCHED, K.REJECT_GOODS, "disposition",
+     {TP.REPLACING: [(K.REJECT_GOODS, M)]}),
+    (TP.DISPATCHED, K.TAMPER_REPORT, "_note_tamper", {TP.DISPATCHED: []}),
+    (TP.REPLACING, K.GOODS_DISPATCH, "_note_dispatch", {TP.DISPATCHED: []}),
+    (TP.REPLACING, K.TAMPER_REPORT, "_note_tamper", {TP.REPLACING: []}),
+    (TP.RELEASED, K.COMPLETION_NOTICE, "_settled", {TP.SETTLED: []}),
+    (TP.RELEASED, K.TAMPER_REPORT, "regenerate_flow",
+     {TP.RELEASED: [], TP.QUOTED: [(K.REGENERATE_REQUEST, C)],
+      TP.ABORTED: _ENDED}),
+    (TP.SETTLED, K.TAMPER_REPORT, "_note_tamper", {TP.SETTLED: []}),
+    (TP.ABORTED, K.TAMPER_REPORT, "_note_tamper", {TP.ABORTED: []}),
+    # A capture raced past expiry; the ledger records the truth.
+    (TP.EXPIRED, K.COMPLETION_NOTICE, "_settled_late", {TP.EXPIRED: []}),
+    (TP.EXPIRED, K.TAMPER_REPORT, "_note_tamper", {TP.EXPIRED: []}),
+    *[(phase, I.TIMER, "on_timer", {TP.EXPIRED: _ENDED})
+      for phase in _ARBITER_WAITS if phase is not TP.RELEASED],
+    # Only a released token has reached the merchant bank.
+    (TP.RELEASED, I.TIMER, "on_timer",
+     {TP.EXPIRED: [*_ENDED, (K.COMPLETION_NOTICE, MB)]}),
     stale={
         TP.NEW: [K.ESCROW_DEPOSIT],
         TP.HELD: [K.ESCROW_DEPOSIT],
@@ -342,59 +374,61 @@ class Entity:
         """Deliver one message: refuse a bad signature, then advance.
         ``check`` is the helper's check of the hop signature, if it was
         sent one (see messages.verify_message)."""
-        result = StepResult()
         sender_cert = self.directory.get(msg.sender.name)
         if sender_cert is None or not m.verify_message(
                 msg, sender_cert, self.certs, check):
-            result.violations.append(
-                f"BadSignature:{msg.kind.value}:{msg.sender}->{self.id}")
-            return result
-        return self._advance(
-            msg.txn.name, msg.kind, now, result,
-            lambda phase: self.handle(msg, phase, now, result))
+            return StepResult(violations=[
+                f"BadSignature:{msg.kind.value}:{msg.sender}->{self.id}"])
+        return self._advance(msg.txn.name, msg.kind, now, msg)
 
     def fire_timer(self, key: str, now: int) -> StepResult:
         """Fire the timer of transaction ``key`` if it is due by ``now``."""
-        result = StepResult()
         due = self.timer_due(key)
         if due is None or due > now:
-            return result
-        return self._advance(
-            key, I.TIMER, now, result,
-            lambda phase: self.on_timer(key, phase, now, result))
+            return StepResult()
+        return self._advance(key, I.TIMER, now, key)
 
-    def _advance(self, key: str, kind: Enum, now: int, result: StepResult,
-                 act) -> StepResult:
+    def _advance(self, key: str, kind: Enum, now: int,
+                 subject) -> StepResult:
         """The one writer of ``phases`` and ``timers``.  Look up the row of
         the current phase and ``kind``: no row is a protocol violation; a
-        stale row keeps the phase without calling ``act``; otherwise
-        ``act(phase)`` fills ``result`` and returns the next phase, which is
-        kept only if the row lists it and every emission.  Then the timer is
-        cleared in a phase with no clock, and set to ``_due`` as a phase
-        with one is entered or a row restarts it."""
+        stale row keeps the phase; otherwise the row's method is called as
+        ``act(subject, phase, now, result)``, fills a new ``result`` and
+        returns the next phase.  The subject is the message delivered, the
+        transaction begun, or the key of the timer fired.  The method
+        may stay in the phase and emit nothing, a refusal; anything else is
+        kept only if the row has a branch to the next phase and that branch
+        allows each emission's kind and receiver role.  Then the timer is
+        cleared in a phase with no clock, and set as a phase with one is
+        entered or a row restarts it, to the due tick that the role's
+        ``_due(key, now)`` gives (None: no timer)."""
+        result = StepResult()
         phase = self.phases.get(key, START_PHASE[self.role])
         rule = TRANSITION_TABLES[self.role].get((phase, kind))
         if rule is None:
             result.violations.append(
                 f"ProtocolViolation:{self.id}:{phase.value}x{kind.value}")
             return result
-        new_phase = phase if rule.stale else act(phase)
-        # A handler that breaks the legality table is refused like a peer
+        new_phase = (phase if rule.act is None else
+                     getattr(self, rule.act)(subject, phase, now, result))
+        # A method that breaks the legality table is refused like a peer
         # that does: the phase stays as it was and its emissions are dropped.
-        if new_phase is not phase and new_phase not in rule.next:
-            result.violations.append(
-                f"IllegalTransition:{self.id}:{phase.value}x{kind.value}"
-                f"->{getattr(new_phase, 'value', new_phase)}")
-            result.messages.clear()
-            return result
-        stray = [out.kind.value for out in result.messages
-                 if out.kind not in rule.emits]
-        if stray:
-            result.violations.append(
-                f"IllegalEmission:{self.id}:{phase.value}x{kind.value}"
-                f":{','.join(stray)}")
-            result.messages.clear()
-            return result
+        if new_phase is not phase or result.messages:
+            if new_phase is not phase and new_phase not in rule.branches:
+                result.violations.append(
+                    f"IllegalTransition:{self.id}:{phase.value}x{kind.value}"
+                    f"->{getattr(new_phase, 'value', new_phase)}")
+                result.messages.clear()
+                return result
+            allowed = rule.branches.get(new_phase, ())
+            stray = [out.kind.value for out in result.messages
+                     if (out.kind, out.receiver.role) not in allowed]
+            if stray:
+                result.violations.append(
+                    f"IllegalEmission:{self.id}:{phase.value}x{kind.value}"
+                    f":{','.join(stray)}")
+                result.messages.clear()
+                return result
         self.phases[key] = new_phase
         if new_phase not in CLOCKS[self.role]:
             self.timers.pop(key, None)
@@ -406,20 +440,9 @@ class Entity:
                 self.timers[key] = due
         return result
 
-    def handle(self, msg, phase, now, result):
-        raise NotImplementedError
-
     def timer_due(self, key: str) -> int | None:
         """Tick at which the timer for transaction ``key`` fires, if armed."""
         return self.timers.get(key)
-
-    # Timer hooks, for roles whose table has a clock: the tick at which a
-    # timer armed at ``now`` falls due (None: no timer), and its firing.
-    def _due(self, key: str, now: int) -> int | None:
-        raise NotImplementedError
-
-    def on_timer(self, key, phase, now, result):
-        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +480,13 @@ class Customer(Entity):
         self._serial += 1
         txn = TransactionId(self.id, self._serial)
         self.txns[txn.name] = _CustomerTxn(intent)
-        result = StepResult()
+        return self._advance(txn.name, I.BEGIN, now, txn)
 
-        def browse(phase):
-            self._emit(result, intent.merchant, txn,
-                       m.Browse(intent.product, intent.quantity))
-            return CP.AWAIT_OFFER
-        return self._advance(txn.name, I.BEGIN, now, result, browse)
+    def _browse(self, txn, phase, now, result):
+        intent = self.txns[txn.name].intent
+        self._emit(result, intent.merchant, txn,
+                   m.Browse(intent.product, intent.quantity))
+        return CP.AWAIT_OFFER
 
     def _reject_verdict(self) -> bool:
         if self._reject_script:
@@ -472,72 +495,70 @@ class Customer(Entity):
             return False
         return self._behavior.random() < self._reject_probability
 
-    def _request_token(self, st: _CustomerTxn, txn, result):
-        self._emit(result, CB0, txn,
+    def _take_offer(self, msg, phase, now, result):
+        st = self.txns[msg.txn.name]
+        order = msg.payload.order
+        cert = msg.payload.merchant_cert
+        if not self.certs.valid(cert) or cert.subject != msg.sender.name:
+            result.violations.append(f"AuthFailure:Offer:{msg.sender}")
+            return phase
+        if (order.product != st.intent.product
+                or order.quantity != st.intent.quantity
+                or order.merchant != st.intent.merchant):
+            result.violations.append(f"OfferMismatch:{msg.txn}")
+            return phase
+        st.order = order
+        st.merchant_cert = cert
+        self._emit(result, TTP0, msg.txn, m.TrustLookup(order.merchant))
+        return CP.AWAIT_TRUST
+
+    def _gate(self, msg, phase, now, result):
+        if self.policy.admits(msg.payload):
+            return self._request_token(msg, phase, now, result)
+        self._emit(result, TTP0, msg.txn, m.AbortNotice("trust below policy"))
+        return CP.ABORTED
+
+    def _request_token(self, msg, phase, now, result):
+        st = self.txns[msg.txn.name]
+        self._emit(result, CB0, msg.txn,
                    m.TokenRequest(st.order.total_price, self.certificate,
                                   st.merchant_cert))
         return CP.AWAIT_TOKEN
 
-    def handle(self, msg, phase, now, result):
-        st = self.txns.get(msg.txn.name)
-        kind = msg.kind
+    def _confirm(self, msg, phase, now, result):
+        st = self.txns[msg.txn.name]
+        self._emit(result, st.order.merchant, msg.txn,
+                   m.PurchaseConfirm(st.order, self.certificate))
+        self._emit(result, TTP0, msg.txn,
+                   m.EscrowDeposit(st.order, msg.payload.sealed))
+        return CP.AWAIT_GOODS
 
-        if kind == K.OFFER:
-            order = msg.payload.order
-            cert = msg.payload.merchant_cert
-            if not self.certs.valid(cert) or cert.subject != msg.sender.name:
-                result.violations.append(f"AuthFailure:Offer:{msg.sender}")
-                return phase
-            if (order.product != st.intent.product
-                    or order.quantity != st.intent.quantity
-                    or order.merchant != st.intent.merchant):
-                result.violations.append(f"OfferMismatch:{msg.txn}")
-                return phase
-            st.order = order
-            st.merchant_cert = cert
-            self._emit(result, TTP0, msg.txn, m.TrustLookup(order.merchant))
-            return CP.AWAIT_TRUST
-
-        if kind == K.TRUST_REPLY:
-            if self.policy.admits(msg.payload):
-                return self._request_token(st, msg.txn, result)
-            self._emit(result, TTP0, msg.txn,
-                       m.AbortNotice("trust below policy"))
-            return CP.ABORTED
-
-        if kind == K.TOKEN_ISSUED:
-            self._emit(result, st.order.merchant, msg.txn,
-                       m.PurchaseConfirm(st.order, self.certificate))
-            self._emit(result, TTP0, msg.txn,
-                       m.EscrowDeposit(st.order, msg.payload.sealed))
+    def _inspect_goods(self, msg, phase, now, result):
+        order_number = self.txns[msg.txn.name].order.order_number
+        if self._reject_verdict():
+            self._emit(result, TTP0, msg.txn, m.RejectGoods(order_number))
             return CP.AWAIT_GOODS
+        self._emit(result, TTP0, msg.txn, m.AcceptGoods(order_number))
+        return CP.AWAIT_COMPLETION
 
-        if kind == K.GOODS_DISPATCH:
-            if self._reject_verdict():
-                self._emit(result, TTP0, msg.txn,
-                           m.RejectGoods(st.order.order_number))
-                return CP.AWAIT_GOODS
+    def _close(self, msg, phase, now, result):
+        """The notice after the customer's verdict ends the purchase."""
+        if msg.payload.status == "completed":
+            return CP.DONE
+        return self._abandon(msg, phase, now, result)
+
+    def _abandon(self, msg, phase, now, result):
+        """An aborted notice ends the purchase; before the verdict, a
+        completed one is refused."""
+        if msg.payload.status == "completed":
+            result.violations.append(f"EarlyCompletion:{msg.txn}")
+            return phase
+        if msg.sender != TTP0:
+            # The arbiter still has its deadline armed; relay the bank's
+            # refusal so the txn closes now, not at expiry.
             self._emit(result, TTP0, msg.txn,
-                       m.AcceptGoods(st.order.order_number))
-            return CP.AWAIT_COMPLETION
-
-        if kind == K.REGENERATE_REQUEST:
-            return self._request_token(st, msg.txn, result)
-
-        if kind == K.COMPLETION_NOTICE:
-            if msg.payload.status == "completed":
-                if phase is not CP.AWAIT_COMPLETION:
-                    result.violations.append(f"EarlyCompletion:{msg.txn}")
-                    return phase
-                return CP.DONE
-            if msg.sender != TTP0:
-                # The arbiter still has its deadline armed; relay the
-                # bank's refusal so the txn closes now, not at expiry.
-                self._emit(result, TTP0, msg.txn,
-                           m.AbortNotice(msg.payload.reason))
-            return CP.ABORTED
-
-        raise AssertionError(f"unhandled {kind} in {phase}")
+                       m.AbortNotice(msg.payload.reason))
+        return CP.ABORTED
 
 
 # ---------------------------------------------------------------------------
@@ -552,69 +573,62 @@ class Merchant(Entity):
         self.orders: dict[str, OrderInfo] = {}
         self._order_seq = 0
 
-    def handle(self, msg, phase, now, result):
-        kind = msg.kind
+    def _quote(self, msg, phase, now, result):
+        price = self.catalog.get(msg.payload.product)
+        if price is None:
+            result.violations.append(f"UnknownProduct:{msg.payload.product}")
+            return phase
+        self._order_seq += 1
+        order = OrderInfo(
+            order_number=f"ORD-{self.id}-{self._order_seq}",
+            product=msg.payload.product,
+            quantity=msg.payload.quantity,
+            unit_price=price,
+            total_price=price * msg.payload.quantity,
+            merchant=self.id)
+        self.orders[msg.txn.name] = order
+        self._emit(result, msg.sender, msg.txn,
+                   m.Offer(order, self.certificate))
+        return MP.AWAIT_CONFIRM
 
-        if kind == K.BROWSE:
-            price = self.catalog.get(msg.payload.product)
-            if price is None:
-                result.violations.append(
-                    f"UnknownProduct:{msg.payload.product}")
-                return phase
-            self._order_seq += 1
-            order = OrderInfo(
-                order_number=f"ORD-{self.id}-{self._order_seq}",
-                product=msg.payload.product,
-                quantity=msg.payload.quantity,
-                unit_price=price,
-                total_price=price * msg.payload.quantity,
-                merchant=self.id)
-            self.orders[msg.txn.name] = order
-            self._emit(result, msg.sender, msg.txn,
-                       m.Offer(order, self.certificate))
-            return MP.AWAIT_CONFIRM
+    def _query(self, msg, phase, now, result):
+        cert = msg.payload.customer_cert
+        if not self.certs.valid(cert) or cert.subject != msg.sender.name:
+            result.violations.append(
+                f"AuthFailure:PurchaseConfirm:{msg.sender}")
+            return phase
+        order = self.orders.get(msg.txn.name)
+        if order is None or msg.payload.order != order:
+            result.violations.append(f"OrderMismatch:{msg.txn}")
+            return phase
+        self._emit(result, TTP0, msg.txn,
+                   m.TempPaymentQuery(order.order_number))
+        return MP.AWAIT_ACK
 
-        if kind == K.PURCHASE_CONFIRM:
-            cert = msg.payload.customer_cert
-            if not self.certs.valid(cert) or cert.subject != msg.sender.name:
-                result.violations.append(
-                    f"AuthFailure:PurchaseConfirm:{msg.sender}")
-                return phase
-            order = self.orders.get(msg.txn.name)
-            if order is None or msg.payload.order != order:
-                result.violations.append(f"OrderMismatch:{msg.txn}")
-                return phase
-            self._emit(result, TTP0, msg.txn,
-                       m.TempPaymentQuery(order.order_number))
-            return MP.AWAIT_ACK
+    def _ship(self, msg, phase, now, result):
+        if msg.payload.amount != self.orders[msg.txn.name].total_price:
+            result.violations.append(
+                f"AckAmountMismatch:{msg.txn}:{msg.payload.amount}")
+            return phase
+        return self._dispatch(msg.txn, False, result)
 
-        if kind == K.TEMP_PAYMENT_ACK:
-            order = self.orders[msg.txn.name]
-            if msg.payload.amount != order.total_price:
-                result.violations.append(
-                    f"AckAmountMismatch:{msg.txn}:{msg.payload.amount}")
-                return phase
-            self._dispatch(order, msg.txn, False, result)
-            return MP.AWAIT_CAPTURE
+    def _replace(self, msg, phase, now, result):
+        return self._dispatch(msg.txn, True, result)
 
-        if kind == K.REJECT_GOODS:
-            self._dispatch(self.orders[msg.txn.name], msg.txn, True, result)
-            return MP.AWAIT_CAPTURE
-
-        if kind == K.SETTLEMENT:
-            self._emit(result, TTP0, msg.txn, m.CompletionNotice("completed"))
-            return MP.DONE
-
-        if kind == K.COMPLETION_NOTICE:
-            return MP.ABORTED
-
-        raise AssertionError(f"unhandled {kind} in {phase}")
-
-    def _dispatch(self, order: OrderInfo, txn, replacement: bool, result):
+    def _dispatch(self, txn, replacement: bool, result):
+        order = self.orders[txn.name]
         payload = m.GoodsDispatch(order.order_number, order.product,
                                   order.quantity, replacement)
         self._emit(result, txn.customer, txn, payload)
         self._emit(result, TTP0, txn, payload)
+        return MP.AWAIT_CAPTURE
+
+    def _paid(self, msg, phase, now, result):
+        self._emit(result, TTP0, msg.txn, m.CompletionNotice("completed"))
+        return MP.DONE
+
+    def _abandon(self, msg, phase, now, result):
+        return MP.ABORTED
 
 
 # ---------------------------------------------------------------------------
@@ -649,18 +663,12 @@ class CustomerBank(Entity):
 
     # -- issuance -----------------------------------------------------------
 
-    def _release_hold(self, txn_key: str) -> None:
-        hold = self.holds.pop(txn_key, None)
-        if hold is not None:
-            self.escrow_pool -= hold.amount
-            self.accounts[hold.customer] += hold.amount
-
-    def _issue(self, msg, now, result):
+    def _issue(self, msg, phase, now, result):
         req = msg.payload
         txn_key = msg.txn.name
         if req.customer_cert.subject != msg.sender.name:
             result.violations.append(f"AuthFailure:TokenRequest:{msg.sender}")
-            return self.phase_of(msg.txn)
+            return phase
         if txn_key not in self.holds:
             customer = msg.sender.name
             if self.accounts.get(customer, 0) < req.amount:
@@ -672,7 +680,7 @@ class CustomerBank(Entity):
             self.holds[txn_key] = _Hold(customer, req.amount)
         elif self.holds[txn_key].amount != req.amount:
             result.violations.append(f"HoldAmountMismatch:{msg.txn}")
-            return self.phase_of(msg.txn)
+            return phase
         token = self.mint.generate_token(req.amount, req.customer_cert,
                                          req.merchant_cert, now)
         self.txn_token[txn_key] = token.token_id
@@ -680,16 +688,27 @@ class CustomerBank(Entity):
         self._emit(result, msg.sender, msg.txn, m.TokenIssued(sealed))
         return IP.ISSUED
 
+    def _cancel(self, msg, phase, now, result):
+        """Revoke the token and move the hold back to the customer."""
+        txn_key = msg.txn.name
+        token_id = self.txn_token.get(txn_key)
+        if token_id is not None:
+            self.mint.revoke(token_id)
+        hold = self.holds.pop(txn_key, None)
+        if hold is not None:
+            self.escrow_pool -= hold.amount
+            self.accounts[hold.customer] += hold.amount
+        return IP.CANCELLED
+
     # -- settlement ---------------------------------------------------------
 
-    def settle(self, txn: TransactionId, sealed: SealedToken, now: int,
-               result: StepResult):
+    def settle(self, msg, phase, now: int, result: StepResult):
         """Open the presented token, compare it against the stored duplicate,
         and either move the held funds toward the acquirer or revoke the
         token id and report tampering to the arbiter."""
-        txn_key = txn.name
+        txn = msg.txn
         try:
-            opened = tokens.open_token(sealed, self.keys)
+            opened = tokens.open_token(msg.payload.sealed, self.keys)
         except tokens.TokenIdDecryptionFailure:
             return self._tamper(txn, "TokenIdDecryptionFailure", result)
         except crypto.DecryptionFailure:
@@ -698,7 +717,7 @@ class CustomerBank(Entity):
         try:
             duplicate = self.mint.duplicate_of(opened.token_id)
         except tokens.AlreadySettled:
-            # handle() refuses a replay in Settled before calling settle, so
+            # The Settled row refuses a replay without calling settle, so
             # this id settled for another purchase: forgery, not replay.
             return self._tamper(txn, "AlreadySettledForeign", result)
         except tokens.RevokedToken:
@@ -706,7 +725,7 @@ class CustomerBank(Entity):
         except tokens.UnknownTokenId:
             return self._tamper(txn, "UnknownTokenId", result)
 
-        if self.txn_token.get(txn_key) != opened.token_id:
+        if self.txn_token.get(txn.name) != opened.token_id:
             return self._tamper(txn, "TokenTxnMismatch", result)
         mismatched = tokens.verify_token(opened, duplicate)
         if mismatched:
@@ -714,55 +733,36 @@ class CustomerBank(Entity):
             return self._tamper(txn, f"FieldMismatch:{detail}", result)
 
         self.mint.settle(opened.token_id)
-        hold = self.holds.pop(txn_key)
+        hold = self.holds.pop(txn.name)
         self.escrow_pool -= hold.amount
         self.settled_out_total += hold.amount
-        self.settled_amounts[txn_key] = hold.amount
+        self.settled_amounts[txn.name] = hold.amount
         self._emit(result, MB0, txn, m.Settlement(hold.amount))
         self._emit(result, txn.customer, txn, m.CompletionNotice("completed"))
         return IP.SETTLED
 
     def _tamper(self, txn, reason: str, result):
-        txn_key = txn.name
-        current = self.txn_token.get(txn_key)
+        current = self.txn_token.get(txn.name)
         if current is not None:
             self.mint.revoke(current)
         self.tamper_reports += 1
         self._emit(result, TTP0, txn, m.TamperReport("tamper", reason))
-        phase = self.phase_of(txn)
-        return IP.TAMPER_WAIT if phase in (IP.ISSUED, IP.TAMPER_WAIT) else phase
+        return IP.TAMPER_WAIT
 
-    def _refuse_replay(self, txn, result):
+    def _refuse_cancelled(self, msg, phase, now, result):
+        self._tamper(msg.txn, "CancelledToken", result)
+        return phase
+
+    def _refuse_replay(self, msg, phase, now, result):
         self.replay_refusals += 1
-        self._emit(result, TTP0, txn,
+        self._emit(result, TTP0, msg.txn,
                    m.TamperReport("replay", "AlreadySettled"))
-        amount = self.settled_amounts.get(txn.name)
+        amount = self.settled_amounts.get(msg.txn.name)
         if amount is not None:
             # Idempotent copy so a lost original cannot strand the payout.
-            self._emit(result, MB0, txn, m.Settlement(amount, duplicate=True))
-        return self.phase_of(txn)
-
-    def handle(self, msg, phase, now, result):
-        kind = msg.kind
-
-        if kind == K.TOKEN_REQUEST:
-            return self._issue(msg, now, result)
-
-        if kind == K.PAYMENT_REQUEST:
-            if phase is IP.SETTLED:
-                return self._refuse_replay(msg.txn, result)
-            if phase is IP.CANCELLED:
-                return self._tamper(msg.txn, "CancelledToken", result)
-            return self.settle(msg.txn, msg.payload.sealed, now, result)
-
-        if kind == K.ESCROW_CANCEL:
-            token_id = self.txn_token.get(msg.txn.name)
-            if token_id is not None:
-                self.mint.revoke(token_id)
-            self._release_hold(msg.txn.name)
-            return IP.CANCELLED
-
-        raise AssertionError(f"unhandled {kind} in {phase}")
+            self._emit(result, MB0, msg.txn,
+                       m.Settlement(amount, duplicate=True))
+        return phase
 
 
 # ---------------------------------------------------------------------------
@@ -790,36 +790,31 @@ class MerchantBank(Entity):
         return (now + self.retry_ticks
                 if self.pending[key].retries < self.retry_cap else None)
 
-    def handle(self, msg, phase, now, result):
-        kind = msg.kind
-        txn_key = msg.txn.name
+    def _present(self, msg, phase, now, result):
+        self.pending[msg.txn.name] = _Pending(msg.payload.sealed,
+                                              msg.payload.merchant)
+        self._emit(result, CB0, msg.txn, m.PaymentRequest(
+            msg.payload.sealed, msg.payload.merchant))
+        return AP.AWAIT_PAYMENT
 
-        if kind == K.TOKEN_RELEASE:
-            self.pending[txn_key] = _Pending(msg.payload.sealed,
-                                             msg.payload.merchant)
-            self._emit(result, CB0, msg.txn, m.PaymentRequest(
-                msg.payload.sealed, msg.payload.merchant))
-            return AP.AWAIT_PAYMENT
+    def _credit(self, msg, phase, now, result):
+        # The table admits a Settlement only in AwaitPayment, which only a
+        # TokenRelease enters, and it fills ``pending``.
+        p = self.pending.pop(msg.txn.name)
+        merchant = p.merchant.name
+        self.accounts[merchant] = (self.accounts.get(merchant, 0)
+                                   + msg.payload.amount)
+        self.credited_in_total += msg.payload.amount
+        self._emit(result, p.merchant, msg.txn,
+                   m.Settlement(msg.payload.amount))
+        return AP.SETTLED
 
-        if kind == K.SETTLEMENT:
-            # The table admits a Settlement only in AwaitPayment, which only
-            # a TokenRelease enters, and it fills ``pending``.
-            p = self.pending.pop(txn_key)
-            merchant = p.merchant.name
-            self.accounts[merchant] = (self.accounts.get(merchant, 0)
-                                       + msg.payload.amount)
-            self.credited_in_total += msg.payload.amount
-            self._emit(result, p.merchant, msg.txn,
-                       m.Settlement(msg.payload.amount))
-            return AP.SETTLED
+    def _keep_presenting(self, msg, phase, now, result):
+        """Funds may already have left the issuer; the retries go on."""
+        return phase
 
-        if kind == K.COMPLETION_NOTICE:
-            if phase is AP.AWAIT_PAYMENT:
-                # Funds may already have left the issuer; keep presenting.
-                return phase
-            return AP.ABORTED
-
-        raise AssertionError(f"unhandled {kind} in {phase}")
+    def _abandon(self, msg, phase, now, result):
+        return AP.ABORTED
 
     def on_timer(self, txn_key, phase, now, result):
         """Present the released token again."""
@@ -870,17 +865,32 @@ class Ttp(Entity):
         record = self.trust.setdefault(st.merchant.name, TrustRecord())
         record_outcome(record, disposition, st.txn.customer.name, st.product)
 
-    def _ack(self, st: _ArbiterTxn, result) -> None:
+    def _ack(self, st: _ArbiterTxn, now: int, result) -> None:
+        self._log(st, now, "TempAck", {"amount": st.amount})
         self._emit(result, st.merchant, st.txn,
                    m.TempPaymentAck(st.token_digest, st.amount))
 
     # -- named operations ----------------------------------------------------
 
-    def hold_escrow(self, msg, st: _ArbiterTxn, now: int,
-                    result: StepResult):
+    def _answer_lookup(self, msg, phase, now, result):
+        """Open the purchase and tell the customer the merchant's grade."""
+        self.txns[msg.txn.name] = _ArbiterTxn(msg.txn, msg.payload.merchant)
+        record = self.trust.get(msg.payload.merchant.name)
+        if record is None or record.total == 0:
+            # No verdicts yet: the merchant is unrated, not perfect.
+            reply = m.TrustReply(False)
+        else:
+            standing = merchant_standing(record)
+            reply = m.TrustReply(True, standing["trust_factor"],
+                                 standing["grade"])
+        self._emit(result, msg.sender, msg.txn, reply)
+        return TP.QUOTED
+
+    def hold_escrow(self, msg, phase, now: int, result: StepResult):
         """Accept a sealed token into escrow.  The arbiter cannot open the
         token; it checks the envelope shape, records digests, and acks any
         merchant query that raced ahead of the deposit."""
+        st = self.txns[msg.txn.name]
         order = msg.payload.order
         st.sealed = msg.payload.sealed
         st.amount = order.total_price
@@ -889,15 +899,41 @@ class Ttp(Entity):
         st.token_digest = m.sealed_digest(msg.payload.sealed)
         self._log(st, now, "Deposit", {"amount": st.amount})
         if st.pending_query is not None:
-            self._log(st, now, "TempAck", {"amount": st.amount})
-            self._ack(st, result)
+            self._ack(st, now, result)
             st.pending_query = None
         return TP.HELD
 
-    def disposition(self, msg, st: _ArbiterTxn, now: int,
-                    result: StepResult):
+    def _hold_query(self, msg, phase, now, result):
+        """A merchant query before the deposit is acked as it arrives."""
+        self.txns[msg.txn.name].pending_query = msg.payload.order_number
+        return phase
+
+    def _ack_query(self, msg, phase, now, result):
+        self._ack(self.txns[msg.txn.name], now, result)
+        return phase
+
+    def _customer_abort(self, msg, phase, now, result):
+        st = self.txns[msg.txn.name]
+        self._log(st, now, "Abort", {"reason": msg.payload.reason})
+        self._emit(result, st.merchant, msg.txn,
+                   m.CompletionNotice("aborted", msg.payload.reason))
+        return TP.ABORTED
+
+    def _note_dispatch(self, msg, phase, now, result):
+        self._log(self.txns[msg.txn.name], now, "Dispatch",
+                  {"replacement": msg.payload.replacement})
+        return TP.DISPATCHED
+
+    def _note_tamper(self, msg, phase, now, result):
+        self._log(self.txns[msg.txn.name], now, "Tamper",
+                  {"reason": msg.payload.reason,
+                   "detail": msg.payload.detail})
+        return phase
+
+    def disposition(self, msg, phase, now: int, result: StepResult):
         """Customer verdict: accept releases the token to the acquirer,
         reject sends the merchant back for a replacement."""
+        st = self.txns[msg.txn.name]
         if msg.kind == K.ACCEPT_GOODS:
             self._record(st, Disposition.ACCEPTED)
             self._log(st, now, "Accept", {})
@@ -911,13 +947,17 @@ class Ttp(Entity):
                    m.RejectGoods(msg.payload.order_number, msg.payload.reason))
         return TP.REPLACING
 
-    def regenerate_flow(self, msg, st: _ArbiterTxn, now: int,
-                        result: StepResult):
+    def regenerate_flow(self, msg, phase, now: int, result: StepResult):
         """Tamper report on a released token: drop the escrowed copy, ask
         the customer for a fresh token, rewind to awaiting deposit.  Bounded
         by the regeneration cap, after which the transaction aborts."""
-        self._log(st, now, "Tamper", {"reason": msg.payload.reason,
-                                      "detail": msg.payload.detail})
+        st = self.txns[msg.txn.name]
+        self._note_tamper(msg, phase, now, result)
+        if msg.payload.reason == "replay":
+            # The token already settled and the bank's duplicate
+            # settlement is in flight, so regenerating would fork an extra
+            # payment.  Only genuine tamper restarts the token.
+            return phase
         if st.regen_count >= self.regenerate_cap:
             return self._abort(st, now, "regeneration cap exhausted", result)
         st.regen_count += 1
@@ -935,72 +975,15 @@ class Ttp(Entity):
                        m.CompletionNotice("aborted", reason))
         return TP.ABORTED
 
-    # -- message handling ----------------------------------------------------
+    def _settled(self, msg, phase, now, result):
+        st = self.txns[msg.txn.name]
+        self._log(st, now, "Settled", {"amount": st.amount})
+        return TP.SETTLED
 
-    def handle(self, msg, phase, now, result):
-        kind = msg.kind
-        txn_key = msg.txn.name
-        st = self.txns.get(txn_key)
-
-        if kind == K.TRUST_LOOKUP:
-            st = _ArbiterTxn(msg.txn, msg.payload.merchant)
-            self.txns[txn_key] = st
-            record = self.trust.get(msg.payload.merchant.name)
-            if record is None or record.total == 0:
-                # No verdicts yet: the merchant is unrated, not perfect.
-                reply = m.TrustReply(False)
-            else:
-                standing = merchant_standing(record)
-                reply = m.TrustReply(True, standing["trust_factor"],
-                                     standing["grade"])
-            self._emit(result, msg.sender, msg.txn, reply)
-            return TP.QUOTED
-
-        if kind == K.ESCROW_DEPOSIT:
-            return self.hold_escrow(msg, st, now, result)
-
-        if kind == K.TEMP_PAYMENT_QUERY:
-            if phase is TP.QUOTED:
-                st.pending_query = msg.payload.order_number
-                return phase
-            self._log(st, now, "TempAck", {"amount": st.amount})
-            self._ack(st, result)
-            return phase
-
-        if kind == K.ABORT_NOTICE:
-            self._log(st, now, "Abort", {"reason": msg.payload.reason})
-            self._emit(result, st.merchant, msg.txn,
-                       m.CompletionNotice("aborted", msg.payload.reason))
-            return TP.ABORTED
-
-        if kind == K.GOODS_DISPATCH:
-            self._log(st, now, "Dispatch",
-                      {"replacement": msg.payload.replacement})
-            return TP.DISPATCHED
-
-        if kind in (K.ACCEPT_GOODS, K.REJECT_GOODS):
-            return self.disposition(msg, st, now, result)
-
-        if kind == K.TAMPER_REPORT:
-            # A replay refusal means the token already settled; the bank's
-            # duplicate settlement is in flight, so regenerating would fork
-            # an extra payment.  Only genuine tamper restarts the token.
-            if phase is TP.RELEASED and msg.payload.reason != "replay":
-                return self.regenerate_flow(msg, st, now, result)
-            self._log(st, now, "Tamper", {"reason": msg.payload.reason,
-                                          "detail": msg.payload.detail})
-            return phase
-
-        if kind == K.COMPLETION_NOTICE:
-            if phase is TP.EXPIRED:
-                # A capture raced past expiry; the ledger records the truth.
-                self._log(st, now, "Settled", {"amount": st.amount,
-                                               "late": True})
-                return phase
-            self._log(st, now, "Settled", {"amount": st.amount})
-            return TP.SETTLED
-
-        raise AssertionError(f"unhandled {kind} in {phase}")
+    def _settled_late(self, msg, phase, now, result):
+        st = self.txns[msg.txn.name]
+        self._log(st, now, "Settled", {"amount": st.amount, "late": True})
+        return phase
 
     # -- deadlines -----------------------------------------------------------
 
@@ -1023,3 +1006,15 @@ class Ttp(Entity):
             self._emit(result, target, st.txn,
                        m.CompletionNotice("aborted", "deadline expired"))
         return TP.EXPIRED
+
+
+def _check_rows(*classes) -> None:
+    """Refuse to load a table row that names a method its role lacks."""
+    for cls in classes:
+        for (phase, key), rule in TRANSITION_TABLES[cls.role].items():
+            if rule.act and not callable(getattr(cls, rule.act, None)):
+                raise TypeError(f"{cls.__name__} has no method {rule.act!r} "
+                                f"for row {phase.value}x{key.value}")
+
+
+_check_rows(Customer, Merchant, CustomerBank, MerchantBank, Ttp)

@@ -25,6 +25,7 @@ from tset.entities import (
     IssuerPhase as IP,
     MerchantPhase as MP,
     PurchaseIntent,
+    TRANSITION_TABLES,
 )
 from tset.messages import (CB0, TTP0, MsgKind as K, ProtocolMessage,
                            TransactionId)
@@ -114,8 +115,9 @@ def test_unknown_sender_is_rejected(world):
     assert result.violations and "BadSignature" in result.violations[0]
 
 
-# Run as a script under both optimisation levels: a merchant whose handler
-# answers a Browse from New with Done, against the table's AwaitConfirm.
+# Run as a script under both optimisation levels: a merchant whose row
+# method answers a Browse from New with Done, against the table's
+# AwaitConfirm.
 _ILLEGAL_STEP_SCRIPT = """
 import json
 from tset import messages as m
@@ -123,7 +125,7 @@ from tset.entities import Merchant, MerchantPhase
 from tset.messages import MsgKind, ProtocolMessage, TransactionId
 from tset.scenario import ScenarioConfig, build_world
 
-Merchant.handle = lambda self, msg, phase, now, result: MerchantPhase.DONE
+Merchant._quote = lambda self, msg, phase, now, result: MerchantPhase.DONE
 world = build_world(ScenarioConfig.from_dict({
     "customers": [{"balance": 100000, "purchases": []}],
     "merchants": [{"catalog": {"widget": 15000}}]}))
@@ -156,18 +158,59 @@ def test_illegal_transition_is_refused_under_any_optimisation(flags):
 def test_illegal_emission_is_dropped(world, monkeypatch):
     merchant, txn = world.entities["M0"], txn_of(world)
 
-    def handle(self, msg, phase, now, result):
+    def quote(self, msg, phase, now, result):
         self._emit(result, TTP0, msg.txn,
                    m.TempPaymentQuery("ORD-M0-1"))
         return MP.AWAIT_CONFIRM
 
-    monkeypatch.setattr(type(merchant), "handle", handle)
+    monkeypatch.setattr(type(merchant), "_quote", quote)
     result = merchant.step(
         signed(world, "C0", K.BROWSE, "M0", txn, m.Browse("widget", 1)), 1)
     assert result.violations == [
         "IllegalEmission:M0:NewxBrowse:TempPaymentQuery"]
     assert result.messages == []
     assert merchant.phase_of(txn) is MP.NEW
+
+
+def test_emission_of_another_branch_is_refused(world, monkeypatch):
+    # The trust reply's row allows a TokenRequest on the way to AwaitToken
+    # and an AbortNotice on the way to Aborted, never the one with the other.
+    customer, txn = world.customers["C0"], txn_of(world)
+    customer.begin_purchase(PurchaseIntent(world.entities["M0"].id,
+                                           "widget", 1), 1)
+    customer.step(offer_for(world, txn), 2)
+    request_token = type(customer)._request_token
+
+    def gate(self, msg, phase, now, result):
+        request_token(self, msg, phase, now, result)
+        return CP.ABORTED
+
+    monkeypatch.setattr(type(customer), "_gate", gate)
+    reply = signed(world, "TTP0", K.TRUST_REPLY, "C0", txn,
+                   m.TrustReply(False))
+    assert_refused(customer.step(reply, 3),
+                   "IllegalEmission:C0:AwaitTrustxTrustReply:TokenRequest",
+                   customer, txn, CP.AWAIT_TRUST)
+
+
+def test_emission_to_another_role_is_refused(world, monkeypatch):
+    # A TempPaymentQuery is the merchant's to send to the arbiter only.
+    merchant, txn = world.entities["M0"], txn_of(world)
+    merchant.phases[str(txn)] = MP.AWAIT_CONFIRM
+
+    def query(self, msg, phase, now, result):
+        self._emit(result, CB0, msg.txn, m.TempPaymentQuery("ORD-M0-1"))
+        return MP.AWAIT_ACK
+
+    monkeypatch.setattr(type(merchant), "_query", query)
+    order = m.OrderInfo("ORD-M0-1", "widget", 1, 15000, 15000, merchant.id)
+    confirm = signed(world, "C0", K.PURCHASE_CONFIRM, "M0", txn,
+                     m.PurchaseConfirm(order, world.customers["C0"]
+                                       .certificate))
+    assert_refused(
+        merchant.step(confirm, 4),
+        "IllegalEmission:M0:AwaitConfirmxPurchaseConfirm:TempPaymentQuery",
+        merchant, txn, MP.AWAIT_CONFIRM)
 
 
 # A stale pair per role: the receiver is put in the phase (None: its start
@@ -199,10 +242,12 @@ def test_stale_pair_is_absorbed_without_its_handler(world, monkeypatch,
         entity.phases[str(txn)] = phase
     before = entity.phase_of(txn)
 
-    def handle(self, msg, phase, now, result):
-        raise AssertionError("handler called on a stale row")
+    def act(self, msg, phase, now, result):
+        raise AssertionError("row method called on a stale row")
 
-    monkeypatch.setattr(type(entity), "handle", handle)
+    for rule in TRANSITION_TABLES[entity.role].values():
+        if rule.act is not None:
+            monkeypatch.setattr(type(entity), rule.act, act)
     result = entity.step(msg, 20)
     assert (result.messages, result.violations) == ([], [])
     assert entity.phase_of(txn) is before
