@@ -11,14 +11,14 @@ The hop signature is checked on every delivery, by the receiver's
 Entity.step through verify_message.  The sender's certificate is checked
 against the root key once per world (crypto.CertificateChecks): a
 certificate never changes, so a second check could only repeat the first.
-That check keeps the certificate's loaded public key, and the hop
-signature is verified against it: the key is parsed once per world, the
-signature every time.  Each Ed25519 verification, the certificate's and
-the hop's, runs inline or in the helper process, as crypto's module
-docstring sets out.  A delivery the helper verified brings its check to
-verify_message, whose verdict answers for the exact key, signature and
-signed bytes it was computed on and nothing else.  The subject match and
-the BadSignature refusal stay in the simulator's process either way.
+The hop signature is verified every time, by libsodium, against the raw
+public key of the certificate that checked out.  Each Ed25519
+verification, the certificate's and the hop's, runs inline or in the
+helper process, as crypto's module docstring sets out.  A delivery the
+helper verified brings its check to verify_message, whose verdict answers
+for the exact key, signature and signed bytes it was computed on and
+nothing else.  The subject match and the BadSignature refusal stay in the
+simulator's process either way.
 
 A message is frozen, so its encodings are built once and kept for the
 signature check, the trace digest and the privacy monitor.  Both are
@@ -477,7 +477,7 @@ def verify_message(msg: ProtocolMessage, sender_cert: Certificate,
                    certs: crypto.CertificateChecks,
                    check: crypto.SignatureCheck | None = None) -> bool:
     """The certificate names the sender and is root-signed (checked once per
-    world, which keeps its loaded key), and the hop signature verifies
+    world, which keeps its raw key), and the hop signature verifies
     against that key (checked on every call: here, or by the helper process
     when ``check`` is its check of these very bytes)."""
     if msg.sender.name != sender_cert.subject:

@@ -436,7 +436,7 @@ def build_world(config: ScenarioConfig) -> World:
     purchase plan."""
     root_rng = ByteStream(config.seed)
     root_key = crypto.new_signing_key(root_rng.fork("root"))
-    root_public = root_key.public_key().public_bytes_raw()
+    root_public = root_key.public_key
     # One memo of certificate checks for the whole world, filled on use.
     certs = crypto.CertificateChecks(root_public)
 
@@ -451,7 +451,7 @@ def build_world(config: ScenarioConfig) -> World:
         key = crypto.new_signing_key(root_rng.fork(f"key/{eid}"))
         signing_keys[str(eid)] = key
         directory[str(eid)] = crypto.issue_certificate(
-            root_key, str(eid), key.public_key().public_bytes_raw())
+            root_key, str(eid), key.public_key)
 
     def base_args(eid: EntityId):
         return (eid, signing_keys[str(eid)], directory, certs)

@@ -16,15 +16,13 @@ class KeyFixture:
     def __init__(self):
         rng = ByteStream(42)
         self.root_key = crypto.new_signing_key(rng.fork("root"))
-        self.root_public = self.root_key.public_key().public_bytes_raw()
+        self.root_public = self.root_key.public_key
         self.customer_key = crypto.new_signing_key(rng.fork("customer"))
         self.merchant_key = crypto.new_signing_key(rng.fork("merchant"))
         self.cert_customer = crypto.issue_certificate(
-            self.root_key, "C0",
-            self.customer_key.public_key().public_bytes_raw())
+            self.root_key, "C0", self.customer_key.public_key)
         self.cert_merchant = crypto.issue_certificate(
-            self.root_key, "M0",
-            self.merchant_key.public_key().public_bytes_raw())
+            self.root_key, "M0", self.merchant_key.public_key)
 
 
 @pytest.fixture(scope="session")

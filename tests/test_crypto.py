@@ -11,7 +11,7 @@ def rng():
 
 def test_sign_verify_roundtrip(rng):
     key = crypto.new_signing_key(rng)
-    pub = crypto.load_public_key(key.public_key().public_bytes_raw())
+    pub = key.public_key
     sig = crypto.sign(key, b"hello")
     assert crypto.verify(pub, sig, b"hello")
     assert not crypto.verify(pub, sig, b"hullo")
@@ -20,8 +20,7 @@ def test_sign_verify_roundtrip(rng):
 def test_verify_rejects_garbage_key(rng):
     key = crypto.new_signing_key(rng)
     sig = crypto.sign(key, b"data")
-    assert not crypto.verify(crypto.load_public_key(b"\x00" * 32), sig,
-                             b"data")
+    assert not crypto.verify(b"\x00" * 32, sig, b"data")
 
 
 # -- certificates -----------------------------------------------------------
@@ -32,8 +31,8 @@ def test_certificate_verifies_under_root(keyset):
 
 def test_certificate_rejects_wrong_root(keyset, rng):
     other_root = crypto.new_signing_key(rng)
-    assert not crypto.verify_certificate(
-        keyset.cert_customer, other_root.public_key().public_bytes_raw())
+    assert not crypto.verify_certificate(keyset.cert_customer,
+                                         other_root.public_key)
 
 
 def test_certificate_rejects_subject_swap(keyset):
@@ -71,8 +70,7 @@ def test_certificate_checks_verify_each_certificate_once(keyset,
 
 def test_certificate_checks_belong_to_one_root(keyset, rng):
     other_root = crypto.new_signing_key(rng)
-    other = crypto.CertificateChecks(
-        other_root.public_key().public_bytes_raw())
+    other = crypto.CertificateChecks(other_root.public_key)
     assert crypto.CertificateChecks(keyset.root_public).valid(
         keyset.cert_customer)
     assert not other.valid(keyset.cert_customer)

@@ -131,8 +131,7 @@ def test_with_sealed_preserves_signature_validity(keyset, txn):
         keyset.customer_key)
     swapped = msg.with_sealed(sealed_fixture(b"cc"))
     cert = crypto.issue_certificate(
-        keyset.root_key, "MB0",
-        keyset.customer_key.public_key().public_bytes_raw())
+        keyset.root_key, "MB0", keyset.customer_key.public_key)
     assert verify_message(swapped, cert, certs(keyset))
 
 
