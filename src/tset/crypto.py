@@ -4,11 +4,11 @@ process that verifies signatures.
 Certificates are a minimal in-model PKI: one root signing key per run signs
 (subject, public key) pairs, and every entity checks certificates against
 the root public key through the run's shared CertificateChecks.  That
-checks each certificate once, by the helper process when it was sent the
-check (``CertificateChecks.send``) and inline otherwise, and keeps the raw
-public key of each one that checks out; every signature is still verified
-on every call.  A certificate builds its canonical JSON once, when it is
-built.
+checks each certificate once, by the helper process when its check was
+queued for it (``CertificateChecks.send``) and inline otherwise, and
+keeps the raw public key of each one that checks out; every signature is
+still verified on every call.  A certificate builds its canonical JSON
+once, when it is built.
 Ed25519 is libsodium's, called through ctypes: keys from a 32-byte seed,
 detached signatures, and their verification.  Ed25519 is deterministic
 (RFC 8032), so a signature is the same bytes whichever library makes it.
@@ -25,30 +25,19 @@ symmetric primitive are authenticated, so any bit flip in a sealed blob
 fails the tag check.
 
 A second process verifies signatures beside the simulator: ``helper()``,
-one process forked per process on first use.  (ctypes releases the GIL
-for the length of a libsodium call, so a thread could now overlap a
-verification too.)  Where a signature is verified is decided by this
-rule:
-- a run with a purchase in its plan sends the helper the checks of its
-  world's certificates at once (``CertificateChecks.send``); a
-  certificate it was not sent is checked inline;
-- ``Helper.check`` alone places a delivery's hop check, by the number of
-  deliveries queued ahead of it.  With none it is verified inline:
-  nothing ahead gives the helper time to answer.  With exactly one it is
-  sent at once.  With two or more it is queued, and ``top_up`` sends it
-  only when the helper can answer it before the simulator needs it: while
-  the helper has at most one check left to verify, and only if the checks
-  it has left, this one included, are fewer than the deliveries still
-  ahead of this one.  The helper's progress is read from a counter it
-  keeps in shared memory, so answers waiting unread in the pipe are not
-  counted as its backlog.  A queued check not sent by the time its
-  delivery is made is withdrawn (``Helper.withdraw``) and verified in the
-  simulator's process, so that neither process waits on the other.
-Which process verifies a queued check therefore depends on timing, and
-the split varies from run to run; a check sent at once is always the
-helper's, so a world that queues nothing behind two deliveries splits the
-same way on every run.  Each signature is still verified exactly once,
-and the verdicts, like every output, do not vary.
+one process forked per process on first use.  Where a signature is
+verified is decided by this rule, which depends on the simulator's queue
+alone:
+- a hop check with no delivery queued ahead of it is verified inline
+  (``Helper.check`` returns None);
+- every other hop check, and each check of a world's certificates
+  (``CertificateChecks.send``), is queued for the helper;
+- before each event, the simulator writes the whole queue to the helper
+  in one batch (``Helper.top_up``).
+So every queued check is sent before its delivery, and with at least one
+event to run before its verdict is needed.  Where each signature is
+verified repeats on every run and on any number of CPUs; each is
+verified exactly once, and the verdicts, like every output, do not vary.
 A sent ``SignatureCheck`` travels with its delivery to the receiver's
 ``CertificateChecks.signed``.  It names the exact key, signature and
 signed bytes its verdict is about, and that verdict is used only for
@@ -64,8 +53,8 @@ import atexit
 import collections
 import ctypes
 import gc
-import mmap
 import os
+import select
 import signal
 import struct
 from dataclasses import dataclass
@@ -241,7 +230,7 @@ class CertificateChecks:
     Kept per certificate value: the raw public key of a certificate that
     verifies against the root, None for one that does not.  Every distinct
     certificate is verified once, by the time it is first presented: by the
-    helper if ``send`` sent it the check of those very bytes, else inline.
+    helper if ``send`` queued its check of those very bytes, else inline.
     A forged or altered certificate is a different value and is verified
     (and refused) in turn.  Only the certificate check is kept: a
     signature made with the key is verified on every call, inline or, when
@@ -255,21 +244,19 @@ class CertificateChecks:
             raise ValueError("an Ed25519 public key is 32 bytes")
         self.root_public = root_public
         self._keys: dict[Certificate, bytes | None] = {}
-        # The helper's check of each certificate sent to it and not yet
+        # The helper's check of each certificate queued for it and not yet
         # presented.
         self._sent: dict[Certificate, SignatureCheck] = {}
 
     def send(self, certs, helper: "Helper") -> None:
-        """Send ``helper`` the check of each of ``certs`` not checked or sent
-        yet, all at once, so that their verdicts come in while the caller
-        works on."""
-        fresh = [cert for cert in certs
-                 if cert not in self._keys and cert not in self._sent]
-        checks = helper.send_now([
-            (self.root_public, cert.signature,
-             _cert_signing_bytes(cert.subject, cert.public_key))
-            for cert in fresh])
-        self._sent.update(zip(fresh, checks))
+        """Queue for ``helper`` the check of each of ``certs`` not checked
+        or queued yet; its next ``top_up`` sends them, so that their
+        verdicts come in while the caller works on."""
+        for cert in certs:
+            if cert not in self._keys and cert not in self._sent:
+                self._sent[cert] = helper.queue(
+                    self.root_public, cert.signature,
+                    _cert_signing_bytes(cert.subject, cert.public_key))
 
     def key(self, cert: Certificate) -> bytes | None:
         """The subject's raw key if ``cert`` is root-signed, else None.
@@ -403,13 +390,9 @@ def open_box(recipient: X25519PrivateKey, recipient_public: bytes,
 # One pipe carries checks, each [32B public key][2B signature length]
 # [4B data length][signature][data], in the order they are sent.  The other
 # carries one byte per verification the helper made, in the same order: 1
-# if the signature verifies, 0 if it does not.  A counter in memory shared
-# with the helper holds the number of answers it has written.  It is read
-# without a system call, to judge the helper's backlog, and never for a
-# verdict.
+# if the signature verifies, 0 if it does not.
 
 _CHECK = struct.Struct(">32sHI")
-_COUNT = struct.Struct("=Q")
 # The answers owed at any time fit in the smallest pipe buffer, one page
 # (``Helper._send`` keeps them within it): the helper never waits to write
 # an answer, so it always reads on, and a batch being sent is always taken.
@@ -426,19 +409,18 @@ class HelperLost(RuntimeError):
 
 class SignatureCheck:
     """One signature for the helper: the raw public key, signature and
-    signed bytes its verdict is about, the position in the caller's work by
-    which the verdict is needed, and that verdict once it is in."""
+    signed bytes its verdict is about, whether it was sent, and that
+    verdict once it is in."""
 
-    __slots__ = ("public_key", "signature", "data", "due", "sent",
-                 "verdict", "_helper")
+    __slots__ = ("public_key", "signature", "data", "sent", "verdict",
+                 "_helper")
 
     def __init__(self, helper: "Helper", public_key: bytes, signature: bytes,
-                 data: bytes, due: int):
+                 data: bytes):
         self._helper = helper
         self.public_key = public_key
         self.signature = signature
         self.data = data
-        self.due = due
         self.sent = False
         self.verdict: bool | None = None
 
@@ -458,11 +440,9 @@ def _write(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _serve(checks: int, answers: int, answered) -> None:
+def _serve(checks: int, answers: int) -> None:
     """The helper's loop, until the pipe of checks closes: verify each
-    complete check a read brings, write its answer at once, and then count
-    it in ``answered``."""
-    count = 0
+    complete check a read brings, and write its answer at once."""
     data = b""
     while True:
         chunk = os.read(checks, _READ_SIZE)
@@ -481,8 +461,6 @@ def _serve(checks: int, answers: int, answered) -> None:
                 data[start:start + SIG_LEN], data[start + SIG_LEN:end],
                 data_len, key) == 0
             _write(answers, b"\x01" if valid else b"\x00")
-            count += 1
-            _COUNT.pack_into(answered, 0, count)
             at = end
         data = data[at:]
 
@@ -509,10 +487,8 @@ class Helper:
     """A forked process that verifies batches of Ed25519 signatures.
 
     ``check`` decides where a delivery's hop signature is verified (see the
-    module docstring).  ``send_now`` sends verifications at once, and
-    ``top_up`` sends the queued checks the helper can answer before they
-    are due.  ``withdraw`` hands the caller each queued check it reaches,
-    to verify itself unless it was sent.  A sent check's ``valid()`` reads
+    module docstring).  ``queue`` queues a verification, and ``top_up``
+    sends every queued one in one batch.  A sent check's ``valid()`` reads
     answers, which come in the order the checks were sent, until its own
     is in.  One thread uses it at a time.
     The helper keeps only stderr and its ends of the two pipes, ignores
@@ -522,8 +498,6 @@ class Helper:
     def __init__(self):
         checks_in, self._checks = os.pipe()
         self._answers, answers_out = os.pipe()
-        # Shared with the helper, which counts its answers here.
-        self._answered = mmap.mmap(-1, _COUNT.size)
         try:
             pid = os.fork()
         except OSError:
@@ -536,7 +510,7 @@ class Helper:
                 gc.disable()    # its collections would copy the whole heap
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 _keep_only(2, checks_in, answers_out)
-                _serve(checks_in, answers_out, self._answered)
+                _serve(checks_in, answers_out)
                 status = 0
             finally:
                 os._exit(status)
@@ -545,69 +519,37 @@ class Helper:
         self.pid = pid
         # Verifications the helper reported making, summed over answers.
         self.verified = 0
-        # Reads of the answer pipe made before the helper had written the
-        # answer they waited for: each blocked this process.
+        # Reads of the answer pipe made while it held no answer: each
+        # blocked this process.
         self.waits = 0
         # Why this end no longer talks to the helper; None while it does.
         self.lost: str | None = None
-        self._sent_count = 0    # checks written to the pipe, ever
+        # Whether an answer is in the pipe, asked without waiting.
+        self._answer_in = select.poll()
+        self._answer_in.register(self._answers, select.POLLIN)
         self._unsent: list[SignatureCheck] = []     # in the order queued
         self._sent: collections.deque = collections.deque()  # unanswered
 
     def check(self, public_key: bytes, signature: bytes, data: bytes,
-              ahead: int, now: int) -> SignatureCheck | None:
+              ahead: int) -> SignatureCheck | None:
         """The check of ``signature`` over ``data`` under the raw Ed25519
         ``public_key``, for a delivery made once the ``ahead`` deliveries
-        queued before it are, the caller's work being at position ``now``.
-        None with nothing ahead: the caller verifies it.  With one ahead it
-        is sent at once; with more it is queued for ``top_up``, due at
-        position ``now + ahead``."""
-        if not ahead:
-            return None
-        if ahead == 1:
-            return self.send_now([(public_key, signature, data)])[0]
-        check = SignatureCheck(self, public_key, signature, data, now + ahead)
+        queued before it are.  None with nothing ahead: the caller verifies
+        it.  Otherwise it is queued for the next ``top_up``."""
+        return self.queue(public_key, signature, data) if ahead else None
+
+    def queue(self, public_key: bytes, signature: bytes,
+              data: bytes) -> SignatureCheck:
+        """Queue the verification of ``signature`` over ``data`` under the
+        raw Ed25519 ``public_key`` for the next ``top_up``."""
+        check = SignatureCheck(self, public_key, signature, data)
         self._unsent.append(check)
         return check
 
-    def send_now(self, items) -> list[SignatureCheck]:
-        """Send the verification of each (raw public key, signature, signed
-        bytes) of ``items`` at once, ahead of every check still queued, and
-        return their checks in the same order."""
-        batch = [SignatureCheck(self, public_key, signature, data, 0)
-                 for public_key, signature, data in items]
-        self._send(batch)
-        return batch
-
-    def backlog(self) -> int:
-        """The checks sent that the helper has not answered yet.  An
-        answer written to the pipe but not read yet is not backlog."""
-        return self._sent_count - _COUNT.unpack_from(self._answered)[0]
-
-    def top_up(self, now: int) -> None:
-        """Send queued checks while the helper has at most one check left,
-        so that it does not run out of work, and the checks queued while it
-        was busy go in one batch.  The caller's work is at position
-        ``now``.  The latest-due checks go first, and each only while the
-        checks ahead of it in the helper, itself included, are fewer than
-        the positions left before it is due: the helper answers it before
-        the caller needs it.  The rest stay queued; the caller withdraws
-        each one it reaches and verifies it itself.
-        The rule reads the helper's progress, so it is applied here, before
-        each of the caller's steps, and not when a check is queued: four
-        rules that decided at queue time each ran the mixed load about 3%
-        slower on a 2-core host (medians of 262-266 purchases a second,
-        against 273)."""
-        unsent = self._unsent
-        if not unsent:
-            return
-        backlog = self.backlog()
-        if backlog > 1:
-            return
-        batch = []
-        while unsent and backlog + len(batch) + 1 < unsent[-1].due - now:
-            batch.append(unsent.pop())
-        if batch:
+    def top_up(self) -> None:
+        """Send every queued check, in the order queued, in one batch."""
+        if self._unsent:
+            batch, self._unsent = self._unsent, []
             self._send(batch)
 
     def _send(self, batch: list) -> None:
@@ -627,23 +569,10 @@ class Helper:
                                       len(c.data)),
                           c.signature, c.data)
             self._sent += chunk
-            self._sent_count += len(chunk)
             try:
                 _write(self._checks, b"".join(parts))
             except OSError as exc:
                 self._fail(f"took no checks ({exc})")
-
-    def withdraw(self, check: SignatureCheck) -> SignatureCheck | None:
-        """``check`` if it was sent, for the helper's verdict; else None,
-        and it leaves the queue (if ``drain`` has not dropped it already):
-        the caller verifies it, and the helper never sees it."""
-        if check.sent:
-            return check
-        try:
-            self._unsent.remove(check)
-        except ValueError:
-            pass
-        return None
 
     def verdict(self, check: SignatureCheck) -> bool:
         """The helper's verdict on ``check``, read from the pipe, and
@@ -652,7 +581,7 @@ class Helper:
         if not check.sent:
             raise ValueError("the helper was never sent this check")
         while check.verdict is None:
-            if _COUNT.unpack_from(self._answered)[0] == self.verified:
+            if not self._answer_in.poll(0):
                 self.waits += 1
             self._collect()
         return check.verdict

@@ -20,22 +20,19 @@ refused message, it is dropped.  A run is quiescent when no event is
 left at or before the tick limit.
 
 Every delivery's hop signature is verified before its receiver acts on
-it (messages.verify_message), exactly once, in one of two processes.  A
-run with a purchase in its plan starts by sending the process's helper
-(crypto.helper) the check of every certificate in the world's directory.
-Each queued delivery asks the helper for the check of its Ed25519
-signature (the key its receiver knows the sender by, the signature and
-the signed part), giving the number of deliveries queued ahead of it;
-the helper decides whether that check is verified inline, sent at once
-or queued (the rule is in crypto's module docstring).  The check rides
-in the delivery's heap entry, a replay's included, and before each event
-the simulator tops the helper up.  At delivery the helper hands back the
-check if it was sent, and the receiver uses its verdict; otherwise the
-receiver verifies inline.  The checks of deliveries the tick limit cuts
-off are dropped if unsent, and waited for if sent, when the run ends.
-The number of hop verifications never varies: it is the number of
-deliveries.  The verdicts, like every verification, are deterministic,
-so where a signature is verified never changes a run's outputs.
+it (messages.verify_message), exactly once, in one of two processes, by
+the rule in crypto's module docstring.  A run with a purchase in its plan
+queues for the process's helper (crypto.helper) the check of every
+certificate in the world's directory.  Each queued delivery asks the
+helper for the check of its Ed25519 signature (the key its receiver
+knows the sender by, the signature and the signed part), giving the
+number of deliveries queued ahead of it.  The check rides in the
+delivery's heap entry, a replay's included, and the receiver uses its
+verdict; a delivery with no check is verified inline.  Before each event
+the simulator tops the helper up.  The verdicts of deliveries the tick
+limit cuts off are waited for when the run ends.  The verdicts, like
+every verification, are deterministic, so where a signature is verified
+never changes a run's outputs.
 
 The adversary script is immutable input, shared by every world built
 from one scenario.  A run keeps, for each message kind, the match counts
@@ -290,7 +287,6 @@ class Simulation:
         self._seq = 0
         self._now = 0
         self._deliveries = 0        # deliveries in the heap
-        self._delivered = 0         # deliveries made
         self._helper: crypto.Helper | None = None
 
     # -- scheduling ----------------------------------------------------------
@@ -314,8 +310,7 @@ class Simulation:
                 else receiver.directory.get(msg.sender.name))
         check = (None if cert is None
                  else self._helper.check(cert.public_key, msg.signature,
-                                         msg.signed_part, self._deliveries,
-                                         self._delivered))
+                                         msg.signed_part, self._deliveries))
         self._deliveries += 1
         self._push(tick, ("deliver", msg, flag, check))
 
@@ -394,7 +389,7 @@ class Simulation:
             while self._heap:
                 # Only a plan puts events in the heap, so the helper is
                 # started.
-                self._helper.top_up(self._delivered)
+                self._helper.top_up()
                 entry = heapq.heappop(self._heap)
                 tick, is_timer = entry[0], entry[1]
                 if is_timer:
@@ -412,11 +407,6 @@ class Simulation:
                 what, subject, detail, check = entry[3]
                 if what == "deliver":
                     self._deliveries -= 1
-                    self._delivered += 1
-                    # A check the helper was not sent in time is verified
-                    # inline instead.
-                    if check is not None:
-                        check = self._helper.withdraw(check)
                     self._deliver(subject, detail, tick, check)
                 else:
                     customer = self.world.customers[subject]

@@ -69,10 +69,13 @@ def sample_payloads(keys: KeyFixture) -> dict:
     }
 
 
-def send_queued(helper: crypto.Helper) -> None:
-    """Send ``helper`` every check it has queued, whatever its backlog."""
-    batch, helper._unsent = helper._unsent, []
-    helper._send(batch)
+def send_checks(helper: crypto.Helper, items) -> list:
+    """Queue for ``helper`` the verification of each (raw public key,
+    signature, signed bytes) of ``items``, send the queue, and return the
+    checks in the same order."""
+    checks = [helper.queue(*item) for item in items]
+    helper.top_up()
+    return checks
 
 
 def run_dict(data: dict):

@@ -1,7 +1,6 @@
 """Ed25519 by libsodium: agreement with ``cryptography``, the verdicts where
 libsodium is stricter, and the guards in front of every C call."""
 
-import mmap
 import os
 import subprocess
 import sys
@@ -17,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tset import crypto
+
+from conftest import send_checks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -167,15 +168,13 @@ def test_the_helper_answers_0_unread_for_a_signature_of_another_length(
     monkeypatch.setattr(crypto, "_verify_detached", recorded)
     checks_in, checks_out = os.pipe()
     answers_in, answers_out = os.pipe()
-    answered = mmap.mmap(-1, crypto._COUNT.size)
     try:
         for sig in bad + [signature]:
             os.write(checks_out, crypto._CHECK.pack(
                 key.public_key, len(sig), len(data)) + sig + data)
         os.close(checks_out)
-        crypto._serve(checks_in, answers_out, answered)
+        crypto._serve(checks_in, answers_out)
         assert os.read(answers_in, 16) == b"\x00\x00\x00\x01"
-        assert crypto._COUNT.unpack_from(answered)[0] == 4
         assert verified == [signature]
     finally:
         for fd in (checks_in, answers_in, answers_out):
@@ -186,7 +185,7 @@ def test_the_helper_answers_0_unread_for_a_signature_of_another_length(
 def test_the_helper_refuses_a_signature_of_another_length(signed, length):
     key, signature, data = signed
     bad = (signature + b"\x00")[:length]
-    good, wrong = crypto.helper().send_now([
+    good, wrong = send_checks(crypto.helper(), [
         (key.public_key, signature, data), (key.public_key, bad, data)])
     assert good.valid() is True
     assert wrong.valid() is False

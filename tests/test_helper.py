@@ -3,6 +3,7 @@ lifetime."""
 
 import dataclasses
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from tset import crypto
 from tset.scenario import build_world, load_scenario
 from tset.simnet import Simulation, export_trace
 
-from conftest import send_queued
+from conftest import send_checks
 
 ROOT = Path(__file__).resolve().parents[1]
 # Overlapping purchases: most deliveries are queued behind others.
@@ -51,10 +52,9 @@ def test_the_helper_answers_each_check_for_its_own_bytes(keyset):
     helper = crypto.helper()
     before = helper.verified
     key = keyset.cert_customer.public_key
-    checks = helper.send_now([(key, good, data), (key, bad, data),
-                              (key, good, data + b"!"),
-                              (keyset.cert_merchant.public_key, good, data),
-                              (key, b"", data)])
+    checks = send_checks(helper, [
+        (key, good, data), (key, bad, data), (key, good, data + b"!"),
+        (keyset.cert_merchant.public_key, good, data), (key, b"", data)])
     assert [c.valid() for c in checks] == [True, False, False, False, False]
     assert helper.verified - before == len(checks)
     assert checks[0].covers(key, good, data)
@@ -71,8 +71,8 @@ def test_a_check_of_other_bytes_is_verified_inline(keyset, monkeypatch):
     cert = keyset.cert_customer
     inline = _inline_signatures(monkeypatch)
     helper = crypto.helper()
-    for_good, for_bad = helper.send_now([(cert.public_key, good, data),
-                                         (cert.public_key, bad, data)])
+    for_good, for_bad = send_checks(helper, [(cert.public_key, good, data),
+                                             (cert.public_key, bad, data)])
     # The check brought is for the good signature; the bad one is verified
     # here, and refused.
     assert not certs.signed(cert, bad, data, for_good)
@@ -83,7 +83,7 @@ def test_a_check_of_other_bytes_is_verified_inline(keyset, monkeypatch):
     helper.drain()      # the unused verdict, so no later count takes it
 
 
-def test_send_now_sends_more_checks_than_the_answers_owed_can_hold(
+def test_a_batch_beyond_the_answers_owed_is_sent_in_chunks(
         keyset, monkeypatch):
     data = b"signed part"
     good = crypto.sign(keyset.customer_key, data)
@@ -92,40 +92,47 @@ def test_send_now_sends_more_checks_than_the_answers_owed_can_hold(
     monkeypatch.setattr(crypto, "_ANSWER_ROOM", 3)
     helper = crypto.helper()
     before = helper.verified
-    checks = helper.send_now([(key, sig, data)
-                              for sig in (good, bad, good, good, bad, good,
-                                          bad)])
+    checks = send_checks(helper, [(key, sig, data)
+                                  for sig in (good, bad, good, good, bad,
+                                              good, bad)])
     assert all(c.sent for c in checks)
     assert [c.valid() for c in checks] \
         == [True, False, True, True, False, True, False]
     assert helper.verified - before == 7
 
 
-def test_top_up_sends_only_checks_the_helper_can_answer_in_time(
-        keyset, monkeypatch):
+def _writes(monkeypatch) -> list:
+    """The batches written to the helper's pipe of checks from now on."""
+    writes = []
+    real = crypto._write
+
+    def recorded(fd, data):
+        writes.append(data)
+        real(fd, data)
+
+    monkeypatch.setattr(crypto, "_write", recorded)
+    return writes
+
+
+def test_top_up_sends_every_queued_check_in_one_batch(keyset, monkeypatch):
     data = b"signed part"
     good = crypto.sign(keyset.customer_key, data)
+    bad = bytes([good[0] ^ 1]) + good[1:]
     key = keyset.cert_customer.public_key
     helper = crypto.helper()
     before = helper.verified
-    # One check is left in the helper: a check due two positions on would
-    # be its second, so it could not be answered in time; one due three
-    # positions on could.
-    monkeypatch.setattr(crypto.Helper, "backlog", lambda self: 1)
-    soon = helper.check(key, good, data, ahead=2, now=10)
-    later = helper.check(key, good, data, ahead=3, now=10)
-    helper.top_up(10)
-    assert later.sent and not soon.sent
-    assert helper.withdraw(soon) is None and helper.withdraw(later) is later
-    assert later.valid()
-    assert helper.verified - before == 1
-    # With two checks left the helper is sent nothing.
-    monkeypatch.setattr(crypto.Helper, "backlog", lambda self: 2)
-    far = helper.check(key, good, data, ahead=90, now=10)
-    helper.top_up(10)
-    assert not far.sent
-    helper.drain()
-    assert helper.verified - before == 1
+    writes = _writes(monkeypatch)
+    checks = [helper.check(key, good, data, ahead=1),
+              helper.queue(key, bad, data),
+              helper.check(key, good, data, ahead=90)]
+    assert not any(c.sent for c in checks) and writes == []
+    helper.top_up()
+    assert all(c.sent for c in checks) and len(writes) == 1
+    # Nothing is left to send.
+    helper.top_up()
+    assert len(writes) == 1
+    assert [c.valid() for c in checks] == [True, False, True]
+    assert helper.verified - before == 3
 
 
 def test_a_check_goes_by_the_deliveries_queued_ahead_of_it(keyset):
@@ -134,15 +141,13 @@ def test_a_check_goes_by_the_deliveries_queued_ahead_of_it(keyset):
     key = keyset.cert_customer.public_key
     helper = crypto.helper()
     # Nothing ahead: the caller verifies it.
-    assert helper.check(key, good, data, ahead=0, now=4) is None
-    # One ahead: sent at once.
-    at_once = helper.check(key, good, data, ahead=1, now=4)
-    assert at_once.sent and helper.withdraw(at_once) is at_once
-    assert at_once.valid()
-    # More: queued, due once the deliveries ahead of it are made.
-    queued = helper.check(key, good, data, ahead=2, now=4)
-    assert not queued.sent and queued.due == 6
-    assert helper.withdraw(queued) is None
+    assert helper.check(key, good, data, ahead=0) is None
+    # Any delivery ahead: queued for the next top-up, however many.
+    queued = [helper.check(key, good, data, ahead=ahead)
+              for ahead in (1, 2, 5)]
+    assert not any(c.sent for c in queued)
+    helper.top_up()
+    assert all(c.sent and c.valid() for c in queued)
 
 
 def test_the_verdict_of_a_check_never_sent_is_refused(keyset):
@@ -150,13 +155,16 @@ def test_the_verdict_of_a_check_never_sent_is_refused(keyset):
     good = crypto.sign(keyset.customer_key, data)
     helper = crypto.helper()
     before = helper.verified
+    # Queued, but not yet written to the helper.
     queued = helper.check(keyset.cert_customer.public_key, good, data,
-                          ahead=2, now=0)
+                          ahead=2)
     with pytest.raises(ValueError):
         queued.valid()
     assert not queued.sent and queued.verdict is None
-    assert helper.withdraw(queued) is None
+    # A drain drops it unsent, and no later top-up sends it.
     helper.drain()
+    helper.top_up()
+    assert not queued.sent
     assert helper.verified == before
 
 
@@ -165,16 +173,15 @@ def test_a_read_for_an_answer_not_yet_written_counts_as_a_wait(keyset):
     good = crypto.sign(keyset.customer_key, data)
     key = keyset.cert_customer.public_key
     helper = crypto.helper()
-    [ready] = helper.send_now([(key, good, data)])
-    while helper.backlog():
-        time.sleep(0.001)
+    [ready] = send_checks(helper, [(key, good, data)])
+    assert select.select([helper._answers], [], [], 10)[0]
     waits = helper.waits
     assert ready.valid() and helper.waits == waits
     # A stopped helper answers nothing until it is continued, so the read
     # for this answer blocks.
     os.kill(helper.pid, signal.SIGSTOP)
     try:
-        [pending] = helper.send_now([(key, good, data)])
+        [pending] = send_checks(helper, [(key, good, data)])
         threading.Timer(0.05, os.kill, (helper.pid, signal.SIGCONT)).start()
         assert pending.valid()
     finally:
@@ -201,14 +208,6 @@ class _Forging(Simulation):
             msg = self.forged = dataclasses.replace(
                 msg, signature=bytes(flipped))
         super().send(msg, now)
-
-    def _queue(self, tick, msg, flag):
-        super()._queue(tick, msg, flag)
-        if msg is self.forged and self._helper is not None:
-            # Its check goes to the helper at once, whatever the helper's
-            # backlog, so that no host's timing can leave it to be
-            # verified inline.
-            send_queued(self._helper)
 
     def _deliver(self, msg, flag, now, check):
         before = len(self.violations)

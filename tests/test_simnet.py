@@ -3,7 +3,6 @@
 import copy
 import dataclasses
 import functools
-import sys
 from pathlib import Path
 
 import pytest
@@ -34,7 +33,7 @@ from tset.simnet import (
 )
 
 import reference_encoding as ref
-from conftest import basic_scenario, run_dict, send_queued, stranded
+from conftest import basic_scenario, run_dict, stranded
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -138,21 +137,19 @@ def test_every_delivered_message_has_the_reference_bytes():
         assert msg.wire == ref.whole(msg), (flag, msg.kind)
 
 
-def _sent_at_once(monkeypatch) -> tuple[list, list]:
-    """The certificate checks and the hop checks that Helper.send_now sends
-    from now on, as (public key, signature, signed bytes).  A certificate's
+def _queued(monkeypatch) -> tuple[list, list]:
+    """The certificate checks and the hop checks queued for the helper from
+    now on, as (public key, signature, signed bytes).  A certificate's
     signed bytes start with its domain tag; a hop's signed part is a JSON
     object."""
     certs, hops = [], []
-    real = crypto.Helper.send_now
+    real = crypto.Helper.queue
 
-    def recorded(self, items):
-        items = list(items)
-        for item in items:
-            (certs if item[2].startswith(b"tset/cert") else hops).append(item)
-        return real(self, items)
+    def recorded(self, *item):
+        (certs if item[2].startswith(b"tset/cert") else hops).append(item)
+        return real(self, *item)
 
-    monkeypatch.setattr(crypto.Helper, "send_now", recorded)
+    monkeypatch.setattr(crypto.Helper, "queue", recorded)
     return certs, hops
 
 
@@ -167,7 +164,7 @@ def _subjects(cert_checks: list, world) -> list:
 def test_each_certificate_is_checked_once_per_world(monkeypatch):
     checked = []
     _counting(monkeypatch, crypto, "verify_certificate", checked)
-    by_helper, _ = _sent_at_once(monkeypatch)
+    by_helper, _ = _queued(monkeypatch)
     for _ in range(2):
         result = run_scenario()
         assert result.summary["txns_completed"] == 1
@@ -181,14 +178,14 @@ def test_each_certificate_is_checked_once_per_world(monkeypatch):
 
 def _verifications(monkeypatch, sim):
     """Runs ``sim``; returns the result, the deliveries made, the hop
-    signatures verified inline, those the helper verified, and those sent
-    to it at once.  Each certificate check, inline or by the helper, is
+    signatures verified inline, those the helper verified, and those
+    queued for it.  Each certificate check, inline or by the helper, is
     counted apart, and the test fails unless every certificate in the
     world's directory was checked exactly once."""
     verified, checked = [], []
     _counting(monkeypatch, crypto, "verify", verified)
     _counting(monkeypatch, crypto, "verify_certificate", checked)
-    certs, hops = _sent_at_once(monkeypatch)
+    certs, hops = _queued(monkeypatch)
     helper = crypto.helper()
     before = helper.verified
     result = sim.run()
@@ -223,32 +220,55 @@ def test_every_delivery_verifies_its_signature_a_replayed_one_too(
     assert inline + by_helper == deliveries
 
 
+class _Placed(Simulation):
+    """Notes, per delivery made, the deliveries queued ahead of it when it
+    was queued, and fails unless each check it brings was sent to the
+    helper by then."""
+
+    def __init__(self, world):
+        super().__init__(world)
+        self.ahead = {}
+        self.delivered_ahead = []
+
+    def _queue(self, tick, msg, flag):
+        # A replay queues the same message again under its own flag.
+        self.ahead[id(msg), flag] = self._deliveries
+        super()._queue(tick, msg, flag)
+
+    def _deliver(self, msg, flag, now, check):
+        assert check is None or check.sent
+        self.delivered_ahead.append(self.ahead.pop((id(msg), flag)))
+        super()._deliver(msg, flag, now, check)
+
+
 def test_a_check_the_helper_cannot_answer_in_time_is_verified_inline(
         monkeypatch):
-    sim = mixed_simulation()
-    # No check has more deliveries ahead of it than are queued.
-    monkeypatch.setattr(crypto.Helper, "backlog",
-                        lambda self: sim._deliveries)
-    result, deliveries, inline, by_helper, at_once = _verifications(
+    # A delivery with none queued ahead of it may be the next event, and
+    # leave the helper nothing to overlap: only those are verified inline,
+    # and every other check is sent before its delivery is made.
+    sim = _Placed(build_world(load_scenario(SCENARIOS / "mixed.yaml")))
+    result, deliveries, inline, by_helper, queued = _verifications(
         monkeypatch, sim)
     assert result.summary["txns_completed"] == 4
-    # The helper verified only the checks sent at once, behind exactly one
-    # delivery; every check left to the timing rule was verified inline.
-    assert at_once > 0
-    assert by_helper == at_once
-    assert inline == deliveries - at_once
-
-
-def _old_rule(monkeypatch):
-    """Every check goes to the helper before the next event."""
-    monkeypatch.setattr(crypto.Helper, "top_up",
-                        lambda self, now: send_queued(self))
+    alone = sim.delivered_ahead.count(0)
+    assert 0 < alone < deliveries
+    assert inline == alone
+    assert by_helper == queued == deliveries - alone
 
 
 def _all_inline(monkeypatch):
     monkeypatch.setattr(crypto.Helper, "check", lambda self, *check: None)
     monkeypatch.setattr(crypto.CertificateChecks, "send",
                         lambda self, certs, helper: None)
+
+
+def _old_rule(monkeypatch):
+    """Every check goes to the helper before the next event, that of a
+    delivery with none queued ahead of it too."""
+    monkeypatch.setattr(
+        crypto.Helper, "check",
+        lambda self, public_key, signature, data, ahead:
+            self.queue(public_key, signature, data))
 
 
 @pytest.mark.parametrize("rule", [None, _all_inline, _old_rule])
@@ -263,6 +283,8 @@ def test_where_a_signature_is_verified_changes_no_output(monkeypatch, rule):
     assert inline + by_helper == deliveries
     if rule is _all_inline:
         assert helper.verified == before
+    elif rule is _old_rule:
+        assert inline == 0
     else:
         assert by_helper > 0
     assert export_trace(result.trace) == export_trace(reference.trace)
@@ -271,9 +293,16 @@ def test_where_a_signature_is_verified_changes_no_output(monkeypatch, rule):
 
 
 def _idle_helper(monkeypatch):
-    """The helper always looks idle to ``top_up``, which then sends it
-    every queued check with time to spare."""
-    monkeypatch.setattr(crypto.Helper, "backlog", lambda self: 0)
+    """Every answer owed is read before ``top_up`` sends the next batch,
+    which so finds the helper idle."""
+    real = crypto.Helper.top_up
+
+    def idle_first(self):
+        while self._sent:
+            self._collect()
+        real(self)
+
+    monkeypatch.setattr(crypto.Helper, "top_up", idle_first)
 
 
 @pytest.mark.parametrize("rule", [None, _idle_helper])
@@ -282,62 +311,61 @@ def test_answers_owed_beyond_the_room_are_sent_in_chunks(monkeypatch, rule):
     if rule is not None:
         rule(monkeypatch)
     monkeypatch.setattr(crypto, "_ANSWER_ROOM", 3)
-    # Per batch: its sender, the answers owed if it went in one write, and
-    # those owed once it is sent.
+    # Per batch: the answers owed before it, those owed if it went in one
+    # write, and those owed once it is sent.
     owed = []
     real = crypto.Helper._send
 
     def recorded(self, batch):
-        asked = len(self._sent) + len(batch)
+        before = len(self._sent)
         real(self, batch)
-        owed.append((sys._getframe(1).f_code.co_name, asked, len(self._sent)))
+        owed.append((before, before + len(batch), len(self._sent)))
 
     monkeypatch.setattr(crypto.Helper, "_send", recorded)
     sim = mixed_simulation()
     result, deliveries, inline, by_helper, _ = _verifications(monkeypatch, sim)
     assert inline + by_helper == deliveries
-    # The certificate checks are more than the helper may owe; with an
-    # idle helper, so are some of top_up's batches with the answers owed
-    # before them.  Yet no batch leaves more than that owed.
-    assert owed[0][:2] == ("send_now", len(sim.world.cb.directory))
-    assert owed[0][1] > 3
+    # The certificate checks, the first batch, are more than the helper
+    # may owe.  Under the program's rule so are some later batches with
+    # the answers owed before them; an idle helper owes none before any.
+    # Yet no batch leaves more than that owed.
+    assert owed[0][1] == len(sim.world.cb.directory) > 3
     if rule is _idle_helper:
-        assert any(asked > 3 for who, asked, _ in owed if who == "top_up")
+        assert all(before == 0 for before, _, _ in owed)
+    else:
+        assert any(asked > 3 for _, asked, _ in owed[1:])
     assert max(after for _, _, after in owed) <= 3
     assert export_trace(result.trace) == export_trace(reference.trace)
     assert result.ledger.to_bytes() == reference.ledger.to_bytes()
     assert result.summary == reference.summary
 
 
+# Hop signatures verified inline and by the helper in a run of each
+# committed scenario: the split depends on the queue alone.
+SPLIT = {"tamper.yaml": (22, 10), "mixed.yaml": (5, 80)}
+
+
+@pytest.mark.parametrize("scenario", sorted(SPLIT))
+def test_a_world_splits_its_verifications_the_same_each_run(
+        monkeypatch, scenario):
+    for _ in range(2):
+        sim = _Placed(build_world(load_scenario(SCENARIOS / scenario)))
+        with monkeypatch.context() as patch:
+            _, deliveries, inline, by_helper, _ = _verifications(patch, sim)
+        alone = sim.delivered_ahead.count(0)
+        assert (inline, by_helper) == (alone, deliveries - alone)
+        assert (inline, by_helper) == SPLIT[scenario]
+
+
 # -- a one-purchase world ---------------------------------------------------
-#
-# It never queues a delivery behind two others, so which process verifies
-# each signature depends on the queue alone: the certificates and every hop
-# queued behind exactly one delivery go to the helper, the rest are
-# verified inline.
 
 def test_a_one_purchase_world_verifies_every_hop_once_some_by_the_helper(
         monkeypatch):
-    result, deliveries, inline, by_helper, at_once = _verifications(
+    result, deliveries, inline, by_helper, queued = _verifications(
         monkeypatch, tamper_simulation())
     assert result.summary["tamper_reports"] == 1
-    assert by_helper == at_once > 0
+    assert by_helper == queued > 0
     assert inline + by_helper == deliveries
-
-
-def test_a_one_purchase_world_splits_its_verifications_the_same_each_run(
-        monkeypatch):
-    counts = []
-    for _ in range(2):
-        verified = []
-        with monkeypatch.context() as patch:
-            _counting(patch, crypto, "verify", verified)
-            helper = crypto.helper()
-            before = helper.verified
-            tamper_simulation().run()
-        counts.append((len(verified), helper.verified - before))
-    assert counts[0] == counts[1]
-    assert counts[0][0] > 0 and counts[0][1] > 0
 
 
 def test_an_empty_plan_starts_no_helper(monkeypatch):
@@ -369,7 +397,7 @@ def test_a_flipped_directory_certificate_is_refused_as_inline(
         monkeypatch, subject):
     checked = []
     _counting(monkeypatch, crypto, "verify_certificate", checked)
-    certs, _ = _sent_at_once(monkeypatch)
+    certs, _ = _queued(monkeypatch)
     offloaded = _FlippedCertificate(
         build_world(load_scenario(SCENARIOS / "tamper.yaml")), subject)
     result = offloaded.run()
