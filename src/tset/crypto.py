@@ -3,12 +3,10 @@ process that verifies signatures.
 
 Certificates are a minimal in-model PKI: one root signing key per run signs
 (subject, public key) pairs, and every entity checks certificates against
-the root public key through the run's shared CertificateChecks.  That
-checks each certificate once, by the helper process when its check was
-queued for it (``CertificateChecks.send``) and inline otherwise, and
-keeps the raw public key of each one that checks out; every signature is
-still verified on every call.  A certificate builds its canonical JSON
-once, when it is built.
+the root public key through the world's shared CertificateChecks.  That
+checks each certificate once and keeps the raw public key of each one
+that checks out; every signature is still verified on every call.  A
+certificate builds its canonical JSON once, when it is built.
 Ed25519 is libsodium's, called through ctypes: keys from a 32-byte seed,
 detached signatures, and their verification.  Ed25519 is deterministic
 (RFC 8032), so a signature is the same bytes whichever library makes it.
@@ -25,23 +23,17 @@ symmetric primitive are authenticated, so any bit flip in a sealed blob
 fails the tag check.
 
 A second process verifies signatures beside the simulator: ``helper()``,
-one process forked per process on first use.  Where a signature is
-verified is decided by this rule, which depends on the simulator's queue
-alone:
-- a hop check with no delivery queued ahead of it is verified inline
-  (``Helper.check`` returns None);
-- every other hop check, and each check of a world's certificates
-  (``CertificateChecks.send``), is queued for the helper;
-- before each event, the simulator writes the whole queue to the helper
-  in one batch (``Helper.top_up``).
-So every queued check is sent before its delivery, and with at least one
-event to run before its verdict is needed.  Where each signature is
-verified repeats on every run and on any number of CPUs; each is
-verified exactly once, and the verdicts, like every output, do not vary.
-A sent ``SignatureCheck`` travels with its delivery to the receiver's
-``CertificateChecks.signed``.  It names the exact key, signature and
-signed bytes its verdict is about, and that verdict is used only for
-those bytes; every other signature is verified in the calling process.
+one process forked per process on first use.  Which verifications it
+makes is decided by the simulator, by the rule in simnet's module
+docstring.  Each world's CertificateChecks keeps one table of the
+verdicts it is owed: ``expect`` queues the check of an exact (public
+key, signature, signed bytes) for the helper and records it, oldest
+first, under those bytes.  A verification of a certificate (``key``) or
+of a signature (``signed``) takes the oldest check owed to its exact
+bytes and uses its verdict, waited for if it is not in yet; with none
+owed, it verifies inline.  So a verdict answers only for the bytes it
+was computed on, and each owed check is taken at most once.
+``Helper.top_up`` writes every queued check to the helper in one batch.
 The helper is never asked for a verdict twice and keeps nothing between
 checks.  If it dies, the verdicts it owes raise ``HelperLost``: none is
 read as a bad signature.
@@ -225,18 +217,19 @@ def verify_certificate(cert: Certificate, root_public: bytes) -> bool:
 
 
 class CertificateChecks:
-    """Certificate checks against one root key, each made once.
+    """Certificate checks against one root key, each made once, and the
+    helper's verdicts one world is owed.
 
     Kept per certificate value: the raw public key of a certificate that
     verifies against the root, None for one that does not.  Every distinct
-    certificate is verified once, by the time it is first presented: by the
-    helper if ``send`` queued its check of those very bytes, else inline.
-    A forged or altered certificate is a different value and is verified
+    certificate is verified once, by the time it is first presented.  A
+    forged or altered certificate is a different value and is verified
     (and refused) in turn.  Only the certificate check is kept: a
-    signature made with the key is verified on every call, inline or, when
-    the caller brings the helper's check of those very bytes, by the
-    helper.  One instance serves one world: what it keeps is bounded by
-    the certificates that world sees.
+    signature made with the key is verified on every call.  ``_owed``
+    holds, per exact (public key, signature, signed bytes), the helper's
+    checks of those bytes that ``expect`` queued, oldest first (see the
+    module docstring).  One instance serves one world: what it keeps is
+    bounded by what that world sees.
     """
 
     def __init__(self, root_public: bytes):
@@ -244,36 +237,49 @@ class CertificateChecks:
             raise ValueError("an Ed25519 public key is 32 bytes")
         self.root_public = root_public
         self._keys: dict[Certificate, bytes | None] = {}
-        # The helper's check of each certificate queued for it and not yet
-        # presented.
-        self._sent: dict[Certificate, SignatureCheck] = {}
+        self._owed: dict[tuple, list[SignatureCheck]] = {}
+
+    def expect(self, helper: "Helper", public_key: bytes, signature: bytes,
+               data: bytes) -> None:
+        """Queue for ``helper`` the check of ``signature`` over ``data``
+        under the raw ``public_key``, owed to their next verification."""
+        self._owed.setdefault((public_key, signature, data), []).append(
+            helper.queue(public_key, signature, data))
+
+    def _take(self, public_key: bytes, signature: bytes,
+              data: bytes) -> SignatureCheck | None:
+        """The oldest check owed to these very bytes, now taken; None if
+        none is owed."""
+        triple = (public_key, signature, data)
+        owed = self._owed.get(triple)
+        if owed is None:
+            return None
+        check = owed.pop(0)
+        if not owed:
+            del self._owed[triple]
+        return check
 
     def send(self, certs, helper: "Helper") -> None:
-        """Queue for ``helper`` the check of each of ``certs`` not checked
-        or queued yet; its next ``top_up`` sends them, so that their
+        """Expect ``helper``'s check of each of ``certs`` neither checked
+        nor owed yet; its next ``top_up`` sends them, so that their
         verdicts come in while the caller works on."""
         for cert in certs:
-            if cert not in self._keys and cert not in self._sent:
-                self._sent[cert] = helper.queue(
-                    self.root_public, cert.signature,
-                    _cert_signing_bytes(cert.subject, cert.public_key))
+            data = _cert_signing_bytes(cert.subject, cert.public_key)
+            if (cert not in self._keys and (self.root_public, cert.signature,
+                                            data) not in self._owed):
+                self.expect(helper, self.root_public, cert.signature, data)
 
     def key(self, cert: Certificate) -> bytes | None:
-        """The subject's raw key if ``cert`` is root-signed, else None.
-        The first time ``cert`` is presented, the helper's check of it
-        answers if it was sent one for these very bytes, waited for if it is
-        not in yet; otherwise it is verified here."""
+        """The subject's raw key if ``cert`` is root-signed, else None;
+        checked the first time ``cert`` is presented."""
         try:
             return self._keys[cert]
         except KeyError:
             pass
-        check = self._sent.pop(cert, None)
-        if check is not None and check.covers(
-                self.root_public, cert.signature,
-                _cert_signing_bytes(cert.subject, cert.public_key)):
-            valid = check.valid()
-        else:
-            valid = verify_certificate(cert, self.root_public)
+        check = self._take(self.root_public, cert.signature,
+                           _cert_signing_bytes(cert.subject, cert.public_key))
+        valid = (verify_certificate(cert, self.root_public) if check is None
+                 else check.valid())
         key = cert.public_key if valid else None
         self._keys[cert] = key
         return key
@@ -281,19 +287,15 @@ class CertificateChecks:
     def valid(self, cert: Certificate) -> bool:
         return self.key(cert) is not None
 
-    def signed(self, cert: Certificate, signature: bytes, data: bytes,
-               check: SignatureCheck | None = None) -> bool:
+    def signed(self, cert: Certificate, signature: bytes,
+               data: bytes) -> bool:
         """Whether ``cert`` is root-signed and ``signature`` over ``data``
-        verifies under its key.  The verdict of ``check``, a check sent to
-        the helper, answers only for the very key, signature and bytes it
-        was sent; anything else is verified here."""
+        verifies under its key."""
         key = self.key(cert)
         if key is None:
             return False
-        if check is not None and check.covers(cert.public_key, signature,
-                                              data):
-            return check.valid()
-        return verify(key, signature, data)
+        check = self._take(key, signature, data)
+        return verify(key, signature, data) if check is None else check.valid()
 
 
 def encode_certificate(cert: Certificate) -> bytes:
@@ -424,11 +426,6 @@ class SignatureCheck:
         self.sent = False
         self.verdict: bool | None = None
 
-    def covers(self, public_key: bytes, signature: bytes,
-               data: bytes) -> bool:
-        return (data == self.data and signature == self.signature
-                and public_key == self.public_key)
-
     def valid(self) -> bool:
         """The helper's verdict, waited for if it is not in yet."""
         return self._helper.verdict(self)
@@ -486,11 +483,10 @@ def _reap(pid: int):
 class Helper:
     """A forked process that verifies batches of Ed25519 signatures.
 
-    ``check`` decides where a delivery's hop signature is verified (see the
-    module docstring).  ``queue`` queues a verification, and ``top_up``
-    sends every queued one in one batch.  A sent check's ``valid()`` reads
-    answers, which come in the order the checks were sent, until its own
-    is in.  One thread uses it at a time.
+    ``queue`` queues a verification, and ``top_up`` sends every queued one
+    in one batch.  A sent check's ``valid()`` reads answers, which come in
+    the order the checks were sent, until its own is in.  One thread uses
+    it at a time.
     The helper keeps only stderr and its ends of the two pipes, ignores
     SIGINT, and exits when the pipe of checks reaches end of file, so it
     cannot outlive this process."""
@@ -529,14 +525,6 @@ class Helper:
         self._answer_in.register(self._answers, select.POLLIN)
         self._unsent: list[SignatureCheck] = []     # in the order queued
         self._sent: collections.deque = collections.deque()  # unanswered
-
-    def check(self, public_key: bytes, signature: bytes, data: bytes,
-              ahead: int) -> SignatureCheck | None:
-        """The check of ``signature`` over ``data`` under the raw Ed25519
-        ``public_key``, for a delivery made once the ``ahead`` deliveries
-        queued before it are.  None with nothing ahead: the caller verifies
-        it.  Otherwise it is queued for the next ``top_up``."""
-        return self.queue(public_key, signature, data) if ahead else None
 
     def queue(self, public_key: bytes, signature: bytes,
               data: bytes) -> SignatureCheck:

@@ -369,14 +369,11 @@ class Entity:
                               txn, payload)
         result.messages.append(m.sign_message(msg, self._key))
 
-    def step(self, msg: ProtocolMessage, now: int,
-             check: crypto.SignatureCheck | None = None) -> StepResult:
-        """Deliver one message: refuse a bad signature, then advance.
-        ``check`` is the helper's check of the hop signature, if it was
-        sent one (see messages.verify_message)."""
+    def step(self, msg: ProtocolMessage, now: int) -> StepResult:
+        """Deliver one message: refuse a bad signature, then advance."""
         sender_cert = self.directory.get(msg.sender.name)
         if sender_cert is None or not m.verify_message(
-                msg, sender_cert, self.certs, check):
+                msg, sender_cert, self.certs):
             return StepResult(violations=[
                 f"BadSignature:{msg.kind.value}:{msg.sender}->{self.id}"])
         return self._advance(msg.txn.name, msg.kind, now, msg)

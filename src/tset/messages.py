@@ -14,11 +14,9 @@ certificate never changes, so a second check could only repeat the first.
 The hop signature is verified every time, by libsodium, against the raw
 public key of the certificate that checked out.  Each Ed25519
 verification, the certificate's and the hop's, runs inline or in the
-helper process, as crypto's module docstring sets out.  A delivery the
-helper verified brings its check to verify_message, whose verdict answers
-for the exact key, signature and signed bytes it was computed on and
-nothing else.  The subject match and the BadSignature refusal stay in the
-simulator's process either way.
+helper process, by the rule in simnet's module docstring.  The subject
+match and the BadSignature refusal stay in the simulator's process
+either way.
 
 A message is frozen, so its encodings are built once and kept for the
 signature check, the trace digest and the privacy monitor.  Both are
@@ -474,12 +472,10 @@ def sign_message(msg: ProtocolMessage, key) -> ProtocolMessage:
 
 
 def verify_message(msg: ProtocolMessage, sender_cert: Certificate,
-                   certs: crypto.CertificateChecks,
-                   check: crypto.SignatureCheck | None = None) -> bool:
+                   certs: crypto.CertificateChecks) -> bool:
     """The certificate names the sender and is root-signed (checked once per
     world, which keeps its raw key), and the hop signature verifies
-    against that key (checked on every call: here, or by the helper process
-    when ``check`` is its check of these very bytes)."""
+    against that key (checked on every call)."""
     if msg.sender.name != sender_cert.subject:
         return False
-    return certs.signed(sender_cert, msg.signature, msg.signed_part, check)
+    return certs.signed(sender_cert, msg.signature, msg.signed_part)

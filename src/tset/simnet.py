@@ -20,19 +20,28 @@ refused message, it is dropped.  A run is quiescent when no event is
 left at or before the tick limit.
 
 Every delivery's hop signature is verified before its receiver acts on
-it (messages.verify_message), exactly once, in one of two processes, by
-the rule in crypto's module docstring.  A run with a purchase in its plan
-queues for the process's helper (crypto.helper) the check of every
-certificate in the world's directory.  Each queued delivery asks the
-helper for the check of its Ed25519 signature (the key its receiver
-knows the sender by, the signature and the signed part), giving the
-number of deliveries queued ahead of it.  The check rides in the
-delivery's heap entry, a replay's included, and the receiver uses its
-verdict; a delivery with no check is verified inline.  Before each event
-the simulator tops the helper up.  The verdicts of deliveries the tick
-limit cuts off are waited for when the run ends.  The verdicts, like
-every verification, are deterministic, so where a signature is verified
-never changes a run's outputs.
+it (messages.verify_message), exactly once, in one of two processes.
+Which one is decided by this rule, which reads the simulator's queue
+alone:
+- a run with a purchase in its plan expects from the process's helper
+  (crypto.helper) the check of every certificate in the world's
+  directory;
+- a delivery queued behind another queued delivery expects the helper's
+  check of its Ed25519 signature (the key its receiver knows the sender
+  by, the signature and the signed part);
+- a delivery queued with none ahead of it may be the next event, which
+  would leave the helper nothing to overlap, so it is verified inline;
+- before each event, the simulator writes every queued check to the
+  helper in one batch.
+Expected checks are owed in the receiver's CertificateChecks, and each
+verification takes the check owed to its exact bytes (crypto's module
+docstring).  So every owed check is sent before a delivery takes it,
+with at least one event to run before its verdict is needed.  The
+verdicts of deliveries the tick limit cuts off are waited for when the
+run ends.  Where each signature is verified repeats on every run and on
+any number of CPUs, and the verdicts, like every verification, are
+deterministic, so where a signature is verified never changes a run's
+outputs.
 
 The adversary script is immutable input, shared by every world built
 from one scenario.  A run keeps, for each message kind, the match counts
@@ -303,16 +312,17 @@ class Simulation:
             heapq.heappush(self._heap, timer)
 
     def _queue(self, tick: int, msg: ProtocolMessage, flag: str) -> None:
-        """Queue a delivery with the helper's check of its hop signature
-        under the key its receiver knows the sender by (see run)."""
+        """Queue a delivery; with a delivery queued ahead of it, its
+        receiver expects the helper's check of its hop signature under the
+        key it knows the sender by (see the module docstring)."""
         receiver = self.world.entities.get(msg.receiver.name)
         cert = (None if receiver is None
                 else receiver.directory.get(msg.sender.name))
-        check = (None if cert is None
-                 else self._helper.check(cert.public_key, msg.signature,
-                                         msg.signed_part, self._deliveries))
+        if cert is not None and self._deliveries:
+            receiver.certs.expect(self._helper, cert.public_key,
+                                  msg.signature, msg.signed_part)
         self._deliveries += 1
-        self._push(tick, ("deliver", msg, flag, check))
+        self._push(tick, ("deliver", msg, flag))
 
     def _record(self, tick: int, msg: ProtocolMessage, flag: str) -> None:
         self.trace.append(TraceRecord(tick, msg.sender.name,
@@ -361,15 +371,14 @@ class Simulation:
         for out in result.messages:
             self.send(out, now)
 
-    def _deliver(self, msg: ProtocolMessage, flag: str, now: int,
-                 check: crypto.SignatureCheck | None) -> None:
+    def _deliver(self, msg: ProtocolMessage, flag: str, now: int) -> None:
         self._record(now, msg, flag)
         self.monitor.check_privacy(msg, now)
         receiver = self.world.entities.get(msg.receiver.name)
         if receiver is None:
             self.violations.append(f"NoSuchEntity:{msg.receiver}")
             return
-        result = receiver.step(msg, now, check)
+        result = receiver.step(msg, now)
         self._apply_result(result, now)
         self._arm(receiver, msg.txn.name)
         self.monitor.after_delivery(msg, now)
@@ -378,7 +387,7 @@ class Simulation:
 
     def run(self) -> RunResult:
         for tick, customer_id, intent in self.world.plan:
-            self._push(tick, ("begin", customer_id, intent, None))
+            self._push(tick, ("begin", customer_id, intent))
         if self.world.plan:
             self._helper = crypto.helper()
             # Every entity shares the one directory and its checks.
@@ -404,10 +413,10 @@ class Simulation:
                     self._apply_result(entity.fire_timer(key, tick), tick)
                     self._arm(entity, key)
                     continue
-                what, subject, detail, check = entry[3]
+                what, subject, detail = entry[3]
                 if what == "deliver":
                     self._deliveries -= 1
-                    self._deliver(subject, detail, tick, check)
+                    self._deliver(subject, detail, tick)
                 else:
                     customer = self.world.customers[subject]
                     self._apply_result(customer.begin_purchase(detail, tick),

@@ -129,10 +129,10 @@ class _Capture(Simulation):
         self._context = (PrivacyScan.context_for(world)
                          if scanner is not None else None)
 
-    def _deliver(self, msg, flag, now, check):
+    def _deliver(self, msg, flag, now):
         if self._scanner is not None:
             self._scanner.scan(msg, self._context)
-        super()._deliver(msg, flag, now, check)
+        super()._deliver(msg, flag, now)
 
 
 def run_world(data: dict, scanner: PrivacyScan | None = None):

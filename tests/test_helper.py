@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from tset import crypto
+from tset import crypto, messages as m
+from tset.messages import MsgKind as K, ProtocolMessage, TransactionId
 from tset.scenario import build_world, load_scenario
 from tset.simnet import Simulation, export_trace
 
@@ -57,30 +58,59 @@ def test_the_helper_answers_each_check_for_its_own_bytes(keyset):
         (keyset.cert_merchant.public_key, good, data), (key, b"", data)])
     assert [c.valid() for c in checks] == [True, False, False, False, False]
     assert helper.verified - before == len(checks)
-    assert checks[0].covers(key, good, data)
-    assert not checks[0].covers(key, good, data + b"!")
-    assert not checks[0].covers(key, bad, data)
-    assert not checks[0].covers(keyset.cert_merchant.public_key, good, data)
+
+
+def _checked_certs(keyset) -> crypto.CertificateChecks:
+    """Checks against the fixture's root, both certificates checked."""
+    certs = crypto.CertificateChecks(keyset.root_public)
+    assert certs.valid(keyset.cert_customer)
+    assert certs.valid(keyset.cert_merchant)
+    return certs
 
 
 def test_a_check_of_other_bytes_is_verified_inline(keyset, monkeypatch):
     data = b"signed part"
     good = crypto.sign(keyset.customer_key, data)
     bad = bytes([good[0] ^ 1]) + good[1:]
-    certs = crypto.CertificateChecks(keyset.root_public)
+    certs = _checked_certs(keyset)
     cert = keyset.cert_customer
     inline = _inline_signatures(monkeypatch)
     helper = crypto.helper()
-    for_good, for_bad = send_checks(helper, [(cert.public_key, good, data),
-                                             (cert.public_key, bad, data)])
-    # The check brought is for the good signature; the bad one is verified
-    # here, and refused.
-    assert not certs.signed(cert, bad, data, for_good)
-    # The check of the bad signature answers for it alone.
-    assert not certs.signed(cert, bad, data, for_bad)
-    assert certs.signed(cert, good, data, for_bad)
-    assert inline.count(bad) == 1 and inline.count(good) == 1
-    helper.drain()      # the unused verdict, so no later count takes it
+    before = helper.verified
+    certs.expect(helper, cert.public_key, good, data)
+    certs.expect(helper, cert.public_key, bad, data)
+    helper.top_up()
+    # No check is owed to these bytes: each is verified here, and refused.
+    assert not certs.signed(cert, good, data + b"!")
+    assert not certs.signed(keyset.cert_merchant, good, data)
+    assert inline == [good, good]
+    # Each owed check answers its own bytes, taken in any order: the
+    # answers come in the order the checks were queued.
+    assert not certs.signed(cert, bad, data)
+    assert certs.signed(cert, good, data)
+    assert inline == [good, good]
+    assert helper.verified - before == 2
+    assert certs._owed == {}
+
+
+def test_each_check_owed_to_one_triple_is_taken_once(keyset, monkeypatch):
+    # A replayed delivery expects a second check of the very same bytes.
+    data = b"signed part"
+    good = crypto.sign(keyset.customer_key, data)
+    certs = _checked_certs(keyset)
+    cert = keyset.cert_customer
+    inline = _inline_signatures(monkeypatch)
+    helper = crypto.helper()
+    before = helper.verified
+    for _ in range(2):
+        certs.expect(helper, cert.public_key, good, data)
+    helper.top_up()
+    assert certs.signed(cert, good, data) and certs.signed(cert, good, data)
+    assert inline == [] and helper.verified - before == 2
+    # Both are taken: a third verification is made here.
+    assert certs.signed(cert, good, data)
+    assert inline == [good]
+    assert certs._owed == {}
 
 
 def test_a_batch_beyond_the_answers_owed_is_sent_in_chunks(
@@ -122,9 +152,8 @@ def test_top_up_sends_every_queued_check_in_one_batch(keyset, monkeypatch):
     helper = crypto.helper()
     before = helper.verified
     writes = _writes(monkeypatch)
-    checks = [helper.check(key, good, data, ahead=1),
-              helper.queue(key, bad, data),
-              helper.check(key, good, data, ahead=90)]
+    checks = [helper.queue(key, good, data), helper.queue(key, bad, data),
+              helper.queue(key, good, data)]
     assert not any(c.sent for c in checks) and writes == []
     helper.top_up()
     assert all(c.sent for c in checks) and len(writes) == 1
@@ -135,31 +164,41 @@ def test_top_up_sends_every_queued_check_in_one_batch(keyset, monkeypatch):
     assert helper.verified - before == 3
 
 
-def test_a_check_goes_by_the_deliveries_queued_ahead_of_it(keyset):
-    data = b"signed part"
-    good = crypto.sign(keyset.customer_key, data)
-    key = keyset.cert_customer.public_key
-    helper = crypto.helper()
-    # Nothing ahead: the caller verifies it.
-    assert helper.check(key, good, data, ahead=0) is None
-    # Any delivery ahead: queued for the next top-up, however many.
-    queued = [helper.check(key, good, data, ahead=ahead)
-              for ahead in (1, 2, 5)]
-    assert not any(c.sent for c in queued)
-    helper.top_up()
+def test_a_check_goes_by_the_deliveries_queued_ahead_of_it():
+    world = mixed_world()
+    sim = Simulation(world)
+    sim._helper = crypto.helper()
+    customer, merchant = world.customers["C0"], world.entities["M0"]
+    browse = m.sign_message(
+        ProtocolMessage(K.BROWSE, customer.id, merchant.id,
+                        TransactionId(customer.id, 1), m.Browse("widget", 1)),
+        customer._key)
+    # Nothing ahead: the receiver verifies it.
+    sim._queue(1, browse, "ok")
+    assert merchant.certs._owed == {}
+    # Any delivery ahead, however many: expected, and queued for the next
+    # top-up.
+    for tick in (2, 3, 4):
+        sim._queue(tick, browse, "replayed")
+    queued = merchant.certs._owed[customer.certificate.public_key,
+                                  browse.signature, browse.signed_part]
+    assert len(queued) == 3 and not any(c.sent for c in queued)
+    sim._helper.top_up()
     assert all(c.sent and c.valid() for c in queued)
 
 
 def test_the_verdict_of_a_check_never_sent_is_refused(keyset):
     data = b"signed part"
     good = crypto.sign(keyset.customer_key, data)
+    certs = _checked_certs(keyset)
+    cert = keyset.cert_customer
     helper = crypto.helper()
     before = helper.verified
-    # Queued, but not yet written to the helper.
-    queued = helper.check(keyset.cert_customer.public_key, good, data,
-                          ahead=2)
+    # Expected, but not yet written to the helper.
+    certs.expect(helper, cert.public_key, good, data)
+    [queued] = certs._owed[cert.public_key, good, data]
     with pytest.raises(ValueError):
-        queued.valid()
+        certs.signed(cert, good, data)
     assert not queued.sent and queued.verdict is None
     # A drain drops it unsent, and no later top-up sends it.
     helper.drain()
@@ -209,9 +248,9 @@ class _Forging(Simulation):
                 msg, signature=bytes(flipped))
         super().send(msg, now)
 
-    def _deliver(self, msg, flag, now, check):
+    def _deliver(self, msg, flag, now):
         before = len(self.violations)
-        super()._deliver(msg, flag, now, check)
+        super()._deliver(msg, flag, now)
         self.refused += [(len(self.trace) - 1, violation)
                          for violation in self.violations[before:]]
 
@@ -230,7 +269,8 @@ def test_a_forged_signature_on_the_helper_path_is_refused_as_inline(
                f"->{forged.receiver}")
     assert refusal in [violation for _, violation in offloaded.refused]
 
-    monkeypatch.setattr(crypto.Helper, "check", lambda self, *check: None)
+    monkeypatch.setattr(crypto.CertificateChecks, "expect",
+                        lambda self, *check: None)
     reference = _Forging(mixed_world(), nth)
     expected = reference.run()
     assert reference.forged.signature in inline
@@ -248,10 +288,10 @@ class _KillingHelper(Simulation):
         super().__init__(world)
         self.at = at
 
-    def _deliver(self, msg, flag, now, check):
+    def _deliver(self, msg, flag, now):
         if len(self.trace) == self.at:
             os.kill(crypto.helper().pid, signal.SIGKILL)
-        super()._deliver(msg, flag, now, check)
+        super()._deliver(msg, flag, now)
 
 
 def test_a_dead_helper_fails_the_run_and_refuses_no_signature():

@@ -114,9 +114,9 @@ class _Recording(Simulation):
         super().__init__(world)
         self.delivered = []
 
-    def _deliver(self, msg, flag, now, check):
+    def _deliver(self, msg, flag, now):
         self.delivered.append((flag, msg))
-        super()._deliver(msg, flag, now, check)
+        super()._deliver(msg, flag, now)
 
 
 def test_every_delivered_message_has_the_reference_bytes():
@@ -222,8 +222,8 @@ def test_every_delivery_verifies_its_signature_a_replayed_one_too(
 
 class _Placed(Simulation):
     """Notes, per delivery made, the deliveries queued ahead of it when it
-    was queued, and fails unless each check it brings was sent to the
-    helper by then."""
+    was queued, and fails unless each check owed by then was sent to the
+    helper."""
 
     def __init__(self, world):
         super().__init__(world)
@@ -235,10 +235,11 @@ class _Placed(Simulation):
         self.ahead[id(msg), flag] = self._deliveries
         super()._queue(tick, msg, flag)
 
-    def _deliver(self, msg, flag, now, check):
-        assert check is None or check.sent
+    def _deliver(self, msg, flag, now):
+        assert all(check.sent for owed in self.world.cb.certs._owed.values()
+                   for check in owed)
         self.delivered_ahead.append(self.ahead.pop((id(msg), flag)))
-        super()._deliver(msg, flag, now, check)
+        super()._deliver(msg, flag, now)
 
 
 def test_a_check_the_helper_cannot_answer_in_time_is_verified_inline(
@@ -257,18 +258,21 @@ def test_a_check_the_helper_cannot_answer_in_time_is_verified_inline(
 
 
 def _all_inline(monkeypatch):
-    monkeypatch.setattr(crypto.Helper, "check", lambda self, *check: None)
-    monkeypatch.setattr(crypto.CertificateChecks, "send",
-                        lambda self, certs, helper: None)
+    monkeypatch.setattr(crypto.CertificateChecks, "expect",
+                        lambda self, *check: None)
 
 
 def _old_rule(monkeypatch):
     """Every check goes to the helper before the next event, that of a
     delivery with none queued ahead of it too."""
-    monkeypatch.setattr(
-        crypto.Helper, "check",
-        lambda self, public_key, signature, data, ahead:
-            self.queue(public_key, signature, data))
+    real = Simulation._queue
+
+    def as_if_behind_another(self, tick, msg, flag):
+        self._deliveries += 1
+        real(self, tick, msg, flag)
+        self._deliveries -= 1
+
+    monkeypatch.setattr(Simulation, "_queue", as_if_behind_another)
 
 
 @pytest.mark.parametrize("rule", [None, _all_inline, _old_rule])
@@ -355,6 +359,12 @@ def test_a_world_splits_its_verifications_the_same_each_run(
         alone = sim.delivered_ahead.count(0)
         assert (inline, by_helper) == (alone, deliveries - alone)
         assert (inline, by_helper) == SPLIT[scenario]
+
+
+def test_a_quiescent_run_takes_every_check_its_world_is_owed():
+    result = mixed_simulation().run()
+    assert result.quiescent and result.summary["txns_completed"] == 4
+    assert result.world.cb.certs._owed == {}
 
 
 # -- a one-purchase world ---------------------------------------------------
@@ -820,8 +830,8 @@ def test_refused_timer_is_dropped_not_queued_again(monkeypatch):
     step, fire_timer = ttp.step, ttp.fire_timer
     fired = []
 
-    def rearm_after_settling(msg, now, check):
-        result = step(msg, now, check)
+    def rearm_after_settling(msg, now):
+        result = step(msg, now)
         if ttp.phase_of(msg.txn) is TP.SETTLED:
             ttp.timers[str(msg.txn)] = now + 5
         return result
