@@ -4,9 +4,10 @@ process that verifies signatures.
 Certificates are a minimal in-model PKI: one root signing key per run signs
 (subject, public key) pairs, and every entity checks certificates against
 the root public key through the world's shared CertificateChecks.  That
-checks each certificate once and keeps the raw public key of each one
-that checks out; every signature is still verified on every call.  A
-certificate builds its canonical JSON once, when it is built.
+checks each certificate once, inline, the first time it is presented, and
+keeps the raw public key of each one that checks out; every signature is
+still verified on every call.  A certificate builds its canonical JSON
+once, when it is built.
 Ed25519 is libsodium's, called through ctypes: keys from a 32-byte seed,
 detached signatures, and their verification.  Ed25519 is deterministic
 (RFC 8032), so a signature is the same bytes whichever library makes it.
@@ -22,17 +23,18 @@ and the derived key runs AES-256-GCM.  Both the hybrid and the plain
 symmetric primitive are authenticated, so any bit flip in a sealed blob
 fails the tag check.
 
-A second process verifies signatures beside the simulator: ``helper()``,
-one process forked per process on first use.  Which verifications it
-makes is decided by the simulator, by the rule in simnet's module
+A second process verifies hop signatures beside the simulator:
+``helper()``, one process forked per process on first use.  Which hops
+it verifies is decided by the simulator, by the rule in simnet's module
 docstring.  Each world's CertificateChecks keeps one table of the
 verdicts it is owed: ``expect`` queues the check of an exact (public
 key, signature, signed bytes) for the helper and records it, oldest
-first, under those bytes.  A verification of a certificate (``key``) or
-of a signature (``signed``) takes the oldest check owed to its exact
-bytes and uses its verdict, waited for if it is not in yet; with none
-owed, it verifies inline.  So a verdict answers only for the bytes it
-was computed on, and each owed check is taken at most once.
+first, under those bytes.  A verification of a signature (``signed``)
+takes the oldest check owed to its exact bytes, before it asks for the
+certificate's key, and uses its verdict, waited for if it is not in
+yet; with none owed, it verifies inline.  So a verdict answers only for
+the bytes it was computed on, each owed check is taken at most once,
+and one whose certificate is refused is taken all the same.
 ``Helper.top_up`` writes every queued check to the helper in one batch.
 The helper is never asked for a verdict twice and keeps nothing between
 checks.  If it dies, the verdicts it owes raise ``HelperLost``: none is
@@ -222,14 +224,14 @@ class CertificateChecks:
 
     Kept per certificate value: the raw public key of a certificate that
     verifies against the root, None for one that does not.  Every distinct
-    certificate is verified once, by the time it is first presented.  A
+    certificate is verified once, inline, when it is first presented.  A
     forged or altered certificate is a different value and is verified
     (and refused) in turn.  Only the certificate check is kept: a
     signature made with the key is verified on every call.  ``_owed``
-    holds, per exact (public key, signature, signed bytes), the helper's
-    checks of those bytes that ``expect`` queued, oldest first (see the
-    module docstring).  One instance serves one world: what it keeps is
-    bounded by what that world sees.
+    holds, per exact (public key, signature, signed part) of a hop, the
+    helper's checks of those bytes that ``expect`` queued, oldest first
+    (see the module docstring).  One instance serves one world: what it
+    keeps is bounded by what that world sees.
     """
 
     def __init__(self, root_public: bytes):
@@ -259,16 +261,6 @@ class CertificateChecks:
             del self._owed[triple]
         return check
 
-    def send(self, certs, helper: "Helper") -> None:
-        """Expect ``helper``'s check of each of ``certs`` neither checked
-        nor owed yet; its next ``top_up`` sends them, so that their
-        verdicts come in while the caller works on."""
-        for cert in certs:
-            data = _cert_signing_bytes(cert.subject, cert.public_key)
-            if (cert not in self._keys and (self.root_public, cert.signature,
-                                            data) not in self._owed):
-                self.expect(helper, self.root_public, cert.signature, data)
-
     def key(self, cert: Certificate) -> bytes | None:
         """The subject's raw key if ``cert`` is root-signed, else None;
         checked the first time ``cert`` is presented."""
@@ -276,11 +268,8 @@ class CertificateChecks:
             return self._keys[cert]
         except KeyError:
             pass
-        check = self._take(self.root_public, cert.signature,
-                           _cert_signing_bytes(cert.subject, cert.public_key))
-        valid = (verify_certificate(cert, self.root_public) if check is None
-                 else check.valid())
-        key = cert.public_key if valid else None
+        key = (cert.public_key if verify_certificate(cert, self.root_public)
+               else None)
         self._keys[cert] = key
         return key
 
@@ -290,11 +279,12 @@ class CertificateChecks:
     def signed(self, cert: Certificate, signature: bytes,
                data: bytes) -> bool:
         """Whether ``cert`` is root-signed and ``signature`` over ``data``
-        verifies under its key."""
+        verifies under its key.  The check owed to these bytes is taken
+        first, so a refused certificate leaves none owed."""
+        check = self._take(cert.public_key, signature, data)
         key = self.key(cert)
         if key is None:
             return False
-        check = self._take(key, signature, data)
         return verify(key, signature, data) if check is None else check.valid()
 
 

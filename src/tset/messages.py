@@ -12,11 +12,11 @@ Entity.step through verify_message.  The sender's certificate is checked
 against the root key once per world (crypto.CertificateChecks): a
 certificate never changes, so a second check could only repeat the first.
 The hop signature is verified every time, by libsodium, against the raw
-public key of the certificate that checked out.  Each Ed25519
-verification, the certificate's and the hop's, runs inline or in the
-helper process, by the rule in simnet's module docstring.  The subject
-match and the BadSignature refusal stay in the simulator's process
-either way.
+public key of the certificate that checked out.  The certificate is
+verified inline, the first time it is presented; the hop signature
+inline or in the helper process, by the rule in simnet's module
+docstring.  The subject match and the BadSignature refusal stay in the
+simulator's process either way.
 
 A message is frozen, so its encodings are built once and kept for the
 signature check, the trace digest and the privacy monitor.  Both are

@@ -123,6 +123,11 @@ def new_key_material(rng: ByteStream) -> KeyMaterial:
 #
 # The token id is encrypted under the bank's symmetric key
 # (crypto.sym_encrypt: 12-byte nonce, ciphertext, 16-byte tag).
+#
+# The amount's ciphertext starts in the sealed envelope behind the box's
+# ephemeral key and nonce (crypto.seal_box), and AES-GCM keeps byte
+# positions aligned, so field-targeted mutation rewrites it there.
+SEALED_AMOUNT_OFFSET = crypto.X25519_KEY_LEN + crypto.NONCE_LEN
 
 def _encode(token: Token, id_field: bytes) -> bytes:
     cert_c = crypto.encode_certificate(token.cert_customer)

@@ -23,7 +23,7 @@ from conftest import send_checks
 ROOT = Path(__file__).resolve().parents[1]
 # Overlapping purchases: most deliveries are queued behind others.
 MIXED = ROOT / "scenarios" / "mixed.yaml"
-# One purchase: its certificates go to the helper.
+# One purchase: a few of its hops are queued behind others.
 HAPPY = ROOT / "scenarios" / "happy_path.yaml"
 
 
@@ -326,8 +326,8 @@ def _session(sid: int) -> list[int]:
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
                     reason="reads the process table from /proc")
 def test_a_cli_run_leaves_no_helper_behind(tmp_path):
-    # Each scenario's run sends checks to a helper: the mixed one for its
-    # overlapping purchases, the one-purchase one for its certificates.
+    # Each scenario's run sends hop checks to a helper: the mixed one many,
+    # the one-purchase one a few.
     for scenario in (MIXED, HAPPY):
         before = crypto.helper().verified
         Simulation(build_world(load_scenario(scenario))).run()
