@@ -18,10 +18,12 @@ OpenSSL accepts.  Both refuse a signature whose scalar S is not below the
 group order L.  On a 2-core x86-64 host, libsodium verifies a
 400-byte message in 67 us and signs it in 29 us, against 134 us and 47 us
 for ``cryptography`` (best of five timeit runs of 2000 calls each).
-Asymmetric sealing is hybrid: an ephemeral X25519 exchange feeds HKDF-SHA256,
-and the derived key runs AES-256-GCM.  Both the hybrid and the plain
-symmetric primitive are authenticated, so any bit flip in a sealed blob
-fails the tag check.
+Asymmetric sealing is hybrid: an ephemeral X25519 exchange (RFC 7748,
+refusing a small-order key) feeds HKDF-SHA256 (two stdlib HMACs), and the
+derived key runs AES-256-GCM; both layers are authenticated, so any bit
+flip in a sealed blob fails the tag check.  All of it is libsodium's, on
+raw keys, so one library fixes every byte and a world copies.  Its AES-GCM
+needs x86-64 with AES-NI and PCLMUL, which the import requires: no fallback.
 
 A second process verifies hop signatures beside the simulator:
 ``helper()``, one process forked per process on first use.  Which hops
@@ -47,23 +49,17 @@ import atexit
 import collections
 import ctypes
 import gc
+import hmac
 import os
 import select
 import signal
 import struct
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-
-from .rng import ByteStream
+if TYPE_CHECKING:
+    from .rng import ByteStream
 
 
 class DecryptionFailure(Exception):
@@ -82,15 +78,15 @@ SEED_LEN = 32
 
 
 # ---------------------------------------------------------------------------
-# Signing: Ed25519 by libsodium
+# libsodium, and signing with its Ed25519
 #
 # Every length a C call reads is checked here first, and only bytes are
 # passed as pointers: anything else is a TypeError before ctypes sees it.
 
 def _load_sodium() -> ctypes.CDLL:
-    """libsodium, loaded by soname and initialised, with the three Ed25519
-    calls declared.  By soname: ``ctypes.util.find_library`` would run
-    ldconfig at import."""
+    """libsodium, loaded by soname and initialised, with every call this
+    package makes declared.  By soname: ``ctypes.util.find_library`` would
+    run ldconfig at import."""
     for name in ("libsodium.so.23", "libsodium.so"):
         try:
             lib = ctypes.CDLL(name)
@@ -105,16 +101,33 @@ def _load_sodium() -> ctypes.CDLL:
     lib.sodium_init.restype = ctypes.c_int
     if lib.sodium_init() < 0:
         raise ImportError("libsodium failed to initialise")
-    buf, size = ctypes.c_char_p, ctypes.c_ulonglong
+    lib.crypto_aead_aes256gcm_is_available.argtypes = ()
+    lib.crypto_aead_aes256gcm_is_available.restype = ctypes.c_int
+    if lib.crypto_aead_aes256gcm_is_available() != 1:
+        raise ImportError("tset.crypto needs libsodium's AES-256-GCM: "
+                          "crypto_aead_aes256gcm_is_available() returned 0")
+    buf, size, null = ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_void_p
     for fn, argtypes in (
             # (public key out, secret out, seed)
             (lib.crypto_sign_ed25519_seed_keypair, (buf, buf, buf)),
             # (signature out, signature length out, message, its length,
             # secret)
-            (lib.crypto_sign_ed25519_detached,
-             (buf, ctypes.c_void_p, buf, size, buf)),
+            (lib.crypto_sign_ed25519_detached, (buf, null, buf, size, buf)),
             # (signature, message, its length, public key)
-            (lib.crypto_sign_ed25519_verify_detached, (buf, buf, size, buf))):
+            (lib.crypto_sign_ed25519_verify_detached, (buf, buf, size, buf)),
+            # (out, in, its length, nonce, first 64-byte block, key)
+            (lib.crypto_stream_chacha20_ietf_xor_ic,
+             (buf, buf, size, buf, ctypes.c_uint32, buf)),
+            # (shared out, secret, public): -1 if shared is all zero
+            (lib.crypto_scalarmult_curve25519, (buf, buf, buf)),
+            (lib.crypto_scalarmult_curve25519_base, (buf, buf)),
+            # (out, its length out, in, its length, additional data, its
+            # length, unused, nonce, key); decrypt takes the unused
+            # argument before in, and returns -1 for a bad tag
+            (lib.crypto_aead_aes256gcm_encrypt,
+             (buf, null, buf, size, buf, size, null, buf, buf)),
+            (lib.crypto_aead_aes256gcm_decrypt,
+             (buf, null, null, buf, size, buf, size, buf, buf))):
         fn.argtypes = argtypes
         fn.restype = ctypes.c_int
     return lib
@@ -124,12 +137,24 @@ _sodium = _load_sodium()
 _seed_keypair = _sodium.crypto_sign_ed25519_seed_keypair
 _sign_detached = _sodium.crypto_sign_ed25519_detached
 _verify_detached = _sodium.crypto_sign_ed25519_verify_detached
+_stream_xor_ic = _sodium.crypto_stream_chacha20_ietf_xor_ic
+_scalarmult = _sodium.crypto_scalarmult_curve25519
+_scalarmult_base = _sodium.crypto_scalarmult_curve25519_base
+_aead_encrypt = _sodium.crypto_aead_aes256gcm_encrypt
+_aead_decrypt = _sodium.crypto_aead_aes256gcm_decrypt
 
 
 def _need_bytes(*values) -> None:
     for value in values:
         if not isinstance(value, bytes):
-            raise TypeError(f"Ed25519 takes bytes, not {type(value).__name__}")
+            raise TypeError(f"expected bytes, not {type(value).__name__}")
+
+
+def _need_key(key: bytes, what: str) -> None:
+    """TypeError unless ``key`` is bytes, ValueError unless 32 of them."""
+    _need_bytes(key)
+    if len(key) != 32:
+        raise ValueError(f"{what} is 32 bytes")
 
 
 class SigningKey:
@@ -139,9 +164,7 @@ class SigningKey:
     __slots__ = ("_secret", "public_key")
 
     def __init__(self, seed: bytes):
-        _need_bytes(seed)
-        if len(seed) != SEED_LEN:
-            raise ValueError("an Ed25519 seed is 32 bytes")
+        _need_key(seed, "an Ed25519 seed")
         public = ctypes.create_string_buffer(ED25519_KEY_LEN)
         secret = ctypes.create_string_buffer(64)
         if _seed_keypair(public, secret, seed) != 0:
@@ -169,9 +192,8 @@ def verify(public_key: bytes, signature: bytes, data: bytes) -> bool:
     """Whether ``signature`` over ``data`` verifies under the raw Ed25519
     ``public_key``.  A key that is not 32 bytes is a ValueError; a
     signature that is not 64 bytes does not verify."""
-    _need_bytes(public_key, signature, data)
-    if len(public_key) != ED25519_KEY_LEN:
-        raise ValueError("an Ed25519 public key is 32 bytes")
+    _need_bytes(signature, data)
+    _need_key(public_key, "an Ed25519 public key")
     return (len(signature) == SIG_LEN
             and _verify_detached(signature, data, len(data), public_key) == 0)
 
@@ -235,8 +257,7 @@ class CertificateChecks:
     """
 
     def __init__(self, root_public: bytes):
-        if len(root_public) != ED25519_KEY_LEN:
-            raise ValueError("an Ed25519 public key is 32 bytes")
+        _need_key(root_public, "an Ed25519 public key")
         self.root_public = root_public
         self._keys: dict[Certificate, bytes | None] = {}
         self._owed: dict[tuple, list[SignatureCheck]] = {}
@@ -312,68 +333,78 @@ def decode_certificate(data: bytes) -> Certificate:
 
 def sym_encrypt(key: bytes, plaintext: bytes, aad: bytes, rng: ByteStream) -> bytes:
     """[12B nonce][ciphertext+tag] under AES-256-GCM."""
+    _need_key(key, "an AES-256 key")
+    _need_bytes(plaintext, aad)
     nonce = rng.take(NONCE_LEN)
-    return nonce + AESGCM(key).encrypt(nonce, plaintext, aad)
+    out = ctypes.create_string_buffer(len(plaintext) + 16)
+    _aead_encrypt(out, None, plaintext, len(plaintext), aad, len(aad), None,
+                  nonce, key)
+    return nonce + out.raw
 
 
 def sym_decrypt(key: bytes, blob: bytes, aad: bytes) -> bytes:
+    _need_key(key, "an AES-256 key")
+    _need_bytes(blob, aad)
     if len(blob) < NONCE_LEN + 16:
         raise DecryptionFailure("ciphertext too short")
-    try:
-        return AESGCM(key).decrypt(blob[:NONCE_LEN], blob[NONCE_LEN:], aad)
-    except InvalidTag as exc:
-        raise DecryptionFailure("authentication tag mismatch") from exc
+    out = ctypes.create_string_buffer(len(blob) - NONCE_LEN - 16)
+    if _aead_decrypt(out, None, None, blob[NONCE_LEN:], len(blob) - NONCE_LEN,
+                     aad, len(aad), blob[:NONCE_LEN], key) != 0:
+        raise DecryptionFailure("authentication tag mismatch")
+    return out.raw
 
 
 # ---------------------------------------------------------------------------
 # Hybrid public-key sealing (ephemeral X25519 + HKDF-SHA256 + AES-256-GCM)
 
+def box_public_key(secret: bytes) -> bytes:
+    """The raw X25519 public key of the raw 32-byte ``secret``."""
+    _need_key(secret, "an X25519 secret")
+    public = ctypes.create_string_buffer(X25519_KEY_LEN)
+    _scalarmult_base(public, secret)
+    return public.raw
+
+
 def new_box_keypair(rng: ByteStream) -> tuple[bytes, bytes]:
     """Returns (secret, public) raw 32-byte X25519 keys."""
-    priv = X25519PrivateKey.from_private_bytes(rng.take(32))
-    return (priv.private_bytes_raw(), priv.public_key().public_bytes_raw())
+    secret = rng.take(32)
+    return secret, box_public_key(secret)
 
 
-def load_box_key(secret: bytes) -> X25519PrivateKey:
-    """The X25519 private key of its raw 32 bytes."""
-    return X25519PrivateKey.from_private_bytes(secret)
-
-
-def _box_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
-    return HKDF(algorithm=hashes.SHA256(), length=32, salt=None,
-                info=b"tset/box" + eph_pub + recipient_pub).derive(shared)
+def _box_key(secret: bytes, public: bytes, eph_pub: bytes,
+             recipient_pub: bytes) -> bytes | None:
+    """HKDF-SHA256 (RFC 5869, salt absent) of the X25519 secret shared by
+    ``secret`` and ``public``; None if that is all zero (small order)."""
+    _need_key(secret, "an X25519 secret")
+    _need_key(public, "an X25519 public key")
+    shared = ctypes.create_string_buffer(X25519_KEY_LEN)
+    if _scalarmult(shared, secret, public) != 0:
+        return None
+    prk = hmac.digest(bytes(32), shared.raw, "sha256")
+    return hmac.digest(prk, b"tset/box" + eph_pub + recipient_pub + b"\x01",
+                       "sha256")
 
 
 def seal_box(recipient_public: bytes, plaintext: bytes, rng: ByteStream) -> bytes:
     """[32B ephemeral public][12B nonce][ciphertext+tag]"""
-    eph = X25519PrivateKey.from_private_bytes(rng.take(32))
-    eph_pub = eph.public_key().public_bytes_raw()
-    shared = eph.exchange(X25519PublicKey.from_public_bytes(recipient_public))
-    key = _box_key(shared, eph_pub, recipient_public)
-    nonce = rng.take(NONCE_LEN)
-    ct = AESGCM(key).encrypt(nonce, plaintext, eph_pub)
-    return eph_pub + nonce + ct
+    eph, eph_pub = new_box_keypair(rng)
+    key = _box_key(eph, recipient_public, eph_pub, recipient_public)
+    if key is None:
+        raise ValueError("the recipient's X25519 key has small order")
+    return eph_pub + sym_encrypt(key, plaintext, eph_pub, rng)
 
 
-def open_box(recipient: X25519PrivateKey, recipient_public: bytes,
+def open_box(recipient_secret: bytes, recipient_public: bytes,
              blob: bytes) -> bytes:
-    """Opens a seal_box blob with the recipient's loaded key;
-    ``recipient_public`` is that key's raw public half."""
+    """Opens a seal_box blob with the recipient's raw 32-byte secret;
+    ``recipient_public`` is its raw public half."""
     if len(blob) < X25519_KEY_LEN + NONCE_LEN + 16:
         raise DecryptionFailure("sealed blob too short")
     eph_pub = blob[:X25519_KEY_LEN]
-    nonce = blob[X25519_KEY_LEN:X25519_KEY_LEN + NONCE_LEN]
-    ct = blob[X25519_KEY_LEN + NONCE_LEN:]
-    try:
-        shared = recipient.exchange(
-            X25519PublicKey.from_public_bytes(eph_pub))
-    except ValueError as exc:
-        raise DecryptionFailure("invalid ephemeral key") from exc
-    key = _box_key(shared, eph_pub, recipient_public)
-    try:
-        return AESGCM(key).decrypt(nonce, ct, eph_pub)
-    except InvalidTag as exc:
-        raise DecryptionFailure("authentication tag mismatch") from exc
+    key = _box_key(recipient_secret, eph_pub, eph_pub, recipient_public)
+    if key is None:
+        raise DecryptionFailure("invalid ephemeral key")
+    return sym_decrypt(key, blob[X25519_KEY_LEN:], eph_pub)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,18 @@
 
 Every run derives all cryptographic material from a single integer seed so
 that two runs with the same scenario and seed produce byte-identical keys,
-envelopes, and traces.  The stream is the ChaCha20 keystream under a key
-derived from the seed, which is uniform and fast; it is *reproducible by
-design* and therefore only suitable inside the simulator.
+envelopes, and traces.  The stream is libsodium's ChaCha20 keystream
+(RFC 8439, zero nonce) under a key derived from the seed, which is uniform
+and fast; it is *reproducible by design* and therefore only suitable
+inside the simulator.  A stream is that key and an offset, so it copies.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 
-from cryptography.hazmat.primitives.ciphers import Cipher
-from cryptography.hazmat.primitives.ciphers.algorithms import ChaCha20
+from .crypto import _stream_xor_ic
 
 _DOMAIN = b"tset/stream:"
 
@@ -33,14 +34,16 @@ class ByteStream:
             seed_bytes = seed if isinstance(seed, bytes) else str(int(seed)).encode()
             key = hashlib.sha256(_DOMAIN + seed_bytes).digest()
         self._key = key
-        # ChaCha20 keystream: encrypting zeros yields the raw stream.
-        nonce = b"\x00" * 16
-        self._enc = Cipher(ChaCha20(key, nonce), mode=None).encryptor()
+        self._offset = 0        # keystream bytes taken so far
 
     def take(self, n: int) -> bytes:
         if n < 0:
             raise ValueError("byte count must be non-negative")
-        return self._enc.update(b"\x00" * n)
+        block, skip = divmod(self._offset, 64)
+        out = ctypes.create_string_buffer(skip + n)
+        _stream_xor_ic(out, out, skip + n, bytes(12), block, self._key)
+        self._offset += n
+        return out.raw[skip:]
 
     def fork(self, label: str) -> "ByteStream":
         child_key = hashlib.sha256(self._key + b"/" + label.encode()).digest()

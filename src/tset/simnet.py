@@ -291,6 +291,8 @@ class Simulation:
         self._now = 0
         self._deliveries = 0        # deliveries in the heap
         self._helper: crypto.Helper | None = None
+        for tick, customer_id, intent in world.plan:
+            self._push(tick, ("begin", customer_id, intent))
 
     # -- scheduling ----------------------------------------------------------
 
@@ -312,7 +314,9 @@ class Simulation:
         every hop check to the helper instead ran ``tamper-sweep`` at a
         median of 113.3 worlds a second against 119.8, and ``mixed-load``
         at 369.3 purchases against 373.1 (bench/run.py, ten alternating
-        pairs of 8 s runs each, on a 2-core x86-64 host)."""
+        pairs of 8 s runs each, on a 2-core x86-64 host).  Needing two
+        deliveries ahead ran them at 132.7 against 130.3 and 391.6 against
+        396.4, faster in 8 and in 3 of ten pairs of 10 s runs."""
         receiver = self.world.entities.get(msg.receiver.name)
         cert = (None if receiver is None
                 else receiver.directory.get(msg.sender.name))
@@ -384,8 +388,7 @@ class Simulation:
     # -- main loop -------------------------------------------------------
 
     def run(self) -> RunResult:
-        for tick, customer_id, intent in self.world.plan:
-            self._push(tick, ("begin", customer_id, intent))
+        """Run the heap (the plan is queued by __init__, so a copy runs on)."""
         if self.world.plan:
             self._helper = crypto.helper()
 

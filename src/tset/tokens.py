@@ -82,10 +82,9 @@ class SealedToken:
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    """Issuing bank key set: X25519 box pair plus AES-256 symmetric key.
-
-    The box secret is loaded once, as ``box_key``; it is not a field, so
-    equality and hashing are those of the raw keys."""
+    """Issuing bank key set: X25519 box pair plus AES-256 symmetric key,
+    each kept as its raw 32 bytes and passed to libsodium as such; no key
+    object is loaded."""
 
     box_secret: bytes
     box_public: bytes
@@ -96,10 +95,8 @@ class KeyMaterial:
             raise ValueError("box keys must be 32 bytes")
         if len(self.symmetric_key) != 32:
             raise ValueError("symmetric key must be 32 bytes")
-        box_key = crypto.load_box_key(self.box_secret)
-        if box_key.public_key().public_bytes_raw() != self.box_public:
+        if crypto.box_public_key(self.box_secret) != self.box_public:
             raise ValueError("box_public must be the public key of box_secret")
-        object.__setattr__(self, "box_key", box_key)
 
 
 def new_key_material(rng: ByteStream) -> KeyMaterial:
@@ -195,7 +192,7 @@ def open_token(sealed: SealedToken, keys: KeyMaterial) -> Token:
     """Open both layers.  Raises DecryptionFailure if the outer envelope
     fails or does not parse, TokenIdDecryptionFailure if the inner id
     layer fails.  A successful return is a structurally valid Token."""
-    plain = crypto.open_box(keys.box_key, keys.box_public, sealed.envelope)
+    plain = crypto.open_box(keys.box_secret, keys.box_public, sealed.envelope)
 
     def open_id(inner: bytes) -> bytes:
         try:

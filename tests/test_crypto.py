@@ -1,7 +1,15 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from tset import crypto
 from tset.rng import ByteStream
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -141,8 +149,7 @@ def test_sym_rejects_short_blob(rng):
 def test_box_roundtrip(rng):
     secret, public = crypto.new_box_keypair(rng)
     blob = crypto.seal_box(public, b"secret message", rng)
-    assert crypto.open_box(crypto.load_box_key(secret), public, blob) \
-        == b"secret message"
+    assert crypto.open_box(secret, public, blob) == b"secret message"
 
 
 def test_box_rejects_wrong_recipient(rng):
@@ -150,25 +157,23 @@ def test_box_rejects_wrong_recipient(rng):
     other_secret, other_public = crypto.new_box_keypair(rng)
     blob = crypto.seal_box(public, b"secret message", rng)
     with pytest.raises(crypto.DecryptionFailure):
-        crypto.open_box(crypto.load_box_key(other_secret), other_public,
-                        blob)
+        crypto.open_box(other_secret, other_public, blob)
 
 
 def test_box_rejects_any_bit_flip(rng):
     secret, public = crypto.new_box_keypair(rng)
-    key = crypto.load_box_key(secret)
     blob = crypto.seal_box(public, b"msg", rng)
     for i in range(len(blob)):
         flipped = bytearray(blob)
         flipped[i] ^= 0x80
         with pytest.raises(crypto.DecryptionFailure):
-            crypto.open_box(key, public, bytes(flipped))
+            crypto.open_box(secret, public, bytes(flipped))
 
 
 def test_box_rejects_short_blob(rng):
     secret, public = crypto.new_box_keypair(rng)
     with pytest.raises(crypto.DecryptionFailure):
-        crypto.open_box(crypto.load_box_key(secret), public, b"\x00" * 40)
+        crypto.open_box(secret, public, b"\x00" * 40)
 
 
 def test_box_envelope_layout(rng):
@@ -176,6 +181,102 @@ def test_box_envelope_layout(rng):
     blob = crypto.seal_box(public, b"x" * 10, rng)
     # [32B ephemeral public][12B nonce][ciphertext + 16B tag]
     assert len(blob) == 32 + 12 + 10 + 16
+
+
+P = 2**255 - 19
+# X25519 public keys of small order, each of which makes the shared secret
+# all zero: u = 0 and 1, the two points of order 8, u = p - 1 (order 2),
+# p and p + 1 (0 and 1 again, unreduced), and 0 and 1 with bit 255 set,
+# which X25519 ignores.
+SMALL_ORDER = [
+    bytes(32),
+    (1).to_bytes(32, "little"),
+    bytes.fromhex("e0eb7a7c3b41b8ae1656e3faf19fc46a"
+                  "da098deb9c32b1fd866205165f49b800"),
+    bytes.fromhex("5f9c95bca3508c24b1d0b1559c83ef5b"
+                  "04445cc4581c8e86d8224eddd09f1157"),
+    (P - 1).to_bytes(32, "little"),
+    P.to_bytes(32, "little"),
+    (P + 1).to_bytes(32, "little"),
+    (2**255).to_bytes(32, "little"),
+    (2**255 + 1).to_bytes(32, "little"),
+]
+
+
+@pytest.mark.parametrize("point", SMALL_ORDER, ids=lambda p: p.hex()[:8])
+def test_a_small_order_key_is_refused_both_ways(rng, point):
+    secret, public = crypto.new_box_keypair(rng)
+    envelope = point + rng.take(crypto.NONCE_LEN) + bytes(16)
+    with pytest.raises(crypto.DecryptionFailure,
+                       match="^invalid ephemeral key$"):
+        crypto.open_box(secret, public, envelope)
+    with pytest.raises(ValueError):
+        crypto.seal_box(point, b"message", rng)
+
+
+def test_the_box_and_symmetric_layers_take_only_bytes(rng):
+    secret, public = crypto.new_box_keypair(rng)
+    blob = crypto.seal_box(public, b"m", rng)
+    key = rng.take(32)
+    sealed = crypto.sym_encrypt(key, b"m", b"aad", rng)
+    for wrong in (memoryview, lambda blob: blob.hex()):
+        calls = [
+            lambda: crypto.box_public_key(wrong(secret)),
+            lambda: crypto.seal_box(wrong(public), b"m", rng),
+            lambda: crypto.seal_box(public, wrong(b"m"), rng),
+            lambda: crypto.open_box(wrong(secret), public, blob),
+            lambda: crypto.open_box(secret, public, wrong(blob)),
+            lambda: crypto.sym_encrypt(wrong(key), b"m", b"aad", rng),
+            lambda: crypto.sym_encrypt(key, wrong(b"m"), b"aad", rng),
+            lambda: crypto.sym_encrypt(key, b"m", wrong(b"aad"), rng),
+            lambda: crypto.sym_decrypt(wrong(key), sealed, b"aad"),
+            lambda: crypto.sym_decrypt(key, wrong(sealed), b"aad"),
+            lambda: crypto.sym_decrypt(key, sealed, wrong(b"aad"))]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+
+
+def test_a_box_or_symmetric_key_of_another_length_is_a_value_error(rng):
+    secret, public = crypto.new_box_keypair(rng)
+    blob = crypto.seal_box(public, b"m", rng)
+    for length in (31, 33):
+        with pytest.raises(ValueError):
+            crypto.box_public_key((secret + b"\x00")[:length])
+        with pytest.raises(ValueError):
+            crypto.seal_box((public + b"\x00")[:length], b"m", rng)
+        with pytest.raises(ValueError):
+            crypto.open_box((secret + b"\x00")[:length], public, blob)
+        with pytest.raises(ValueError):
+            crypto.sym_encrypt(bytes(length), b"m", b"aad", rng)
+        with pytest.raises(ValueError):
+            crypto.sym_decrypt(bytes(length), blob[32:], b"aad")
+
+
+class _NoAesGcm:
+    """A libsodium that initialises but has no AES-256-GCM for this CPU:
+    every call returns 0."""
+
+    def __getattr__(self, name):
+        return lambda *args: 0
+
+
+def test_without_aes_gcm_the_import_fails_naming_its_check(monkeypatch):
+    monkeypatch.setattr(crypto.ctypes, "CDLL", lambda name: _NoAesGcm())
+    with pytest.raises(ImportError, match=re.escape(
+            "crypto_aead_aes256gcm_is_available()")):
+        crypto._load_sodium()
+
+
+def test_the_program_loads_no_cryptography_module():
+    program = ("import sys\n"
+               "import tset.cli\n"
+               "print(sorted(name for name in sys.modules\n"
+               "             if name.split('.')[0] == 'cryptography'))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", program], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_deterministic_under_seed():

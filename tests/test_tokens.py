@@ -45,7 +45,7 @@ def keys():
 def sealed_plaintext(token: Token, keys: KeyMaterial) -> bytes:
     """The bytes seal_token puts inside the box, sealing with stream 5."""
     sealed = seal_token(token, keys, ByteStream(5))
-    return crypto.open_box(keys.box_key, keys.box_public, sealed.envelope)
+    return crypto.open_box(keys.box_secret, keys.box_public, sealed.envelope)
 
 
 def reopen(plain: bytes, keys: KeyMaterial) -> Token:
